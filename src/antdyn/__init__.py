@@ -12,12 +12,7 @@ fits convergence rates, and reproduces the canonical experiments.
 """
 
 from .analysis import (
-    ConvergenceReport,
-    DecayFit,
     FitError,
-    RankEntry,
-    RateReport,
-    VariantRanking,
     VerificationStatus,
     compare_variants,
     default_fit_window,
@@ -26,8 +21,6 @@ from .analysis import (
     verify_convergence,
 )
 from .closedform import (
-    AsymptoticState,
-    ClosedFormState,
     FFunction,
     OracleRangeError,
     asymptotic_state,
@@ -47,7 +40,6 @@ from .models import (
     NondifferentiablePointError,
     PathSystem,
     PhiKind,
-    StateVector,
     UnsupportedDerivativeError,
     g_eval,
     g_prime,
@@ -56,10 +48,6 @@ from .models import (
     vector_field,
 )
 from .presets import (
-    ExperimentPreset,
-    PhaseGrid,
-    PhasePreset,
-    PresetResult,
     get_preset,
     phase_grid,
     preset_names,
@@ -71,7 +59,6 @@ from .simulate import (
     PositivityError,
     PositivityPolicy,
     Scheme,
-    SumBoundsReport,
     Trajectory,
     check_sum_bounds,
     integrate,
@@ -80,30 +67,19 @@ from .simulate import (
     write_trajectory_csv,
 )
 from .stability import (
-    Equilibrium,
-    EquilibriumReport,
-    SolverError,
     StabilityLabel,
     classify,
     equilibrium_report,
     find_equilibria,
     jacobian,
-    solve_scale,
     spectrum_at_equilibrium,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticState",
-    "ClosedFormState",
     "ConfigError",
-    "ConvergenceReport",
-    "DecayFit",
     "DomainError",
-    "Equilibrium",
-    "EquilibriumReport",
-    "ExperimentPreset",
     "FFunction",
     "FitError",
     "GKind",
@@ -112,23 +88,14 @@ __all__ = [
     "NondifferentiablePointError",
     "OracleRangeError",
     "PathSystem",
-    "PhaseGrid",
-    "PhasePreset",
     "PhiKind",
     "PositivityError",
     "PositivityPolicy",
-    "PresetResult",
-    "RankEntry",
-    "RateReport",
     "RunConfig",
     "Scheme",
-    "SolverError",
     "StabilityLabel",
-    "StateVector",
-    "SumBoundsReport",
     "Trajectory",
     "UnsupportedDerivativeError",
-    "VariantRanking",
     "VerificationStatus",
     "asymptotic_state",
     "check_sum_bounds",
@@ -159,7 +126,6 @@ __all__ = [
     "sample_asymptotic",
     "sample_exact",
     "sigma_coefficients",
-    "solve_scale",
     "spectrum_at_equilibrium",
     "spurious_equilibria_scan",
     "sum_envelope",

@@ -10,7 +10,8 @@ reproduce   run a named preset and write its artifact bundle
 phase       sample a two-path direction field and write grid + figure
 
 Exit codes: 0 success, 1 usage or configuration errors, 2 numerical
-failures (blow-up, positivity loss, solver or fit breakdown).
+failures (blow-up, positivity loss, fit breakdown, out-of-range
+closed-form evaluation).
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from .analysis import FitError, rate_report, verify_convergence
 from .closedform import OracleRangeError, sample_asymptotic, sample_exact
 from .config import ConfigError, RunConfig, load_config
 from .models import DomainError
-from .presets import PHASE_PRESETS, phase_grid, preset_names, run_preset
-from .presets import _equilibria_lines, _grid_csv, _rates_table, _verification_lines
-from .reporting import resolve_out_root, write_text_atomic
+from .presets import PHASE_PRESETS, phase_grid, preset_names, run_preset, write_phase_artifacts
+from .reporting import equilibria_lines, rates_table, resolve_out_root, verification_lines
 from .simulate import (
     IntegrationError,
     PositivityError,
@@ -35,13 +35,12 @@ from .simulate import (
     trajectory_to_csv,
     write_trajectory_csv,
 )
-from .stability import SolverError, find_equilibria
-from .svgfig import quiver_figure
+from .stability import find_equilibria
 
 __all__ = ["main"]
 
 USAGE_ERRORS = (ConfigError, DomainError, ValueError)
-NUMERIC_ERRORS = (IntegrationError, PositivityError, SolverError, OracleRangeError, FitError)
+NUMERIC_ERRORS = (IntegrationError, PositivityError, OracleRangeError, FitError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,7 +129,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_equilibria(args) -> int:
     config = load_config(args.config)
     model = config.model()
-    lines = _equilibria_lines(model)
+    lines = equilibria_lines(model)
     print("\n".join(lines))
     return 0
 
@@ -139,7 +138,7 @@ def _cmd_rates(args) -> int:
     config = load_config(args.config)
     model, traj = _integrate_from(config)
     report = rate_report(model, traj, window=config.window)
-    print("\n".join(_rates_table(report)))
+    print("\n".join(rates_table(report)))
     return 0
 
 
@@ -147,7 +146,7 @@ def _cmd_verify(args) -> int:
     config = load_config(args.config)
     model, traj = _integrate_from(config)
     check = verify_convergence(traj, model)
-    print("\n".join(_verification_lines(check)))
+    print("\n".join(verification_lines(check)))
     return 0
 
 
@@ -164,19 +163,8 @@ def _cmd_phase(args) -> int:
     bounds = tuple(args.bounds) if args.bounds else None
     grid = phase_grid(model, bounds=bounds, resolution=args.resolution)
     out_dir = resolve_out_root(args.out) / f"phase-{model.label}"
-    csv_path = out_dir / "field-grid.csv"
-    write_text_atomic(csv_path, _grid_csv(grid))
-    markers = [
-        (float(eq.point[0]), float(eq.point[1]), f"mu_{eq.index + 1}")
-        for eq in find_equilibria(model)
-    ]
-    svg_path = out_dir / "figure.svg"
-    write_text_atomic(
-        svg_path,
-        quiver_figure(
-            grid.x1, grid.x2, grid.u, grid.v, markers,
-            title=f"phase-{model.label}", xlabel="x_1", ylabel="x_2",
-        ),
+    csv_path, svg_path = write_phase_artifacts(
+        grid, find_equilibria(model), out_dir, title=f"phase-{model.label}"
     )
     print(f"wrote {csv_path}")
     print(f"wrote {svg_path}")

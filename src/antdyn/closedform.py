@@ -29,8 +29,8 @@ from typing import Union
 import numpy as np
 from scipy.special import logsumexp
 
-from .models import DomainError, GKind, ModelSpec, PhiKind
-from .simulate import Scheme, Trajectory
+from .models import DomainError, GKind, ModelSpec, PhiKind, require_positive_state
+from .simulate import Scheme, Trajectory, sample_times
 
 __all__ = [
     "AsymptoticState",
@@ -110,12 +110,7 @@ class FFunction:
                 "closed form exists for the identity response with phi=sum only, "
                 f"got g={model.g_kind.value} phi={model.phi_kind.value}"
             )
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (model.n,):
-            raise ValueError(f"x0 has shape {x0.shape}, model has {model.n} paths")
-        for i, value in enumerate(x0):
-            if not np.isfinite(value) or value <= 0.0:
-                raise DomainError(f"component {i} of x0 is {value!r}; must be strictly positive")
+        x0 = require_positive_state(x0, model.n)
         exponents = model.beta * model.paths.d
         coefficients = x0 / exponents
         return cls(
@@ -345,12 +340,8 @@ def asymptotic_state(
 
 
 def _sample(model: ModelSpec, x0, dt: float, steps: int, scheme: Scheme) -> Trajectory:
-    if not np.isfinite(dt) or dt <= 0.0:
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps!r}")
+    times = sample_times(dt, steps)
     x0 = np.asarray(x0, dtype=float)
-    times = np.arange(steps + 1) * dt
     states = np.empty((steps + 1, model.n))
     if scheme is Scheme.EXACT:
         F = FFunction.from_model(model, x0)

@@ -27,7 +27,6 @@ __all__ = [
     "NondifferentiablePointError",
     "PathSystem",
     "PhiKind",
-    "StateVector",
     "UnsupportedDerivativeError",
     "g_eval",
     "g_prime",
@@ -183,27 +182,13 @@ class ModelSpec:
         return f"{self.g_kind.value}-{self.phi_kind.value}"
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """A state with its time stamp."""
-
-    x: np.ndarray
-    t: float = 0.0
-
-
-def _as_state_array(x) -> np.ndarray:
-    if isinstance(x, StateVector):
-        x = x.x
-    return np.asarray(x, dtype=float)
-
-
 def require_admissible(x) -> np.ndarray:
     """Check that a state lies in the admissible domain.
 
     Components must be nonnegative with at least one strictly positive
     entry.  Raises :class:`DomainError` naming the offending component.
     """
-    arr = _as_state_array(x)
+    arr = np.asarray(x, dtype=float)
     for i, value in enumerate(arr):
         if not np.isfinite(value):
             raise DomainError(f"component {i} is {value!r}")
@@ -212,6 +197,17 @@ def require_admissible(x) -> np.ndarray:
     if not np.any(arr > 0.0):
         raise DomainError("state is identically zero; at least one component must be positive")
     return arr
+
+
+def require_positive_state(x0, n: int) -> np.ndarray:
+    """Check an initial state: shape ``(n,)``, every component finite and > 0."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (n,):
+        raise ValueError(f"x0 has shape {x0.shape}, model has {n} paths")
+    for i, value in enumerate(x0):
+        if not np.isfinite(value) or value <= 0.0:
+            raise DomainError(f"component {i} of x0 is {value!r}; must be strictly positive")
+    return x0
 
 
 def phi_eval(phi_kind: PhiKind, x) -> float:
@@ -277,7 +273,7 @@ def vector_field(model: ModelSpec, x, *, validate: bool = True) -> np.ndarray:
     Parameters
     ----------
     model : ModelSpec
-    x : array_like or StateVector
+    x : array_like
         State in canonical (sorted-d) order.
     validate : bool
         When True (default) the state is checked for admissibility.
@@ -290,7 +286,7 @@ def vector_field(model: ModelSpec, x, *, validate: bool = True) -> np.ndarray:
     ndarray
         ``gamma * g(-alpha + beta * phi(x) * d) * x`` componentwise.
     """
-    arr = require_admissible(x) if validate else _as_state_array(x)
+    arr = require_admissible(x) if validate else np.asarray(x, dtype=float)
     if arr.shape != (model.n,):
         raise ValueError(f"state has shape {arr.shape}, model has {model.n} paths")
     if model.phi_kind is PhiKind.SUM:

@@ -13,30 +13,28 @@ toward the longer paths, x(0) = (0.1, 0.2, ..., 1.0).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .analysis import (
-    ConvergenceReport,
-    RateReport,
-    VariantRanking,
-    compare_variants,
-    rate_report,
-    verify_convergence,
-)
+from .analysis import VariantRanking, compare_variants, rate_report, verify_convergence
 from .models import GKind, ModelSpec, PathSystem, PhiKind, vector_field
 from .reporting import (
     compose_report,
+    equilibria_lines,
+    grid_csv,
+    model_lines,
+    rates_csv,
+    rates_table,
     render_kv,
     render_table,
     resolve_out_root,
+    verification_lines,
     write_text_atomic,
 )
-from .simulate import Trajectory, integrate, write_trajectory_csv
-from .stability import EquilibriumReport, equilibrium_report, find_equilibria
+from .simulate import integrate, write_trajectory_csv
+from .stability import find_equilibria
 from .svgfig import Series, line_figure, quiver_figure
 
 __all__ = [
@@ -50,6 +48,7 @@ __all__ = [
     "preset_names",
     "run_preset",
     "spurious_equilibria_scan",
+    "write_phase_artifacts",
 ]
 
 DEFAULT_DT = 0.02
@@ -241,9 +240,9 @@ def phase_grid(
     """Sample the vector field on a regular grid over a two-path model.
 
     ``bounds`` is the common (low, high) range of both axes; the default
-    is ``(0.01, 1.5 * beta * d_1 / alpha)``.  Axis values may touch zero
-    (single-component states are fine) but the grid must not contain the
-    origin, where the saturation is undefined.
+    is ``(0.01, 1.5 * beta * d_1 / alpha)``.  The low bound must be
+    strictly positive: both axes share it, so a zero low bound would put
+    the origin, where the saturation is undefined, on the grid.
     """
     if model.n != 2:
         raise ValueError(f"phase grids are for two-path models, got n={model.n}")
@@ -312,138 +311,25 @@ def spurious_equilibria_scan(grid: PhaseGrid, equilibria) -> tuple[bool, list[tu
     return (not offending, offending)
 
 
-def _grid_csv(grid: PhaseGrid) -> str:
-    buf = io.StringIO()
-    buf.write("x_1,x_2,dx_1,dx_2,speed,tie\n")
-    for i in range(grid.x1.size):
-        for j in range(grid.x2.size):
-            buf.write(
-                f"{grid.x1[i]:.17g},{grid.x2[j]:.17g},{grid.u[i, j]:.17g},"
-                f"{grid.v[i, j]:.17g},{grid.speed[i, j]:.17g},{int(grid.tie[i, j])}\n"
-            )
-    return buf.getvalue()
+def write_phase_artifacts(grid: PhaseGrid, equilibria, out_dir, title: str, caption=None):
+    """Write ``field-grid.csv`` and a quiver ``figure.svg`` marking each equilibrium.
 
-
-def _rates_csv(report: RateReport) -> str:
-    buf = io.StringIO()
-    buf.write(
-        "path,d,tied,fitted_rate,theoretical_rate,relative_rate_error,"
-        "fitted_limit,theoretical_limit,r_squared\n"
-    )
-    for c in report.components:
-        rel = "" if c.relative_rate_error is None else f"{c.relative_rate_error:.17g}"
-        buf.write(
-            f"{c.index + 1},{c.d_value:.17g},{int(c.tied)},{c.fitted_rate:.17g},"
-            f"{c.theoretical_rate:.17g},{rel},{c.fitted_limit:.17g},"
-            f"{c.theoretical_limit:.17g},{c.r_squared:.17g}\n"
-        )
-    return buf.getvalue()
-
-
-def _model_lines(model: ModelSpec) -> list[str]:
-    return render_kv(
-        [
-            ("response", model.g_kind.value),
-            ("saturation", model.phi_kind.value),
-            ("alpha", model.alpha),
-            ("beta", model.beta),
-            ("gamma", model.gamma),
-            ("paths", model.n),
-            ("weights", ", ".join(f"{v:.12g}" for v in model.paths.d)),
-        ]
-    )
-
-
-def _verification_lines(check: ConvergenceReport) -> list[str]:
-    lines = render_kv(
-        [
-            ("status", check.status.value),
-            ("settled", check.settled),
-            ("settle_change", check.settle_change),
-            ("tied_paths", ", ".join(str(i + 1) for i in check.tied_indices)),
-            ("tied_sum_final", check.tied_sum_final),
-            ("expected_sum", check.expected_sum),
-            ("sum_tolerance", check.sum_tolerance),
-            ("sum_ok", check.sum_ok),
-            ("max_other_component", check.max_other),
-            ("zero_threshold", check.zero_threshold),
-            ("zero_ok", check.zero_ok),
-            ("envelope_ok", check.envelope_ok),
-        ]
-    )
-    if check.envelope is not None:
-        lines.extend(
-            render_kv(
-                [
-                    ("envelope_allowance", check.envelope.allowance),
-                    ("envelope_max_violation", check.envelope.max_violation),
-                ]
-            )
-        )
-    return lines
-
-
-def _rates_table(report: RateReport) -> list[str]:
-    headers = (
-        "path",
-        "d",
-        "tied",
-        "fitted_rate",
-        "theoretical_rate",
-        "rel_error",
-        "fitted_limit",
-        "theoretical_limit",
-        "r_squared",
-    )
-    rows = [
-        (
-            c.index + 1,
-            c.d_value,
-            c.tied,
-            c.fitted_rate,
-            c.theoretical_rate,
-            c.relative_rate_error,
-            c.fitted_limit,
-            c.theoretical_limit,
-            c.r_squared,
-        )
-        for c in report.components
+    Returns the CSV and SVG paths.
+    """
+    csv_path = out_dir / "field-grid.csv"
+    write_text_atomic(csv_path, grid_csv(grid))
+    markers = [
+        (float(eq.point[0]), float(eq.point[1]), f"mu_{eq.index + 1}") for eq in equilibria
     ]
-    for series in (report.tied_sum, report.total_sum):
-        if series is not None:
-            rows.append(
-                (
-                    series.label,
-                    "",
-                    "",
-                    series.fitted_rate,
-                    series.theoretical_rate,
-                    series.relative_rate_error,
-                    series.fitted_limit,
-                    series.theoretical_limit,
-                    series.r_squared,
-                )
-            )
-    lines = render_table(headers, rows)
-    lines.append(f"fit_window_scaled = {report.window[0]:.12g} .. {report.window[1]:.12g}")
-    return lines
-
-
-def _equilibria_lines(model: ModelSpec) -> list[str]:
-    if model.g_kind is GKind.SIGNUM:
-        rows = [(eq.index + 1, eq.mu, eq.residual, "n/a (signum)") for eq in find_equilibria(model)]
-        lines = render_table(("path", "mu", "residual", "label"), rows)
-        lines.append("note = signum response has no linearization; labels unavailable")
-        return lines
-    report: EquilibriumReport = equilibrium_report(model)
-    rows = []
-    for eq, spectrum, label in zip(report.equilibria, report.spectra, report.labels):
-        eig_text = "; ".join(f"{value:.6g}" for value in spectrum)
-        rows.append((eq.index + 1, eq.mu, eq.residual, label.value, eig_text))
-    lines = render_table(("path", "mu", "residual", "label", "eigenvalues"), rows)
-    for note in report.notes:
-        lines.append(f"note = {note}")
-    return lines
+    svg_path = out_dir / "figure.svg"
+    write_text_atomic(
+        svg_path,
+        quiver_figure(
+            grid.x1, grid.x2, grid.u, grid.v, markers,
+            title=title, xlabel="x_1", ylabel="x_2", caption=caption,
+        ),
+    )
+    return csv_path, svg_path
 
 
 def _figure_for(preset: ExperimentPreset, trajectories: dict) -> str:
@@ -510,12 +396,12 @@ def _run_trajectory_preset(
         verifications[label] = verify_convergence(traj, model)
         rates[label] = rate_report(model, traj)
         rates_path = out_dir / f"rates-{label}.csv"
-        write_text_atomic(rates_path, _rates_csv(rates[label]))
+        write_text_atomic(rates_path, rates_csv(rates[label]))
         csv_paths.append(rates_path)
-        sections.append((f"model:{label}", _model_lines(model)))
-        sections.append((f"verification:{label}", _verification_lines(verifications[label])))
-        sections.append((f"rates:{label}", _rates_table(rates[label])))
-        sections.append((f"equilibria:{label}", _equilibria_lines(model)))
+        sections.append((f"model:{label}", model_lines(model)))
+        sections.append((f"verification:{label}", verification_lines(verifications[label])))
+        sections.append((f"rates:{label}", rates_table(rates[label])))
+        sections.append((f"equilibria:{label}", equilibria_lines(model)))
 
     ranking = None
     if len(preset.runs) > 1:
@@ -554,25 +440,8 @@ def _run_phase_preset(preset: PhasePreset, out_dir) -> PresetResult:
     grid = phase_grid(preset.model, bounds=preset.bounds, resolution=preset.resolution)
     equilibria = find_equilibria(preset.model)
     clean, offending = spurious_equilibria_scan(grid, equilibria)
-    csv_path = out_dir / "field-grid.csv"
-    write_text_atomic(csv_path, _grid_csv(grid))
-    markers = [
-        (float(eq.point[0]), float(eq.point[1]), f"mu_{eq.index + 1}") for eq in equilibria
-    ]
-    svg_path = out_dir / "figure.svg"
-    write_text_atomic(
-        svg_path,
-        quiver_figure(
-            grid.x1,
-            grid.x2,
-            grid.u,
-            grid.v,
-            markers,
-            title=preset.name,
-            xlabel="x_1",
-            ylabel="x_2",
-            caption=preset.description,
-        ),
+    csv_path, svg_path = write_phase_artifacts(
+        grid, equilibria, out_dir, title=preset.name, caption=preset.description
     )
     sections = [
         (
@@ -586,8 +455,8 @@ def _run_phase_preset(preset: PhasePreset, out_dir) -> PresetResult:
                 ]
             ),
         ),
-        ("model", _model_lines(preset.model)),
-        ("equilibria", _equilibria_lines(preset.model)),
+        ("model", model_lines(preset.model)),
+        ("equilibria", equilibria_lines(preset.model)),
         (
             "field-scan",
             render_kv(

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import DomainError, GKind, ModelSpec, PhiKind, vector_field
+from .models import GKind, ModelSpec, PhiKind, require_positive_state, vector_field
 
 __all__ = [
     "CLAMP_FLOOR",
@@ -62,7 +62,7 @@ class IntegrationError(RuntimeError):
 
 
 class PositivityError(IntegrationError):
-    """A state component left the positive orthant under the reject policy."""
+    """A state component turned negative under the reject policy."""
 
     def __init__(self, message: str, step: int, component: int):
         super().__init__(message, step)
@@ -108,6 +108,15 @@ class SumBoundsReport:
     within: bool
 
 
+def sample_times(dt: float, steps: int) -> np.ndarray:
+    """The uniform grid ``0, dt, ..., steps * dt`` after checking both inputs."""
+    if not np.isfinite(dt) or dt <= 0.0:
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps!r}")
+    return np.arange(steps + 1) * dt
+
+
 def _euler_step(model: ModelSpec, x: np.ndarray, dt: float) -> np.ndarray:
     return x + dt * vector_field(model, x, validate=False)
 
@@ -143,23 +152,17 @@ def integrate(
         ``euler`` or ``rk4``; the sample-grid tags are not integrable.
     positivity : PositivityPolicy
         ``reject`` (default) raises :class:`PositivityError` when a
-        component leaves the open orthant; ``clamp-epsilon`` clamps to a
-        tiny floor and flags the trajectory instead.
+        component turns negative; ``clamp-epsilon`` clamps it to a tiny
+        floor and flags the trajectory instead.  A component that
+        underflows to exactly 0.0 is kept: it lies on the invariant face
+        ``x_i = 0``, which is that component's limit.
     """
     scheme = Scheme(scheme)
     positivity = PositivityPolicy(positivity)
     if scheme not in (Scheme.EULER, Scheme.RK4):
         raise ValueError(f"scheme {scheme.value!r} is a sample-grid tag, not an integrator")
-    if not np.isfinite(dt) or dt <= 0.0:
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps!r}")
-    x = np.array(x0, dtype=float)
-    if x.shape != (model.n,):
-        raise ValueError(f"x0 has shape {x.shape}, model has {model.n} paths")
-    for i, value in enumerate(x):
-        if not np.isfinite(value) or value <= 0.0:
-            raise DomainError(f"component {i} of x0 is {value!r}; must be strictly positive")
+    times = sample_times(dt, steps)
+    x = require_positive_state(x0, model.n)
 
     step_fn = _euler_step if scheme is Scheme.EULER else _rk4_step
     states = np.empty((steps + 1, x.size))
@@ -173,8 +176,8 @@ def integrate(
             raise IntegrationError(
                 f"non-finite value in component {bad} at step {k}; integration aborted", step=k
             )
-        if np.any(x <= 0.0):
-            bad = int(np.flatnonzero(x <= 0.0)[0])
+        if np.any(x < 0.0):
+            bad = int(np.flatnonzero(x < 0.0)[0])
             if positivity is PositivityPolicy.REJECT:
                 raise PositivityError(
                     f"component {bad} reached {x[bad]!r} at step {k}; "
@@ -187,7 +190,6 @@ def integrate(
                 first_violation = (k, bad)
             x = np.maximum(x, CLAMP_FLOOR)
         states[k] = x
-    times = np.arange(steps + 1) * dt
     return Trajectory(
         times=times,
         states=states,
@@ -211,20 +213,17 @@ def sum_envelope(model: ModelSpec, s0: float, times: np.ndarray) -> tuple[np.nda
     return low + (s0 - low) * decay, high + (s0 - high) * decay
 
 
-def check_sum_bounds(
-    traj: Trajectory, model: ModelSpec, allowance: Optional[float] = None
-) -> SumBoundsReport:
+def check_sum_bounds(traj: Trajectory, model: ModelSpec) -> SumBoundsReport:
     """Verify the state sum stays inside its envelope, step by step.
 
     Only meaningful for the identity response with the sum saturation,
-    where the envelope holds for the exact flow.  ``allowance`` defaults
-    to ``10 * dt * gamma * beta * d_1``, the documented slack for the
-    Euler discretization error.
+    where the envelope holds for the exact flow.  The allowance is
+    ``10 * dt * gamma * beta * d_1``, the documented slack for the Euler
+    discretization error.
     """
     if model.phi_kind is not PhiKind.SUM or model.g_kind is not GKind.IDENTITY:
         raise ValueError("sum envelope applies to the identity response with phi=sum only")
-    if allowance is None:
-        allowance = ENVELOPE_ALLOWANCE_STEPS * traj.dt * model.gamma * model.beta * model.paths.d[0]
+    allowance = ENVELOPE_ALLOWANCE_STEPS * traj.dt * model.gamma * model.beta * model.paths.d[0]
     lower, upper = sum_envelope(model, float(traj.sums[0]), traj.times)
     below = (lower - allowance) - traj.sums
     above = traj.sums - (upper + allowance)

@@ -1,10 +1,9 @@
 """Equilibria, Jacobians and local stability classification.
 
 Every model has exactly one equilibrium per path, of the form
-``mu_i * e_i`` with ``phi(mu_i e_i) = alpha / (beta d_i)``.  For the
-reciprocal-sum and reciprocal-max saturations the scale has the closed
-form ``mu_i = beta d_i / alpha``; a bracketed monotone solver covers any
-other strictly decreasing single-axis saturation profile.
+``mu_i * e_i`` with ``phi(mu_i e_i) = alpha / (beta d_i)``.  Both
+shipped saturations, reciprocal sum and reciprocal max, equal ``1 / mu``
+along an axis, so the scale has the closed form ``mu_i = beta d_i / alpha``.
 
 At an equilibrium the Jacobian has a single nontrivial row, so its
 spectrum can be read off exactly instead of going through a dense
@@ -17,14 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .models import (
     GKind,
     ModelSpec,
-    PhiKind,
     UnsupportedDerivativeError,
     g_eval,
     g_prime,
@@ -37,23 +35,15 @@ from .models import (
 __all__ = [
     "Equilibrium",
     "EquilibriumReport",
-    "SolverError",
     "StabilityLabel",
     "classify",
     "equilibrium_report",
     "find_equilibria",
     "jacobian",
-    "solve_scale",
     "spectrum_at_equilibrium",
 ]
 
 CLASSIFY_TOL = 1e-9
-
-SCALE_BRACKET = (1e-12, 1e12)
-
-
-class SolverError(RuntimeError):
-    """Root finding failed or the root is not bracketed."""
 
 
 class StabilityLabel(str, Enum):
@@ -83,58 +73,6 @@ class EquilibriumReport:
     notes: tuple[str, ...]
 
 
-def solve_scale(
-    profile: Callable[[float], float],
-    target: float,
-    bracket: tuple[float, float] = SCALE_BRACKET,
-    rtol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
-    """Solve ``profile(mu) = target`` for a strictly decreasing profile.
-
-    ``profile`` is the saturation evaluated along one axis,
-    ``mu -> phi(mu e_i)``.  Bisection runs on log(mu), so the default
-    bracket spanning 24 decades still converges well inside the
-    iteration budget.
-
-    Raises
-    ------
-    SolverError
-        If the target is not bracketed or the iteration stalls.
-    """
-    lo, hi = bracket
-    f_lo = profile(lo) - target
-    f_hi = profile(hi) - target
-    if f_lo < 0.0 or f_hi > 0.0:
-        raise SolverError(
-            f"target {target!r} not bracketed on [{lo!r}, {hi!r}] "
-            f"(profile endpoints {profile(lo)!r}, {profile(hi)!r})"
-        )
-    log_lo, log_hi = np.log(lo), np.log(hi)
-    mu = np.exp(0.5 * (log_lo + log_hi))
-    for _ in range(max_iter):
-        value = profile(mu) - target
-        if abs(value) <= rtol * abs(target):
-            return mu
-        if value > 0.0:
-            log_lo = np.log(mu)
-        else:
-            log_hi = np.log(mu)
-        mu = np.exp(0.5 * (log_lo + log_hi))
-        if log_hi - log_lo <= np.finfo(float).eps:
-            return mu
-    raise SolverError(f"no convergence after {max_iter} iterations (last mu={mu!r})")
-
-
-def _axis_profile(model: ModelSpec, index: int) -> Callable[[float], float]:
-    def profile(mu: float) -> float:
-        point = np.zeros(model.n)
-        point[index] = mu
-        return phi_eval(model.phi_kind, point)
-
-    return profile
-
-
 def _equilibrium_residual(model: ModelSpec, point: np.ndarray) -> float:
     # The signum output is +-1 for any rounding-level argument, so for that
     # response the residual is measured on the inner switching argument
@@ -149,17 +87,12 @@ def _equilibrium_residual(model: ModelSpec, point: np.ndarray) -> float:
 def find_equilibria(model: ModelSpec) -> list[Equilibrium]:
     """All equilibria of a model, one per canonical path index.
 
-    Closed form ``mu_i = beta d_i / alpha`` for the sum and max
-    saturations, generic bracketed solve otherwise.
+    Each scale is the closed form ``mu_i = beta d_i / alpha``, which holds
+    for both the sum and the max saturation.
     """
     out = []
     for i in range(model.n):
-        d_i = float(model.paths.d[i])
-        target = model.alpha / (model.beta * d_i)
-        if model.phi_kind in (PhiKind.SUM, PhiKind.MAX):
-            mu = model.beta * d_i / model.alpha
-        else:  # pragma: no cover - no third saturation shipped yet
-            mu = solve_scale(_axis_profile(model, i), target)
+        mu = model.beta * float(model.paths.d[i]) / model.alpha
         point = np.zeros(model.n)
         point[i] = mu
         out.append(
@@ -187,8 +120,10 @@ def jacobian(model: ModelSpec, x) -> np.ndarray:
         For phi=max at a tied maximum.
     """
     arr = require_admissible(x)
-    gp = g_prime(model.g_kind, 0.0)  # raises early for signum
-    del gp
+    if model.g_kind is GKind.SIGNUM:
+        raise UnsupportedDerivativeError(
+            "signum has no pointwise derivative; its linearization is distributional"
+        )
     saturation = phi_eval(model.phi_kind, arr)
     grad = phi_grad(model.phi_kind, arr)
     a = -model.alpha + model.beta * saturation * model.paths.d
@@ -239,18 +174,15 @@ def classify(spectra: Sequence[np.ndarray], tol: float = CLASSIFY_TOL) -> list[S
     return labels
 
 
-def equilibrium_report(
-    model: ModelSpec, tol: float = CLASSIFY_TOL, equilibria: Optional[Sequence[Equilibrium]] = None
-) -> EquilibriumReport:
-    """Equilibria with exact spectra and stability labels.
+def equilibrium_report(model: ModelSpec) -> EquilibriumReport:
+    """Equilibria with exact spectra and stability labels at ``CLASSIFY_TOL``.
 
     Not available for the signum response, whose linearization is
     distributional; callers can still use :func:`find_equilibria` there.
     """
-    if equilibria is None:
-        equilibria = find_equilibria(model)
+    equilibria = find_equilibria(model)
     spectra = tuple(spectrum_at_equilibrium(model, eq) for eq in equilibria)
-    labels = tuple(classify(spectra, tol))
+    labels = tuple(classify(spectra))
     notes = []
     leading = model.paths.groups[0]
     if len(leading) > 1:
@@ -263,6 +195,6 @@ def equilibrium_report(
         equilibria=tuple(equilibria),
         spectra=spectra,
         labels=labels,
-        tol=tol,
+        tol=CLASSIFY_TOL,
         notes=tuple(notes),
     )

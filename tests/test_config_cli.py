@@ -1,13 +1,17 @@
 """Run-file parsing and command-line interface tests."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import antdyn
 from antdyn import ConfigError, RunConfig, load_config, parse_config, render_config
 from antdyn.cli import main
+from antdyn.presets import PHASE_PRESETS
 
 MINIMAL = """\
 [model]
@@ -306,6 +310,24 @@ def test_cli_phase(tmp_path, capsys):
     assert (out_dir / "figure.svg").exists()
 
 
+def test_cli_phase_matches_phase_preset(tmp_path, capsys):
+    preset = PHASE_PRESETS["phase-eigenant"]
+    model = preset.model
+    path = write_config(
+        tmp_path,
+        f"[model]\nlengths = {', '.join(repr(v) for v in model.paths.lengths)}\n"
+        f"alpha = {model.alpha!r}\nbeta = {model.beta!r}\ngamma = {model.gamma!r}\n"
+        f"response = {model.g_kind.value}\nsaturation = {model.phi_kind.value}\n",
+    )
+    lo, hi = preset.bounds
+    argv = ["--out", str(tmp_path), "--bounds", repr(lo), repr(hi)]
+    assert main(["phase", str(path), *argv, "--resolution", str(preset.resolution)]) == 0
+    assert main(["reproduce", preset.name, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    from_cli = (tmp_path / f"phase-{model.label}" / "field-grid.csv").read_bytes()
+    assert from_cli == (tmp_path / preset.name / "field-grid.csv").read_bytes()
+
+
 def test_cli_usage_errors_exit_1(tmp_path, capsys):
     assert main(["simulate", str(tmp_path / "missing.ini")]) == 1
     assert "cannot read" in capsys.readouterr().err
@@ -359,11 +381,15 @@ scheme = exact
 
 
 def test_module_entry_point():
+    # the child imports the same antdyn as this process, installed or not
+    src = str(Path(antdyn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "antdyn", "presets"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "comparison-fig4" in proc.stdout

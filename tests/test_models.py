@@ -15,7 +15,6 @@ from antdyn import (
     NondifferentiablePointError,
     PathSystem,
     PhiKind,
-    StateVector,
     UnsupportedDerivativeError,
     g_eval,
     g_prime,
@@ -107,7 +106,6 @@ def test_model_spec_coerces_and_validates():
 
 def test_require_admissible():
     assert np.array_equal(require_admissible([0.0, 1.0]), [0.0, 1.0])
-    assert np.array_equal(require_admissible(StateVector(np.array([2.0, 3.0]))), [2.0, 3.0])
     with pytest.raises(DomainError, match="component 1"):
         require_admissible([1.0, -0.5])
     with pytest.raises(DomainError, match="component 0"):
@@ -209,9 +207,3 @@ def test_vector_field_validation():
     # validate=False skips the domain check but not the shape check
     out = vector_field(model, np.array([-0.1, 1.0]), validate=False)
     assert out.shape == (2,)
-
-
-def test_vector_field_accepts_state_vector():
-    model = make_model([1.0, 2.0])
-    state = StateVector(np.array([0.5, 0.5]), t=3.0)
-    assert np.array_equal(vector_field(model, state), vector_field(model, state.x))

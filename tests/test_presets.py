@@ -1,5 +1,9 @@
 """Preset registry, artifact bundles and phase-grid tests."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,8 @@ from antdyn import (
     vector_field,
 )
 from antdyn.presets import PHASE_PRESETS, PRESETS, PhaseGrid
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden_artifacts.json"
 
 REQUIRED = [
     "eigenant-fig1",
@@ -97,6 +103,20 @@ def test_run_preset_is_deterministic(tmp_path):
     for path_a in sorted(first.out_dir.iterdir()):
         path_b = second.out_dir / path_a.name
         assert path_a.read_bytes() == path_b.read_bytes()
+
+
+def test_preset_artifacts_match_golden_hashes(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    for name in preset_names():
+        run_preset(name, out_root=tmp_path)
+    actual = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file()
+    }
+    assert len(golden) == 40
+    drifted = sorted(f for f in golden.keys() | actual.keys() if golden.get(f) != actual.get(f))
+    assert not drifted, f"artifacts differ from {GOLDEN.name}: {', '.join(drifted)}"
 
 
 def test_run_preset_comparison_ranks_all_variants(tmp_path):

@@ -126,6 +126,20 @@ def test_positivity_clamp_flags_and_continues():
     assert np.all(traj.states >= CLAMP_FLOOR)
 
 
+def test_underflow_to_zero_is_not_a_positivity_loss():
+    # dt is 60 % of the Euler bound dt * gamma * alpha < 1, so no step
+    # overshoots; x_2 decays through the subnormals to exactly 0.0 (at
+    # step 959), which lies on the invariant face x_2 = 0
+    model = make_model([1, 10])
+    traj = integrate(model, [0.5, 0.5], 0.6, 3000)
+    assert traj.final_state[1] == 0.0
+    assert not traj.positivity_violated
+    # past the bound the first step still overshoots to x_2 = -0.04
+    with pytest.raises(PositivityError, match=r"reached .*-0\.04") as info:
+        integrate(model, [0.5, 0.5], 1.2, 3000)
+    assert (info.value.step, info.value.component) == (1, 1)
+
+
 def test_positivity_preserved_at_preset_step_sizes():
     # gamma * alpha * dt < 1 keeps Euler inside the orthant
     model = make_model(range(1, 11), alpha=1.0, beta=1.0, gamma=10.0)

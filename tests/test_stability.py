@@ -14,14 +14,12 @@ from antdyn import (
     ModelSpec,
     NondifferentiablePointError,
     PathSystem,
-    SolverError,
     StabilityLabel,
     UnsupportedDerivativeError,
     classify,
     equilibrium_report,
     find_equilibria,
     jacobian,
-    solve_scale,
     spectrum_at_equilibrium,
     vector_field,
 )
@@ -65,22 +63,6 @@ def test_equilibrium_scales_and_residuals():
                 assert np.count_nonzero(eq.point) == 1
                 assert eq.point[eq.index] == eq.mu
                 assert eq.residual <= 1e-12 * model.gamma * model.beta * model.paths.d[0]
-
-
-def test_solve_scale_reciprocal_profiles():
-    assert solve_scale(lambda mu: 1.0 / mu, 0.2) == pytest.approx(5.0, rel=1e-10)
-    assert solve_scale(lambda mu: mu**-2, 0.04) == pytest.approx(5.0, rel=1e-10)
-    # closed-form scale reproduced through the generic solver
-    model = make_model([1, 2], alpha=0.7, beta=1.9)
-    mu = solve_scale(lambda m: 1.0 / m, model.alpha / (model.beta * model.paths.d[1]))
-    assert mu == pytest.approx(model.beta * model.paths.d[1] / model.alpha, rel=1e-10)
-
-
-def test_solve_scale_unbracketed_raises():
-    with pytest.raises(SolverError, match="not bracketed"):
-        solve_scale(lambda mu: 1.0 / mu, 1e20)
-    with pytest.raises(SolverError, match="not bracketed"):
-        solve_scale(lambda mu: 1.0 / mu, 1e-20)
 
 
 # -- Jacobian -----------------------------------------------------------
