@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", type=Path)
 
     p = add("reproduce", "run a named preset and write its artifact bundle")
-    p.add_argument("preset", help="preset name (see --list)")
+    p.add_argument("preset", help="preset name (list them with 'antdyn presets')")
     p.add_argument("--out", type=Path, help="output root (default: $ANTDYN_OUT, else cwd)")
     p.add_argument("--steps", type=int, help="override the preset step count")
 

@@ -12,10 +12,11 @@ and the solution in gain-scaled time ``tau = gamma t`` is
     x_i(tau) = x_i(0) exp(r_i u(tau) - alpha tau)
     S(tau)   = exp(-alpha tau) F'(u(tau))
 
-All sums of exponentials run in the log domain with a max shift, so the
-evaluator stays usable far past the point where exp(alpha t) overflows
-a double; the hard guard is ``alpha tau <= 700 ln 10``, beyond which the
-asymptotic expansion must be used instead.  That expansion needs only the
+F and F' are handled only as logs, through one max-shifted log-sum-exp,
+so the evaluator stays usable far past the point where exp(alpha t)
+overflows a double; the hard guard is ``alpha tau <= 700 ln 10``, beyond
+which the asymptotic expansion must be used instead.  A whole time grid is
+solved in one monotone Newton iteration.  The expansion needs only the
 tail-sum coefficients ``sigma_k`` of each group of tied weights and gives
 the dominant behaviour plus the first correction term.
 """
@@ -24,10 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .models import DomainError, GKind, ModelSpec, PhiKind, require_positive_state
 from .simulate import Scheme, Trajectory, sample_times
@@ -36,8 +35,8 @@ __all__ = [
     "AsymptoticState",
     "ClosedFormState",
     "FFunction",
-    "LogValue",
     "MAX_LOG_ARG",
+    "NEWTON_BUDGET",
     "OracleRangeError",
     "SigmaCoefficients",
     "exact_state",
@@ -57,6 +56,9 @@ MAX_LOG_ARG = 700.0 * math.log(10.0)
 # truncated expansion unreliable.
 CORRECTION_LIMIT = 0.1
 
+# Iterations f_inverse may take before it reports a failure to converge.
+NEWTON_BUDGET = 200
+
 _INVERSE_RTOL = 1e-12
 
 
@@ -64,26 +66,10 @@ class OracleRangeError(ValueError):
     """Requested time is outside the closed-form evaluator's guard."""
 
 
-@dataclass(frozen=True)
-class LogValue:
-    """A signed quantity stored as (log magnitude, sign).
-
-    ``value`` is the best-effort linear rendering, ``sign * exp(log)``,
-    exact to a few ulp of the log-domain result and infinite on overflow.
-    """
-
-    log: float
-    sign: int
-
-    @property
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        try:
-            magnitude = math.exp(self.log)
-        except OverflowError:
-            magnitude = math.inf
-        return self.sign * magnitude
+def logsumexp(a, axis=-1):
+    """``log(sum(exp(a)))`` along ``axis``, shifted by the maximum so no exp overflows."""
+    top = np.max(a, axis=axis, keepdims=True)
+    return np.log(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis=axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,75 +114,57 @@ class FFunction:
         return float(logsumexp(self.log_coefficients))
 
 
-def f_eval(F: FFunction, u: float) -> LogValue:
-    """F(u) for u >= 0, computed with a max-shifted log-sum-exp."""
-    if u < 0.0:
-        raise ValueError(f"u must be nonnegative, got {u!r}")
-    return LogValue(log=float(logsumexp(F.log_coefficients + F.exponents * u)), sign=1)
+def _terms(u) -> np.ndarray:
+    """``u`` with a trailing axis to broadcast against the n terms of F."""
+    u = np.asarray(u, dtype=float)
+    if np.any(u < 0.0):
+        raise ValueError(f"u must be nonnegative, got {float(np.min(u))}")
+    return u[..., None]
 
 
-def f_prime(F: FFunction, u: float) -> LogValue:
-    """F'(u) for u >= 0; strictly positive like F itself."""
-    if u < 0.0:
-        raise ValueError(f"u must be nonnegative, got {u!r}")
-    logs = F.log_coefficients + np.log(F.exponents) + F.exponents * u
-    return LogValue(log=float(logsumexp(logs)), sign=1)
+def f_eval(F: FFunction, u):
+    """``log F(u)`` for scalar or array ``u >= 0``, elementwise."""
+    return logsumexp(F.log_coefficients + F.exponents * _terms(u))
 
 
-def _log_f(F: FFunction, u: float) -> float:
-    return float(logsumexp(F.log_coefficients + F.exponents * u))
+def f_prime(F: FFunction, u):
+    """``log F'(u)`` for scalar or array ``u >= 0``, elementwise."""
+    return logsumexp(F.log_coefficients + np.log(F.exponents) + F.exponents * _terms(u))
 
 
-def f_inverse(F: FFunction, y: Union[float, LogValue]) -> float:
-    """Solve ``F(u) = y`` for ``u >= 0``.
+def f_inverse(F: FFunction, log_y):
+    """Solve ``log F(u) = log_y`` for ``u >= 0``, elementwise over scalar or array targets.
 
-    Newton iteration on ``log F(u) - log y``, which is increasing and
-    convex in u, safeguarded by the bracket
-    ``[0, (log y - log c_1) / r_1 + 1]`` with bisection whenever a Newton
-    step leaves the bracket.  Relative accuracy on F is about 1e-12,
-    degrading only to the log-domain representation limit (a few ulp of
-    ``log y``) for arguments near the range guard.
-
-    ``y`` may be a linear value or a :class:`LogValue`; it must be at
-    least ``F(0)`` up to a relative slack of 1e-12, inside which the
-    result snaps to 0.
+    ``log F`` is increasing and convex and ``F(u) >= c_1 exp(r_1 u)``, so
+    Newton from ``u0 = (log_y - log c_1) / r_1`` descends monotonically onto
+    the root without ever crossing it.  A target is done once its log
+    residual is within ``max(1e-13, 4 eps |log_y|)``, whatever the other
+    targets do.  Targets within a relative 1e-12 below ``F(0)`` snap to 0;
+    lower or non-finite ones raise :class:`DomainError`; a target still
+    unconverged after ``NEWTON_BUDGET`` iterations raises
+    :class:`OracleRangeError`.
     """
-    if isinstance(y, LogValue):
-        if y.sign <= 0:
-            raise DomainError(f"y must be positive, got sign {y.sign}")
-        log_y = y.log
-    else:
-        if not np.isfinite(y) or y <= 0.0:
-            raise DomainError(f"y must be positive and finite, got {y!r}")
-        log_y = math.log(y)
+    log_y = np.asarray(log_y, dtype=float)
     log_f0 = F.log_f0
-    if log_y <= log_f0:
-        if log_y >= log_f0 + math.log1p(-_INVERSE_RTOL):
-            return 0.0
-        raise DomainError(f"y is below F(0) (log y = {log_y!r}, log F(0) = {log_f0!r})")
-
-    r1 = float(F.exponents[0])
-    hi = (log_y - float(F.log_coefficients[0])) / r1 + 1.0
-    lo = 0.0
-    u = hi
-    tol = max(1e-13, 4.0 * np.finfo(float).eps * abs(log_y))
-    for _ in range(200):
-        value = _log_f(F, u) - log_y
-        if abs(value) <= tol:
+    valid = np.isfinite(log_y) & (log_y >= log_f0 + math.log1p(-_INVERSE_RTOL))
+    if not np.all(valid):
+        bad = float(log_y[~valid].flat[0])
+        raise DomainError(f"log y = {bad} is not finite or y is below F(0) (log F(0) = {log_f0})")
+    tol = np.maximum(1e-13, 4.0 * np.finfo(float).eps * np.abs(log_y))
+    # log y > log F(0) >= log c_1 makes u0 positive
+    u = np.where(log_y <= log_f0, 0.0, (log_y - F.log_coefficients[0]) / F.exponents[0])
+    for _ in range(NEWTON_BUDGET):
+        log_f = f_eval(F, u)
+        residual = log_f - log_y
+        active = (np.abs(residual) > tol) & (u > 0.0)
+        if not np.any(active):
             return u
-        if value > 0.0:
-            hi = u
-        else:
-            lo = u
-        slope = math.exp(f_prime(F, u).log - (value + log_y))
-        step = value / slope
-        candidate = u - step
-        if not (lo < candidate < hi):
-            candidate = 0.5 * (lo + hi)
-        if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, hi):
-            return candidate
-        u = candidate
-    return u  # bracket is a few ulp wide by now; best available point
+        step = residual * np.exp(log_f - f_prime(F, u))
+        u = np.where(active, np.maximum(u - step, 0.0), u)
+    raise OracleRangeError(
+        f"F^-1 did not converge in {NEWTON_BUDGET} Newton steps "
+        f"(worst log residual {float(np.max(np.abs(residual)))})"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,10 +187,8 @@ class SigmaCoefficients:
 
 
 def sigma_coefficients(model: ModelSpec, x0) -> SigmaCoefficients:
-    """Compute the tail-sum coefficients of an initial state."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.n,):
-        raise ValueError(f"x0 has shape {x0.shape}, model has {model.n} paths")
+    """Compute the tail-sum coefficients of a positive initial state."""
+    x0 = require_positive_state(x0, model.n)
     paths = model.paths
     sigma = np.array(
         [
@@ -231,6 +197,23 @@ def sigma_coefficients(model: ModelSpec, x0) -> SigmaCoefficients:
         ]
     )
     return SigmaCoefficients(sigma=sigma)
+
+
+def _exact_grid(F: FFunction, model: ModelSpec, x0: np.ndarray, times: np.ndarray):
+    """Exact states (one row per time) and closed-form totals on a grid of model times."""
+    at = model.alpha * (model.gamma * times)
+    if np.any(at > MAX_LOG_ARG):
+        raise OracleRangeError(
+            f"alpha * gamma * t = {float(np.max(at))} exceeds the evaluator guard "
+            f"({MAX_LOG_ARG:.1f}); use asymptotic_state for times this late"
+        )
+    # log y = log(F(0) + (exp(at) - 1) / alpha); at t = 0 the second term is log 0 = -inf
+    with np.errstate(divide="ignore"):
+        growth = at + np.log(-np.expm1(-at)) - math.log(model.alpha)
+    u = f_inverse(F, np.logaddexp(F.log_f0, growth))
+    x = x0 * np.exp(F.exponents * u[:, None] - at[:, None])
+    total = np.exp(f_prime(F, u) - at)
+    return x, total
 
 
 def exact_state(F: FFunction, model: ModelSpec, x0, t: float) -> ClosedFormState:
@@ -242,28 +225,10 @@ def exact_state(F: FFunction, model: ModelSpec, x0, t: float) -> ClosedFormState
     :func:`asymptotic_state` there, the truncation error of which is far
     below double resolution at such times.
     """
-    x0 = np.asarray(x0, dtype=float)
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
-    tau = model.gamma * t
-    at = model.alpha * tau
-    if at > MAX_LOG_ARG:
-        raise OracleRangeError(
-            f"alpha * gamma * t = {at!r} exceeds the evaluator guard ({MAX_LOG_ARG:.1f}); "
-            "use asymptotic_state for times this late"
-        )
-    log_alpha = math.log(model.alpha)
-    log_y, sign = logsumexp(
-        np.array([F.log_f0, at - log_alpha, -log_alpha]),
-        b=np.array([1.0, 1.0, -1.0]),
-        return_sign=True,
-    )
-    if sign <= 0:  # pragma: no cover - y >= F(0) > 0 by construction
-        raise OracleRangeError("internal cancellation produced a nonpositive target")
-    u = f_inverse(F, LogValue(log=float(log_y), sign=1))
-    x = x0 * np.exp(F.exponents * u - at)
-    total = math.exp(f_prime(F, u).log - at)
-    return ClosedFormState(x=x, total=total, t=float(t))
+    x, total = _exact_grid(F, model, np.asarray(x0, dtype=float), np.array([float(t)]))
+    return ClosedFormState(x=x[0], total=float(total[0]), t=float(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,12 +307,10 @@ def asymptotic_state(
 def _sample(model: ModelSpec, x0, dt: float, steps: int, scheme: Scheme) -> Trajectory:
     times = sample_times(dt, steps)
     x0 = np.asarray(x0, dtype=float)
-    states = np.empty((steps + 1, model.n))
     if scheme is Scheme.EXACT:
-        F = FFunction.from_model(model, x0)
-        for k, t in enumerate(times):
-            states[k] = exact_state(F, model, x0, float(t)).x
+        states, _ = _exact_grid(FFunction.from_model(model, x0), model, x0, times)
     else:
+        states = np.empty((steps + 1, model.n))
         sig = sigma_coefficients(model, x0)
         for k, t in enumerate(times):
             states[k] = asymptotic_state(sig, model, x0, float(t)).x

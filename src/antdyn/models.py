@@ -108,7 +108,7 @@ class PathSystem:
             raise ValueError("lengths must be a nonempty 1-D sequence")
         for i, value in enumerate(arr):
             if not np.isfinite(value) or value <= 0.0:
-                raise ValueError(f"length {i} is {value!r}; lengths must be finite and positive")
+                raise ValueError(f"length {i} is {float(value)}; lengths must be finite and positive")
         recip = 1.0 / arr
         # stable sort keeps user order among exact ties
         order = np.argsort(-recip, kind="stable")
@@ -191,9 +191,9 @@ def require_admissible(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     for i, value in enumerate(arr):
         if not np.isfinite(value):
-            raise DomainError(f"component {i} is {value!r}")
+            raise DomainError(f"component {i} is {float(value)}")
         if value < 0.0:
-            raise DomainError(f"component {i} is negative ({value!r})")
+            raise DomainError(f"component {i} is negative ({float(value)})")
     if not np.any(arr > 0.0):
         raise DomainError("state is identically zero; at least one component must be positive")
     return arr
@@ -206,7 +206,7 @@ def require_positive_state(x0, n: int) -> np.ndarray:
         raise ValueError(f"x0 has shape {x0.shape}, model has {n} paths")
     for i, value in enumerate(x0):
         if not np.isfinite(value) or value <= 0.0:
-            raise DomainError(f"component {i} of x0 is {value!r}; must be strictly positive")
+            raise DomainError(f"component {i} of x0 is {float(value)}; must be strictly positive")
     return x0
 
 

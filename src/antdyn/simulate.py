@@ -180,7 +180,7 @@ def integrate(
             bad = int(np.flatnonzero(x < 0.0)[0])
             if positivity is PositivityPolicy.REJECT:
                 raise PositivityError(
-                    f"component {bad} reached {x[bad]!r} at step {k}; "
+                    f"component {bad} reached {float(x[bad])} at step {k}; "
                     "the dynamics preserve positivity, so the step size is too coarse",
                     step=k,
                     component=bad,

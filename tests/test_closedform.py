@@ -6,13 +6,18 @@ Independent oracles used here:
 * the scalar linear ODE solved by hand for single-path and all-tied
   systems (where the dynamics collapse to dS/dt = gamma(-alpha S + beta d)),
 * a Runge-Kutta integration of the full nonlinear field,
-* shrinking |expansion - exact| gaps as time grows.
+* shrinking |expansion - exact| gaps as time grows,
+* the weighted sum sum_i x_i / (beta d_i) = exp(-alpha tau) F(u), which
+  equals exp(-alpha tau) F(0) + (1 - exp(-alpha tau)) / alpha without
+  any root solve.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antdyn import (
     DomainError,
@@ -32,7 +37,8 @@ from antdyn import (
     sigma_coefficients,
     trajectory_to_csv,
 )
-from antdyn.closedform import MAX_LOG_ARG, LogValue
+from antdyn.closedform import MAX_LOG_ARG
+from antdyn.models import TIE_RTOL
 
 
 def make_model(lengths, alpha=1.0, beta=1.0, gamma=1.0, phi="sum", g="identity"):
@@ -76,8 +82,8 @@ def test_f_eval_and_prime_match_direct_sums():
             direct_prime = float(
                 np.sum(F.coefficients * F.exponents * np.exp(F.exponents * u))
             )
-            assert f_eval(F, u).value == pytest.approx(direct, rel=1e-13)
-            assert f_prime(F, u).value == pytest.approx(direct_prime, rel=1e-13)
+            assert math.exp(f_eval(F, u)) == pytest.approx(direct, rel=1e-13)
+            assert math.exp(f_prime(F, u)) == pytest.approx(direct_prime, rel=1e-13)
     with pytest.raises(ValueError, match="nonnegative"):
         f_eval(F, -0.1)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -87,9 +93,8 @@ def test_f_eval_and_prime_match_direct_sums():
 def test_f_eval_survives_huge_arguments():
     F = FFunction.from_model(make_model([1, 2]), [0.5, 0.5])
     big = f_eval(F, 5000.0)
-    assert np.isfinite(big.log)
-    assert big.sign == 1
-    assert big.value == math.inf  # linear rendering overflows, log does not
+    assert np.isfinite(big)
+    assert big > math.log(np.finfo(float).max)  # F itself overflows, its log does not
 
 
 def test_f_inverse_round_trip_far_into_the_tail():
@@ -98,30 +103,25 @@ def test_f_inverse_round_trip_far_into_the_tail():
         n = int(rng.integers(1, 6))
         model = make_model(rng.uniform(0.5, 4.0, n), beta=float(rng.uniform(0.5, 2.0)))
         F = FFunction.from_model(model, rng.uniform(0.1, 2.0, n))
-        for u in (0.0, 1e-6, 0.5, 3.0, 50.0, 200.0, 500.0):
-            y = f_eval(F, u)
-            assert f_inverse(F, y) == pytest.approx(u, abs=1e-10)
+        us = np.array([0.0, 1e-6, 0.5, 3.0, 50.0, 200.0, 500.0])
+        for u in us:
+            assert f_inverse(F, f_eval(F, u)) == pytest.approx(u, abs=1e-10)
+        assert np.allclose(f_inverse(F, f_eval(F, us)), us, rtol=0.0, atol=1e-10)
 
 
 def test_f_inverse_accepts_linear_values_and_snaps_near_f0():
     F = FFunction.from_model(make_model([1, 2, 3]), [0.4, 0.6, 0.8])
-    u = f_inverse(F, F.f0 * 1.5)
-    assert f_eval(F, u).value == pytest.approx(F.f0 * 1.5, rel=1e-11)
-    assert f_inverse(F, F.f0) == pytest.approx(0.0, abs=1e-9)
-    assert f_inverse(F, F.f0 * (1.0 - 1e-13)) == 0.0
+    # targets are logs: log y for y = 1.5 F(0), F(0), and just below F(0)
+    u = f_inverse(F, math.log(F.f0 * 1.5))
+    assert math.exp(f_eval(F, u)) == pytest.approx(F.f0 * 1.5, rel=1e-11)
+    assert f_inverse(F, F.log_f0) == pytest.approx(0.0, abs=1e-9)
+    assert f_inverse(F, F.log_f0 + math.log1p(-1e-13)) == 0.0
     with pytest.raises(DomainError, match="below F"):
-        f_inverse(F, F.f0 * 0.5)
+        f_inverse(F, math.log(F.f0 * 0.5))
     with pytest.raises(DomainError):
-        f_inverse(F, -1.0)
-    with pytest.raises(DomainError, match="sign"):
-        f_inverse(F, LogValue(log=0.0, sign=-1))
-
-
-def test_log_value_rendering():
-    assert LogValue(log=123.0, sign=0).value == 0.0
-    assert LogValue(log=0.0, sign=1).value == 1.0
-    assert LogValue(log=1e4, sign=1).value == math.inf
-    assert LogValue(log=2.0, sign=-1).value == pytest.approx(-math.exp(2.0))
+        f_inverse(F, -math.inf)  # y = 0
+    with pytest.raises(DomainError, match="finite"):
+        f_inverse(F, [math.log(F.f0 * 2.0), math.nan])
 
 
 def test_exact_state_single_path_linear_ode():
@@ -209,6 +209,9 @@ def test_sigma_coefficients_literal_sums():
     )
     with pytest.raises(ValueError, match="shape"):
         sigma_coefficients(model, x0[:3])
+    # a zero leading component would make sigma_1 = 0 and every sample nan/inf
+    with pytest.raises(DomainError, match="component 0"):
+        sample_asymptotic(make_model([1, 2]), [0.0, 1.0], 0.1, 3)
 
 
 def test_asymptotic_error_shrinks_toward_exact():
@@ -285,3 +288,41 @@ def test_sample_grids_share_the_trajectory_container():
     assert trajectory_to_csv(tail).splitlines()[1].endswith(",asymptotic")
     with pytest.raises(ValueError, match="dt"):
         sample_exact(model, x0, 0.0, 4)
+
+
+@st.composite
+def identity_sum_runs(draw):
+    """Identity-sum systems with weights over 6 decades, ties and near-ties,
+    x0 over 9 decades, and sample grids that end anywhere up to the guard."""
+    n = draw(st.integers(1, 32))
+    lengths = [10.0 ** e for e in draw(st.lists(st.floats(0.0, 6.0), min_size=n, max_size=n))]
+    for i in range(1, n):
+        j = draw(st.integers(0, i - 1))
+        spread = draw(st.sampled_from([None, 0.0, 0.5, 1.0, 2.0]))
+        if spread is not None:  # tie length i to length j, exactly or within a few TIE_RTOL
+            lengths[i] = lengths[j] * (1.0 + spread * TIE_RTOL)
+    x0 = [10.0 ** e for e in draw(st.lists(st.floats(-4.5, 4.5), min_size=n, max_size=n))]
+    gains = st.floats(0.1, 10.0)
+    model = make_model(lengths, alpha=draw(gains), beta=draw(gains), gamma=draw(gains))
+    steps = draw(st.integers(1, 16))
+    reach = draw(st.floats(1e-9, 0.999))  # alpha tau at the last sample, as a share of the guard
+    dt = reach * MAX_LOG_ARG / (model.alpha * model.gamma * steps)
+    return model, np.array(x0), dt, steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(identity_sum_runs())
+def test_closed_form_properties(run):
+    model, x0, dt, steps = run
+    traj = sample_exact(model, x0, dt, steps)
+    assert np.all(np.isfinite(traj.states)) and np.all(traj.states >= 0.0)
+
+    F = FFunction.from_model(model, x0)
+    at = model.alpha * (model.gamma * traj.times)
+    expected = np.exp(-at) * F.f0 - np.expm1(-at) / model.alpha
+    weighted = traj.states @ (1.0 / (model.beta * model.paths.d))
+    np.testing.assert_allclose(weighted, expected, rtol=1e-9)
+
+    for k, t in enumerate(traj.times):
+        state = exact_state(F, model, x0, float(t))
+        np.testing.assert_allclose(state.x, traj.states[k], rtol=1e-12, atol=0.0)

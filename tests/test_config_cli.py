@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 
 import antdyn
-from antdyn import ConfigError, RunConfig, load_config, parse_config, render_config
+import antdyn.closedform
+from antdyn import (
+    ConfigError,
+    OracleRangeError,
+    RunConfig,
+    load_config,
+    parse_config,
+    render_config,
+    sample_exact,
+)
 from antdyn.cli import main
 from antdyn.presets import PHASE_PRESETS
 
@@ -340,6 +349,9 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
     assert main(["--help"]) == 0
     capsys.readouterr()
+    assert main(["reproduce", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert "antdyn presets" in help_text and "--list" not in help_text
 
 
 def test_cli_numerical_failures_exit_2(tmp_path, capsys):
@@ -380,16 +392,49 @@ scheme = exact
     assert "asymptotic_state" in capsys.readouterr().err
 
 
-def test_module_entry_point():
-    # the child imports the same antdyn as this process, installed or not
+def test_newton_budget_exhaustion_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    path = write_config(
+        tmp_path,
+        """\
+[model]
+lengths = 1, 2, 3
+
+[run]
+dt = 0.5
+steps = 4
+scheme = exact
+""",
+    )
+    config = load_config(path)
+    monkeypatch.setattr(antdyn.closedform, "NEWTON_BUDGET", 1)
+    with pytest.raises(OracleRangeError, match="did not converge in 1 Newton"):
+        sample_exact(config.model(), config.initial_state(), config.dt, config.steps)
+    assert main(["simulate", str(path)]) == 2
+    assert "did not converge" in capsys.readouterr().err
+
+
+def run_child(*args):
+    """Run a Python child process that imports the same antdyn as this one."""
     src = str(Path(antdyn.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "antdyn", "presets"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = run_child("-m", "antdyn", "presets")
     assert proc.returncode == 0
     assert "comparison-fig4" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    proc = run_child(
+        "-c", "import sys, antdyn.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -106,7 +106,7 @@ def test_model_spec_coerces_and_validates():
 
 def test_require_admissible():
     assert np.array_equal(require_admissible([0.0, 1.0]), [0.0, 1.0])
-    with pytest.raises(DomainError, match="component 1"):
+    with pytest.raises(DomainError, match=r"component 1 is negative \(-0\.5\)"):
         require_admissible([1.0, -0.5])
     with pytest.raises(DomainError, match="component 0"):
         require_admissible([np.nan, 1.0])

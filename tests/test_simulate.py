@@ -135,9 +135,10 @@ def test_underflow_to_zero_is_not_a_positivity_loss():
     assert traj.final_state[1] == 0.0
     assert not traj.positivity_violated
     # past the bound the first step still overshoots to x_2 = -0.04
-    with pytest.raises(PositivityError, match=r"reached .*-0\.04") as info:
-        integrate(model, [0.5, 0.5], 1.2, 3000)
+    with pytest.raises(PositivityError, match=r"reached -0\.04") as info:
+        integrate(model, [0.5, 0.5], 1.2, 3)
     assert (info.value.step, info.value.component) == (1, 1)
+    assert "np.float64" not in str(info.value)
 
 
 def test_positivity_preserved_at_preset_step_sizes():
