@@ -225,9 +225,10 @@ def exact_state(F: FFunction, model: ModelSpec, x0, t: float) -> ClosedFormState
     :func:`asymptotic_state` there, the truncation error of which is far
     below double resolution at such times.
     """
+    x0 = require_positive_state(x0, model.n)
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
-    x, total = _exact_grid(F, model, np.asarray(x0, dtype=float), np.array([float(t)]))
+    x, total = _exact_grid(F, model, x0, np.array([float(t)]))
     return ClosedFormState(x=x[0], total=float(total[0]), t=float(t))
 
 
@@ -258,11 +259,18 @@ def asymptotic_state(
     remainder is set to zero, so validity is advertised through
     ``correction_ratio`` rather than silently degraded values.
     """
-    if model.phi_kind is not PhiKind.SUM or model.g_kind is not GKind.IDENTITY:
-        raise ValueError("asymptotic expansion applies to the identity response with phi=sum only")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = require_positive_state(x0, model.n)
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t!r}")
+    return _asymptotic_state(sigma, model, x0, t)
+
+
+def _asymptotic_state(
+    sigma: SigmaCoefficients, model: ModelSpec, x0: np.ndarray, t: float
+) -> AsymptoticState:
+    """:func:`asymptotic_state` for an ``x0`` and ``t`` already checked."""
+    if model.phi_kind is not PhiKind.SUM or model.g_kind is not GKind.IDENTITY:
+        raise ValueError("asymptotic expansion applies to the identity response with phi=sum only")
     tau = model.gamma * t
     paths = model.paths
     dp = paths.d_distinct
@@ -313,7 +321,7 @@ def _sample(model: ModelSpec, x0, dt: float, steps: int, scheme: Scheme) -> Traj
         states = np.empty((steps + 1, model.n))
         sig = sigma_coefficients(model, x0)
         for k, t in enumerate(times):
-            states[k] = asymptotic_state(sig, model, x0, float(t)).x
+            states[k] = _asymptotic_state(sig, model, x0, float(t)).x
     return Trajectory(
         times=times, states=states, sums=states.sum(axis=1), scheme=scheme, dt=float(dt)
     )

@@ -32,6 +32,7 @@ __all__ = [
     "g_prime",
     "phi_eval",
     "phi_grad",
+    "rhs",
     "vector_field",
 ]
 
@@ -267,31 +268,53 @@ def g_prime(g_kind: GKind, a):
     )
 
 
-def vector_field(model: ModelSpec, x, *, validate: bool = True) -> np.ndarray:
-    """Right-hand side of the path-choice dynamics at a state.
+# Elementwise response applied in place; identity needs none.
+_RESPONSE = {GKind.IDENTITY: None, GKind.TANH: np.tanh, GKind.SIGNUM: np.sign}
+
+
+def rhs(model: ModelSpec):
+    """The right-hand side of ``model`` as a function ``f(x)`` of a state.
+
+    The saturation and the response are resolved once, here, so ``f``
+    does no checking and no coercion: it expects a float array of shape
+    ``(n,)`` in canonical order and returns a fresh array
+    ``gamma * g(-alpha + beta * phi(x) * d) * x``.  Outside the domain it
+    computes whatever the floats give (a zero sum gives ``inf``), so the
+    integrators can step speculatively and check afterwards.
+    """
+    reduce = np.add.reduce if model.phi_kind is PhiKind.SUM else np.maximum.reduce
+    response = _RESPONSE[model.g_kind]
+    alpha, beta, gamma, d = model.alpha, model.beta, model.gamma, model.paths.d
+
+    def f(x: np.ndarray) -> np.ndarray:
+        a = beta * (1.0 / reduce(x)) * d
+        a -= alpha
+        if response is not None:
+            response(a, out=a)
+        a *= gamma
+        a *= x
+        return a
+
+    return f
+
+
+def vector_field(model: ModelSpec, x) -> np.ndarray:
+    """Right-hand side of the path-choice dynamics at an admissible state.
 
     Parameters
     ----------
     model : ModelSpec
     x : array_like
-        State in canonical (sorted-d) order.
-    validate : bool
-        When True (default) the state is checked for admissibility.
-        Integrators pass False on interior stage evaluations, where a
-        transiently out-of-domain stage point is tolerated and any
-        non-finite fallout is caught at the end of the step.
+        Admissible state (see :func:`require_admissible`) in canonical
+        (sorted-d) order.
 
     Returns
     -------
     ndarray
-        ``gamma * g(-alpha + beta * phi(x) * d) * x`` componentwise.
+        ``gamma * g(-alpha + beta * phi(x) * d) * x`` componentwise,
+        computed by :func:`rhs`.
     """
-    arr = require_admissible(x) if validate else np.asarray(x, dtype=float)
+    arr = require_admissible(x)
     if arr.shape != (model.n,):
         raise ValueError(f"state has shape {arr.shape}, model has {model.n} paths")
-    if model.phi_kind is PhiKind.SUM:
-        saturation = 1.0 / float(np.sum(arr))
-    else:
-        saturation = 1.0 / float(np.max(arr))
-    a = -model.alpha + model.beta * saturation * model.paths.d
-    return model.gamma * g_eval(model.g_kind, a) * arr
+    return rhs(model)(arr)

@@ -180,6 +180,19 @@ def test_exact_state_basics_and_invariants():
         exact_state(F, model, x0, -1.0)
 
 
+def test_exact_and_asymptotic_state_reject_bad_x0():
+    model = make_model([1, 2])
+    F = FFunction.from_model(model, [0.5, 0.5])
+    sigma = sigma_coefficients(model, [0.5, 0.5])
+    for x0 in ((5.0, -1.0), (0.5, 0.0), (0.5, float("nan"))):
+        with pytest.raises(DomainError, match="component 1 of x0"):
+            exact_state(F, model, x0, 1.0)
+        with pytest.raises(DomainError, match="component 1 of x0"):
+            asymptotic_state(sigma, model, x0, 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        exact_state(F, model, (0.5, 0.5, 0.5), 1.0)
+
+
 def test_exact_state_preserves_tied_ratios():
     model = make_model([1, 1, 1, 2, 5], alpha=0.3, beta=0.8, gamma=2.0)
     x0 = np.array([0.2, 0.5, 0.9, 1.0, 0.4])

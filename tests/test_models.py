@@ -204,6 +204,3 @@ def test_vector_field_validation():
         vector_field(model, [-0.1, 1.0])
     with pytest.raises(ValueError, match="shape"):
         vector_field(model, [1.0, 1.0, 1.0])
-    # validate=False skips the domain check but not the shape check
-    out = vector_field(model, np.array([-0.1, 1.0]), validate=False)
-    assert out.shape == (2,)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antdyn import (
     DomainError,
@@ -13,12 +15,14 @@ from antdyn import (
     Scheme,
     Trajectory,
     check_sum_bounds,
+    g_eval,
     integrate,
     sum_envelope,
     trajectory_to_csv,
     vector_field,
     write_trajectory_csv,
 )
+from antdyn.models import GKind, PhiKind
 from antdyn.simulate import CLAMP_FLOOR
 
 
@@ -155,6 +159,120 @@ def test_non_finite_step_aborts_with_integration_error():
             integrate(overshooting_model(), [1.0, 1.0], 1e308, 3)
     assert info.value.step == 1
     assert not isinstance(info.value, PositivityError)
+
+
+def reference_field(model, x):
+    """vector_field, extended to the out-of-domain RK4 stage points it rejects."""
+    try:
+        return vector_field(model, x)
+    except DomainError:
+        # numpy scalars, so a zero saturation gives inf as in the kernel
+        sat = 1.0 / (np.sum(x) if model.phi_kind is PhiKind.SUM else np.max(x))
+        a = -model.alpha + model.beta * sat * model.paths.d
+        return model.gamma * g_eval(model.g_kind, a) * x
+
+
+def reference_integrate(model, x0, dt, steps, scheme, positivity):
+    """The per-step loop: step, check finiteness, check sign, clamp or raise."""
+
+    def f(x):
+        return reference_field(model, x)
+
+    x = np.asarray(x0, dtype=float)
+    states = [x]
+    first_violation = None
+    with np.errstate(all="ignore"):
+        for k in range(1, steps + 1):
+            if scheme is Scheme.EULER:
+                x = x + dt * f(x)
+            else:
+                k1 = f(x)
+                k2 = f(x + 0.5 * dt * k1)
+                k3 = f(x + 0.5 * dt * k2)
+                k4 = f(x + dt * k3)
+                x = x + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            if not np.all(np.isfinite(x)):
+                raise IntegrationError("non-finite", step=k)
+            if np.any(x < 0.0):
+                bad = int(np.flatnonzero(x < 0.0)[0])
+                if positivity is PositivityPolicy.REJECT:
+                    raise PositivityError("negative", step=k, component=bad)
+                if first_violation is None:
+                    first_violation = (k, bad)
+                x = np.maximum(x, CLAMP_FLOOR)
+            states.append(x)
+    return np.array(states), first_violation
+
+
+def run_integrate(*args):
+    traj = integrate(*args)
+    return traj.states, traj.first_violation
+
+
+def outcome(run, *args):
+    """``(states, first_violation)`` of a run, or ``(type, step, component)`` of its error."""
+    try:
+        return run(*args)
+    except IntegrationError as err:
+        return type(err), err.step, getattr(err, "component", None)
+
+
+def assert_matches_reference(*args):
+    expected = outcome(reference_integrate, *args)
+    got = outcome(run_integrate, *args)
+    if isinstance(expected[0], np.ndarray):
+        assert np.array_equal(got[0], expected[0])
+        assert got[1] == expected[1]
+    else:
+        assert got == expected
+    return expected
+
+
+def euler_bound(model):
+    """Largest dt with dt * gamma * |g(-alpha)| <= 1, past which Euler can overshoot 0."""
+    return 1.0 / (model.gamma * abs(float(g_eval(model.g_kind, -model.alpha))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    phi=st.sampled_from(list(PhiKind)),
+    g=st.sampled_from(list(GKind)),
+    scheme=st.sampled_from([Scheme.EULER, Scheme.RK4]),
+    positivity=st.sampled_from(list(PositivityPolicy)),
+    lengths=st.lists(st.floats(1.0, 10.0), min_size=1, max_size=8),
+    rates=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(0.2, 3.0)),
+    log_x0=st.lists(st.floats(-3.0, 2.0), min_size=8, max_size=8),
+    dt_fraction=st.floats(0.05, 3.0),
+    steps=st.integers(0, 200),
+)
+def test_integrate_matches_per_step_reference(
+    phi, g, scheme, positivity, lengths, rates, log_x0, dt_fraction, steps
+):
+    alpha, beta, gamma = rates
+    model = make_model(lengths, alpha=alpha, beta=beta, gamma=gamma, phi=phi, g=g)
+    x0 = 10.0 ** np.array(log_x0[: model.n])
+    dt = dt_fraction * euler_bound(model)
+    assert_matches_reference(model, x0, dt, steps, scheme, positivity)
+
+
+@pytest.mark.parametrize(
+    "x1, step",
+    [(0.453, 64), (0.544, 65), (0.501, 143)],
+    ids=["last-step-of-block", "first-step-of-block", "last-partial-block"],
+)
+@pytest.mark.parametrize("positivity", list(PositivityPolicy))
+def test_first_violation_is_exact_at_check_block_edges(x1, step, positivity):
+    # dt * alpha = 2.05 > 2: Euler oscillates about the equilibrium sum 1
+    # with a growing amplitude, and the starting offset sets when it
+    # first overshoots 0; 150 steps end in a partial block of 22
+    model = make_model([1.0, 1.0])
+    expected = assert_matches_reference(
+        model, [x1, 0.5], 2.05, 150, Scheme.EULER, positivity
+    )
+    if positivity is PositivityPolicy.REJECT:
+        assert expected == (PositivityError, step, 0)
+    else:
+        assert expected[1] == (step, 0)
 
 
 def test_sum_envelope_endpoints_and_limits():
