@@ -211,15 +211,18 @@ def require_positive_state(x0, n: int) -> np.ndarray:
     return x0
 
 
+# The reduction whose reciprocal is phi, and the elementwise response
+# applied in place (identity needs none).
+_SATURATION = {PhiKind.SUM: np.add.reduce, PhiKind.MAX: np.maximum.reduce}
+_RESPONSE = {GKind.IDENTITY: None, GKind.TANH: np.tanh, GKind.SIGNUM: np.sign}
+
+
 def phi_eval(phi_kind: PhiKind, x) -> float:
     """Evaluate the saturation function phi at a state.
 
     ``sum`` gives ``1 / sum(x)``, ``max`` gives ``1 / max(x)``.
     """
-    arr = require_admissible(x)
-    if PhiKind(phi_kind) is PhiKind.SUM:
-        return 1.0 / float(np.sum(arr))
-    return 1.0 / float(np.max(arr))
+    return 1.0 / float(_SATURATION[PhiKind(phi_kind)](require_admissible(x)))
 
 
 def phi_grad(phi_kind: PhiKind, x) -> np.ndarray:
@@ -245,13 +248,9 @@ def phi_grad(phi_kind: PhiKind, x) -> np.ndarray:
 
 def g_eval(g_kind: GKind, a):
     """Apply the outer response g elementwise.  sign(0) is 0."""
-    a = np.asarray(a, dtype=float)
-    kind = GKind(g_kind)
-    if kind is GKind.IDENTITY:
-        return a.copy()
-    if kind is GKind.TANH:
-        return np.tanh(a)
-    return np.sign(a)
+    response = _RESPONSE[GKind(g_kind)]
+    a = np.array(a, dtype=float)
+    return a if response is None else response(a, out=a)
 
 
 def g_prime(g_kind: GKind, a):
@@ -268,10 +267,6 @@ def g_prime(g_kind: GKind, a):
     )
 
 
-# Elementwise response applied in place; identity needs none.
-_RESPONSE = {GKind.IDENTITY: None, GKind.TANH: np.tanh, GKind.SIGNUM: np.sign}
-
-
 def rhs(model: ModelSpec):
     """The right-hand side of ``model`` as a function ``f(x)`` of a state.
 
@@ -280,9 +275,10 @@ def rhs(model: ModelSpec):
     ``(n,)`` in canonical order and returns a fresh array
     ``gamma * g(-alpha + beta * phi(x) * d) * x``.  Outside the domain it
     computes whatever the floats give (a zero sum gives ``inf``), so the
-    integrators can step speculatively and check afterwards.
+    integrators evaluate stage points unchecked and check each step once
+    it is complete.
     """
-    reduce = np.add.reduce if model.phi_kind is PhiKind.SUM else np.maximum.reduce
+    reduce = _SATURATION[model.phi_kind]
     response = _RESPONSE[model.g_kind]
     alpha, beta, gamma, d = model.alpha, model.beta, model.gamma, model.paths.d
 

@@ -151,11 +151,11 @@ def integrate(
         ``x_i = 0``, which is that component's limit.
 
     A non-finite component raises :class:`IntegrationError`.  Steps run
-    in blocks of ``_CHECK_BLOCK`` and each block is checked once, but the
-    error, the clamp and ``first_violation`` name the first offending
-    step and component exactly, as a per-step check would: the steps
-    after it are discarded and, under ``clamp-epsilon``, integrated again
-    from the clamped state.
+    in blocks of ``_CHECK_BLOCK``, each checked once with one minimum and
+    one maximum.  The first block that fails is integrated again one
+    checked step at a time, and the run goes on that way, so the error,
+    the clamp and ``first_violation`` name the first offending step and
+    component exactly, as a per-step check would.
     """
     scheme = Scheme(scheme)
     positivity = PositivityPolicy(positivity)
@@ -170,12 +170,12 @@ def integrate(
     states = np.empty((steps + 1, x0.size))
     states[0] = x0
     first_violation: Optional[tuple[int, int]] = None
-    start = 1
-    while start <= steps:
-        stop = min(start + _CHECK_BLOCK, steps + 1)
-        # Steps past a bad one are discarded below, so their overflow and
-        # invalid-value warnings are meaningless.
-        with np.errstate(all="ignore"):
+    start, block = 1, _CHECK_BLOCK
+    # Steps past a bad one are discarded, so their overflow and
+    # invalid-value warnings are meaningless.
+    with np.errstate(all="ignore"):
+        while start <= steps:
+            stop = min(start + block, steps + 1)
             for k in range(start, stop):
                 x = states[k - 1]
                 if euler:
@@ -188,30 +188,36 @@ def integrate(
                     k4 = f(x + dt * k3)
                     dx = ((k2 + k3) * 2.0 + k1 + k4) * sixth
                 np.add(x, dx, out=states[k])
-        block = states[start:stop]
-        bad_rows = ~np.isfinite(block).all(axis=1) | (block < 0.0).any(axis=1)
-        if not bad_rows.any():
-            start = stop
-            continue
-        k = start + int(np.argmax(bad_rows))
-        x = states[k]
-        if not np.all(np.isfinite(x)):
-            bad = int(np.flatnonzero(~np.isfinite(x))[0])
-            raise IntegrationError(
-                f"non-finite value in component {bad} at step {k}; integration aborted", step=k
-            )
-        bad = int(np.flatnonzero(x < 0.0)[0])
-        if positivity is PositivityPolicy.REJECT:
-            raise PositivityError(
-                f"component {bad} reached {float(x[bad])} at step {k}; "
-                "the dynamics preserve positivity, so the step size is too coarse",
-                step=k,
-                component=bad,
-            )
-        if first_violation is None:
-            first_violation = (k, bad)
-        np.maximum(x, CLAMP_FLOOR, out=x)
-        start = k + 1
+            rows = states[start:stop]
+            # A nan fails the comparison with the minimum.
+            if 0.0 <= rows.min() and rows.max() < np.inf:
+                start = stop
+                continue
+            if block > 1:
+                # Integrate the block again one checked step at a time, and
+                # keep that pace: after a clamp, a component pinned at the
+                # floor is usually pushed below 0 again on the next step.
+                block = 1
+                continue
+            k, x = start, states[start]
+            if not np.all(np.isfinite(x)):
+                bad = int(np.flatnonzero(~np.isfinite(x))[0])
+                raise IntegrationError(
+                    f"non-finite value in component {bad} at step {k}; integration aborted",
+                    step=k,
+                )
+            bad = int(np.flatnonzero(x < 0.0)[0])
+            if positivity is PositivityPolicy.REJECT:
+                raise PositivityError(
+                    f"component {bad} reached {float(x[bad])} at step {k}; "
+                    "the dynamics preserve positivity, so the step size is too coarse",
+                    step=k,
+                    component=bad,
+                )
+            if first_violation is None:
+                first_violation = (k, bad)
+            np.maximum(x, CLAMP_FLOOR, out=x)
+            start = k + 1
     return Trajectory(
         times=times,
         states=states,

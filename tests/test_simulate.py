@@ -22,8 +22,9 @@ from antdyn import (
     vector_field,
     write_trajectory_csv,
 )
-from antdyn.models import GKind, PhiKind
-from antdyn.simulate import CLAMP_FLOOR
+from antdyn import simulate
+from antdyn.models import GKind, PhiKind, rhs
+from antdyn.simulate import _CHECK_BLOCK, CLAMP_FLOOR
 
 
 def make_model(lengths, alpha=1.0, beta=1.0, gamma=1.0, phi="sum", g="identity"):
@@ -273,6 +274,33 @@ def test_first_violation_is_exact_at_check_block_edges(x1, step, positivity):
         assert expected == (PositivityError, step, 0)
     else:
         assert expected[1] == (step, 0)
+
+
+def test_clamp_holds_a_component_pinned_at_the_floor(monkeypatch):
+    # Near the equilibrium (1, 0), dt * gamma * |g(a_2)| = 1.5 * 0.9 > 1, so
+    # every Euler step sends x_2 from the floor below 0 and the clamp
+    # puts it back
+    model = make_model([1.0, 10.0])
+    args = (model, [0.5, 0.5], 1.5, 500, Scheme.EULER, PositivityPolicy.CLAMP_EPSILON)
+    states, first_violation = assert_matches_reference(*args)
+    assert first_violation == (1, 1)
+    assert np.all(states[1:, 1] == CLAMP_FLOOR)
+
+    # Each clamp costs one step: only the first failing block is integrated twice
+    calls = []
+
+    def counting_rhs(model):
+        f = rhs(model)
+
+        def counted(x):
+            calls.append(None)
+            return f(x)
+
+        return counted
+
+    monkeypatch.setattr(simulate, "rhs", counting_rhs)
+    integrate(*args)
+    assert len(calls) <= 500 + _CHECK_BLOCK
 
 
 def test_sum_envelope_endpoints_and_limits():
