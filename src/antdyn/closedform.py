@@ -15,10 +15,12 @@ and the solution in gain-scaled time ``tau = gamma t`` is
 F and F' are handled only as logs, through one max-shifted log-sum-exp,
 so the evaluator stays usable far past the point where exp(alpha t)
 overflows a double; the hard guard is ``alpha tau <= 700 ln 10``, beyond
-which the asymptotic expansion must be used instead.  A whole time grid is
-solved in one monotone Newton iteration.  The expansion needs only the
-tail-sum coefficients ``sigma_k`` of each group of tied weights and gives
-the dominant behaviour plus the first correction term.
+which the asymptotic expansion must be used instead.  The expansion needs
+only the tail-sum coefficients ``sigma_k`` of each group of tied weights and
+gives the dominant behaviour plus the first correction term.  Both are
+evaluated over a whole time grid at once: the closed form in one monotone
+Newton iteration, the expansion in a few array expressions.  The
+single-time functions are the one-row case of these grids.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import DomainError, GKind, ModelSpec, PhiKind, require_positive_state
+from .models import DomainError, GKind, ModelSpec, PathSystem, PhiKind, require_positive_state
 from .simulate import Scheme, Trajectory, sample_times
 
 __all__ = [
@@ -190,13 +192,13 @@ def sigma_coefficients(model: ModelSpec, x0) -> SigmaCoefficients:
     """Compute the tail-sum coefficients of a positive initial state."""
     x0 = require_positive_state(x0, model.n)
     paths = model.paths
-    sigma = np.array(
-        [
-            sum(x0[j] for j in group) / (model.beta * paths.d_distinct[k])
-            for k, group in enumerate(paths.groups)
-        ]
-    )
-    return SigmaCoefficients(sigma=sigma)
+    sums = np.bincount(_group_index(paths), weights=x0, minlength=paths.d_distinct.size)
+    return SigmaCoefficients(sigma=sums / (model.beta * paths.d_distinct))
+
+
+def _group_index(paths: PathSystem) -> np.ndarray:
+    """Each component's weight group: the number of distinct weights at or above it, less one."""
+    return np.searchsorted(-paths.d_distinct, -paths.d, side="right") - 1
 
 
 def _exact_grid(F: FFunction, model: ModelSpec, x0: np.ndarray, times: np.ndarray):
@@ -223,13 +225,21 @@ def exact_state(F: FFunction, model: ModelSpec, x0, t: float) -> ClosedFormState
     ``tau = gamma t``.  Raises :class:`OracleRangeError` once
     ``alpha tau`` exceeds the log-domain guard; use
     :func:`asymptotic_state` there, the truncation error of which is far
-    below double resolution at such times.
+    below double resolution at such times.  A negative or non-finite ``t``
+    raises ``ValueError``.
     """
     x0 = require_positive_state(x0, model.n)
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t!r}")
-    x, total = _exact_grid(F, model, x0, np.array([float(t)]))
-    return ClosedFormState(x=x[0], total=float(total[0]), t=float(t))
+    t = _time(t)
+    x, total = _exact_grid(F, model, x0, np.array([t]))
+    return ClosedFormState(x=x[0], total=float(total[0]), t=t)
+
+
+def _time(t) -> float:
+    """A single requested time as a float, checked to be finite and nonnegative."""
+    t = float(t)
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    return t
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,65 +261,51 @@ class AsymptoticState:
 def asymptotic_state(
     sigma: SigmaCoefficients, model: ModelSpec, x0, t: float
 ) -> AsymptoticState:
-    """Late-time state from the truncated expansion.
+    """Late-time state from the truncated expansion at time ``t >= 0``.
 
     Components on the tied-leading set approach ``x_i(0) / (alpha sigma_1)``
     with an exponentially small correction; every other component decays
     at rate ``alpha (1 - d'_k / d_1)`` in gain-scaled time.  The neglected
     remainder is set to zero, so validity is advertised through
-    ``correction_ratio`` rather than silently degraded values.
+    ``correction_ratio`` rather than silently degraded values: while
+    ``leading_valid`` is False the tied-leading components may even come
+    out negative.  A negative or non-finite ``t`` raises ``ValueError``.
+    This is the one-row case of the grid that :func:`sample_asymptotic`
+    evaluates.
     """
     x0 = require_positive_state(x0, model.n)
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t!r}")
-    return _asymptotic_state(sigma, model, x0, t)
+    t = _time(t)
+    x, total, ratio = _asymptotic_grid(sigma, model, x0, np.array([t]))
+    ratio = float(ratio[0])
+    return AsymptoticState(x[0], float(total[0]), t, ratio, ratio <= CORRECTION_LIMIT)
 
 
-def _asymptotic_state(
-    sigma: SigmaCoefficients, model: ModelSpec, x0: np.ndarray, t: float
-) -> AsymptoticState:
-    """:func:`asymptotic_state` for an ``x0`` and ``t`` already checked."""
+def _asymptotic_grid(sigma: SigmaCoefficients, model: ModelSpec, x0: np.ndarray, times):
+    """Expansion states (one row per time), totals and correction ratios on a grid of model times.
+
+    Each component takes the distinct weight of its group as its exponent.
+    """
     if model.phi_kind is not PhiKind.SUM or model.g_kind is not GKind.IDENTITY:
         raise ValueError("asymptotic expansion applies to the identity response with phi=sum only")
-    tau = model.gamma * t
-    paths = model.paths
-    dp = paths.d_distinct
+    tau = model.gamma * times
+    dp = model.paths.d_distinct
     s = sigma.sigma
     lead = 1.0 / (model.alpha * s[0])
-
-    if dp.size > 1:
-        exponent = dp[1] / dp[0]
-        decay = math.exp(-model.alpha * (1.0 - exponent) * tau)
-        correction = (s[1] / s[0]) * lead**exponent * decay
-        total = (
-            model.beta * dp[0] / model.alpha
-            - model.beta * s[1] * (dp[0] - dp[1]) * lead**exponent * decay
-        )
-        ratio = correction / lead
-    else:
-        correction = 0.0
-        total = model.beta * dp[0] / model.alpha
-        ratio = 0.0
-
-    x = np.empty(model.n)
-    for k, group in enumerate(paths.groups):
-        idx = list(group)
-        if k == 0:
-            x[idx] = x0[idx] * (lead - correction)
-        else:
-            exponent_k = dp[k] / dp[0]
-            x[idx] = (
-                x0[idx]
-                * lead**exponent_k
-                * math.exp(-model.alpha * (1.0 - exponent_k) * tau)
-            )
-    return AsymptoticState(
-        x=x,
-        total=total,
-        t=float(t),
-        correction_ratio=float(ratio),
-        leading_valid=bool(ratio <= CORRECTION_LIMIT),
-    )
+    exponent = dp / dp[0]
+    scale = lead**exponent
+    # one column per non-leading group
+    decay = np.exp(-model.alpha * (1.0 - exponent[1:]) * tau[:, None])
+    correction = np.zeros(tau.size)
+    total = np.full(tau.size, model.beta * dp[0] / model.alpha)
+    if dp.size > 1:  # the first correction comes from the second group
+        correction = (s[1] / s[0]) * scale[1] * decay[:, 0]
+        total -= model.beta * s[1] * (dp[0] - dp[1]) * scale[1] * decay[:, 0]
+    tied = len(model.paths.groups[0])
+    rest = _group_index(model.paths)[tied:]
+    x = np.empty((tau.size, model.n))
+    x[:, :tied] = x0[:tied] * (lead - correction)[:, None]
+    x[:, tied:] = x0[tied:] * scale[rest] * decay[:, rest - 1]
+    return x, total, correction / lead
 
 
 def _sample(model: ModelSpec, x0, dt: float, steps: int, scheme: Scheme) -> Trajectory:
@@ -318,10 +314,7 @@ def _sample(model: ModelSpec, x0, dt: float, steps: int, scheme: Scheme) -> Traj
     if scheme is Scheme.EXACT:
         states, _ = _exact_grid(FFunction.from_model(model, x0), model, x0, times)
     else:
-        states = np.empty((steps + 1, model.n))
-        sig = sigma_coefficients(model, x0)
-        for k, t in enumerate(times):
-            states[k] = _asymptotic_state(sig, model, x0, float(t)).x
+        states, _, _ = _asymptotic_grid(sigma_coefficients(model, x0), model, x0, times)
     return Trajectory(
         times=times, states=states, sums=states.sum(axis=1), scheme=scheme, dt=float(dt)
     )
@@ -333,5 +326,9 @@ def sample_exact(model: ModelSpec, x0, dt: float, steps: int) -> Trajectory:
 
 
 def sample_asymptotic(model: ModelSpec, x0, dt: float, steps: int) -> Trajectory:
-    """Sample the truncated expansion on a uniform grid as a Trajectory."""
+    """Sample the truncated expansion on a uniform grid as a Trajectory.
+
+    Row ``k`` is ``asymptotic_state(sigma_coefficients(model, x0), model,
+    x0, k * dt).x`` up to rounding; the whole grid is evaluated at once.
+    """
     return _sample(model, x0, dt, steps, Scheme.ASYMPTOTIC)

@@ -15,6 +15,7 @@ closed forms) builds on these.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -107,9 +108,9 @@ class PathSystem:
         arr = np.asarray(lengths, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("lengths must be a nonempty 1-D sequence")
-        for i, value in enumerate(arr):
-            if not np.isfinite(value) or value <= 0.0:
-                raise ValueError(f"length {i} is {float(value)}; lengths must be finite and positive")
+        if not (0.0 < arr.min() and arr.max() < math.inf):  # nan fails both
+            i = int(np.argmin(np.isfinite(arr) & (arr > 0.0)))
+            raise ValueError(f"length {i} is {float(arr[i])}; lengths must be finite and positive")
         recip = 1.0 / arr
         # stable sort keeps user order among exact ties
         order = np.argsort(-recip, kind="stable")
@@ -190,12 +191,15 @@ def require_admissible(x) -> np.ndarray:
     entry.  Raises :class:`DomainError` naming the offending component.
     """
     arr = np.asarray(x, dtype=float)
-    for i, value in enumerate(arr):
-        if not np.isfinite(value):
-            raise DomainError(f"component {i} is {float(value)}")
-        if value < 0.0:
-            raise DomainError(f"component {i} is negative ({float(value)})")
-    if not np.any(arr > 0.0):
+    # nan fails both comparisons; an empty state reads as identically zero
+    top = arr.max(initial=-math.inf)
+    if not (0.0 <= arr.min(initial=math.inf) and top < math.inf):
+        for i, value in enumerate(arr):
+            if not np.isfinite(value):
+                raise DomainError(f"component {i} is {float(value)}")
+            if value < 0.0:
+                raise DomainError(f"component {i} is negative ({float(value)})")
+    if not top > 0.0:
         raise DomainError("state is identically zero; at least one component must be positive")
     return arr
 
@@ -205,9 +209,9 @@ def require_positive_state(x0, n: int) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(f"x0 has shape {x0.shape}, model has {n} paths")
-    for i, value in enumerate(x0):
-        if not np.isfinite(value) or value <= 0.0:
-            raise DomainError(f"component {i} of x0 is {float(value)}; must be strictly positive")
+    if not (0.0 < x0.min() and x0.max() < math.inf):  # nan fails both
+        i = int(np.argmin(np.isfinite(x0) & (x0 > 0.0)))
+        raise DomainError(f"component {i} of x0 is {float(x0[i])}; must be strictly positive")
     return x0
 
 

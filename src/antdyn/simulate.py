@@ -116,9 +116,9 @@ class SumBoundsReport:
 def sample_times(dt: float, steps: int) -> np.ndarray:
     """The uniform grid ``0, dt, ..., steps * dt`` after checking both inputs."""
     if not np.isfinite(dt) or dt <= 0.0:
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps!r}")
+        raise ValueError(f"steps must be nonnegative, got {steps}")
     return np.arange(steps + 1) * dt
 
 

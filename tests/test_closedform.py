@@ -37,7 +37,7 @@ from antdyn import (
     sigma_coefficients,
     trajectory_to_csv,
 )
-from antdyn.closedform import MAX_LOG_ARG
+from antdyn.closedform import CORRECTION_LIMIT, MAX_LOG_ARG
 from antdyn.models import TIE_RTOL
 
 
@@ -176,8 +176,13 @@ def test_exact_state_basics_and_invariants():
     assert np.allclose(at_zero.x, x0, rtol=1e-12)
     state = exact_state(F, model, x0, 2.0)
     assert state.total == pytest.approx(state.x.sum(), rel=1e-10)
-    with pytest.raises(ValueError, match="nonnegative"):
-        exact_state(F, model, x0, -1.0)
+    sigma = sigma_coefficients(model, x0)
+    for t, shown in ((-1.0, "-1.0"), (math.nan, "nan"), (math.inf, "inf"), (np.float64(-2.0), "-2.0")):
+        message = f"^t must be finite and nonnegative, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            exact_state(F, model, x0, t)
+        with pytest.raises(ValueError, match=message):
+            asymptotic_state(sigma, model, x0, t)
 
 
 def test_exact_and_asymptotic_state_reject_bad_x0():
@@ -299,8 +304,11 @@ def test_sample_grids_share_the_trajectory_container():
     tail = sample_asymptotic(model, x0, 5.0, 4)
     assert tail.scheme is Scheme.ASYMPTOTIC
     assert trajectory_to_csv(tail).splitlines()[1].endswith(",asymptotic")
-    with pytest.raises(ValueError, match="dt"):
-        sample_exact(model, x0, 0.0, 4)
+    for dt, shown in ((0.0, "0.0"), (np.float64(math.nan), "nan")):
+        with pytest.raises(ValueError, match=f"^dt must be finite and positive, got {shown}$"):
+            sample_exact(model, x0, dt, 4)
+    with pytest.raises(ValueError, match="^steps must be nonnegative, got -1$"):
+        sample_asymptotic(model, x0, 0.25, np.int64(-1))
 
 
 @st.composite
@@ -339,3 +347,60 @@ def test_closed_form_properties(run):
     for k, t in enumerate(traj.times):
         state = exact_state(F, model, x0, float(t))
         np.testing.assert_allclose(state.x, traj.states[k], rtol=1e-12, atol=0.0)
+
+
+def reference_asymptotic_state(sigma, model, x0, t):
+    """The expansion at one time, one weight group at a time: ``(x, total, ratio)``."""
+    tau = model.gamma * t
+    dp = model.paths.d_distinct
+    s = sigma.sigma
+    lead = 1.0 / (model.alpha * s[0])
+    if dp.size > 1:
+        exponent = dp[1] / dp[0]
+        decay = math.exp(-model.alpha * (1.0 - exponent) * tau)
+        correction = (s[1] / s[0]) * lead**exponent * decay
+        total = (
+            model.beta * dp[0] / model.alpha
+            - model.beta * s[1] * (dp[0] - dp[1]) * lead**exponent * decay
+        )
+    else:
+        correction = 0.0
+        total = model.beta * dp[0] / model.alpha
+    x = np.empty(model.n)
+    for k, group in enumerate(model.paths.groups):
+        idx = list(group)
+        if k == 0:
+            x[idx] = x0[idx] * (lead - correction)
+        else:
+            exponent_k = dp[k] / dp[0]
+            x[idx] = x0[idx] * lead**exponent_k * math.exp(-model.alpha * (1.0 - exponent_k) * tau)
+    return x, total, correction / lead
+
+
+@st.composite
+def expansion_runs(draw):
+    """Identity-sum systems as in :func:`identity_sum_runs`, sampled from t = 0
+    to gain-scaled times far past the point where every decay underflows."""
+    model, x0, _, steps = draw(identity_sum_runs())
+    reach = 10.0 ** draw(st.floats(-6.0, 4.0))  # alpha tau at the last sample
+    return model, x0, reach / (model.alpha * model.gamma * steps), steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(expansion_runs())
+def test_asymptotic_expansion_properties(run):
+    model, x0, dt, steps = run
+    traj = sample_asymptotic(model, x0, dt, steps)
+    sigma = sigma_coefficients(model, x0)
+    assert np.all(np.isfinite(traj.states))
+    for k, t in enumerate(traj.times):
+        state = asymptotic_state(sigma, model, x0, float(t))
+        np.testing.assert_allclose(state.x, traj.states[k], rtol=1e-12, atol=0.0)
+        x, total, ratio = reference_asymptotic_state(sigma, model, x0, float(t))
+        np.testing.assert_allclose(traj.states[k], x, rtol=1e-13, atol=0.0)
+        assert state.total == pytest.approx(total, rel=1e-13, abs=0.0)
+        assert state.correction_ratio == pytest.approx(ratio, rel=1e-13, abs=0.0)
+        assert state.leading_valid == (ratio <= CORRECTION_LIMIT)
+        # while the first correction is small the truncated expansion stays positive
+        if state.leading_valid:
+            assert np.all(traj.states[k] >= 0.0)

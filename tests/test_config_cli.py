@@ -17,6 +17,7 @@ from antdyn import (
     load_config,
     parse_config,
     render_config,
+    sample_asymptotic,
     sample_exact,
 )
 from antdyn.cli import main
@@ -244,6 +245,35 @@ def test_cli_simulate_to_file_and_source_column(tmp_path, capsys, monkeypatch):
     # -o overrides the configured path
     assert main(["simulate", str(path), "-o", str(tmp_path / "other.csv")]) == 0
     assert (tmp_path / "other.csv").exists()
+
+
+def test_cli_simulate_asymptotic_writes_the_expansion(tmp_path):
+    text = """\
+[model]
+lengths = 3, 1, 2, 1
+alpha = 0.7
+gamma = 1.5
+
+[run]
+x0 = 0.5, 0.2, 0.9, 0.4
+dt = 0.5
+steps = 40
+scheme = asymptotic
+"""
+    path = write_config(tmp_path, text)
+    out = tmp_path / "asym.csv"
+    assert main(["simulate", str(path), "-o", str(out)]) == 0
+    config = load_config(path)
+    expected = sample_asymptotic(config.model(), config.initial_state(), config.dt, config.steps)
+    lines = out.read_text().splitlines()
+    assert lines[0] == "t,x_1,x_2,x_3,x_4,S,source"
+    rows = [line.split(",") for line in lines[1:]]
+    assert {row[-1] for row in rows} == {"asymptotic"}
+    # 17 significant digits round-trip, so the values must be equal, not close
+    values = np.array([[float(v) for v in row[:-1]] for row in rows])
+    assert np.array_equal(values[:, 0], expected.times)
+    assert np.array_equal(values[:, 1:-1], expected.states)
+    assert np.array_equal(values[:, -1], expected.sums)
 
 
 def test_cli_equilibria(tmp_path, capsys):

@@ -22,7 +22,7 @@ from antdyn import (
     phi_grad,
     vector_field,
 )
-from antdyn.models import require_admissible
+from antdyn.models import require_admissible, require_positive_state
 
 
 def make_model(lengths, alpha=1.0, beta=1.0, gamma=1.0, phi="sum", g="identity"):
@@ -79,6 +79,9 @@ def test_path_system_rejects_bad_lengths():
         PathSystem.from_lengths([1.0, -2.0])
     with pytest.raises(ValueError, match="length 0"):
         PathSystem.from_lengths([np.nan, 1.0])
+    # the first offender is named, with a plain float
+    with pytest.raises(ValueError, match=r"^length 1 is inf; lengths must be finite and positive$"):
+        PathSystem.from_lengths([1.0, np.inf, 0.0])
     with pytest.raises(ValueError):
         PathSystem.from_lengths([[1.0, 2.0]])
 
@@ -110,6 +113,13 @@ def test_require_admissible():
         require_admissible([1.0, -0.5])
     with pytest.raises(DomainError, match="component 0"):
         require_admissible([np.nan, 1.0])
+    # the first offender is named, whichever kind it is
+    with pytest.raises(DomainError, match=r"^component 1 is -inf$"):
+        require_admissible([1.0, -np.inf, -0.5])
+    with pytest.raises(DomainError, match=r"^component 2 is negative \(-0\.5\)$"):
+        require_admissible([1.0, 0.0, -0.5, np.nan])
+    with pytest.raises(DomainError, match=r"^component 1 of x0 is 0\.0; must be strictly positive$"):
+        require_positive_state([1.0, 0.0, np.nan], 3)
     with pytest.raises(DomainError, match="identically zero"):
         require_admissible([0.0, 0.0])
 
