@@ -350,31 +350,39 @@ def test_closed_form_properties(run):
 
 
 def reference_asymptotic_state(sigma, model, x0, t):
-    """The expansion at one time, one weight group at a time: ``(x, total, ratio)``."""
+    """The expansion at one time, one weight group at a time.
+
+    Returns ``(x, x_size, total, total_size, ratio)``.  The tied-leading
+    components and the total are differences of two terms that nearly
+    cancel while the expansion is invalid (a second weight just outside
+    ``TIE_RTOL`` of the first makes ``correction`` almost ``lead``), so
+    ``x_size`` and ``total_size`` are the sums of the terms' magnitudes,
+    the scale rounding errors are relative to.
+    """
     tau = model.gamma * t
     dp = model.paths.d_distinct
     s = sigma.sigma
     lead = 1.0 / (model.alpha * s[0])
+    limit = model.beta * dp[0] / model.alpha
     if dp.size > 1:
         exponent = dp[1] / dp[0]
         decay = math.exp(-model.alpha * (1.0 - exponent) * tau)
         correction = (s[1] / s[0]) * lead**exponent * decay
-        total = (
-            model.beta * dp[0] / model.alpha
-            - model.beta * s[1] * (dp[0] - dp[1]) * lead**exponent * decay
-        )
+        shift = model.beta * s[1] * (dp[0] - dp[1]) * lead**exponent * decay
     else:
-        correction = 0.0
-        total = model.beta * dp[0] / model.alpha
+        correction = shift = 0.0
     x = np.empty(model.n)
+    x_size = np.empty(model.n)
     for k, group in enumerate(model.paths.groups):
         idx = list(group)
         if k == 0:
             x[idx] = x0[idx] * (lead - correction)
+            x_size[idx] = x0[idx] * (lead + correction)
         else:
             exponent_k = dp[k] / dp[0]
             x[idx] = x0[idx] * lead**exponent_k * math.exp(-model.alpha * (1.0 - exponent_k) * tau)
-    return x, total, correction / lead
+            x_size[idx] = x[idx]
+    return x, x_size, limit - shift, limit + shift, correction / lead
 
 
 @st.composite
@@ -395,10 +403,10 @@ def test_asymptotic_expansion_properties(run):
     assert np.all(np.isfinite(traj.states))
     for k, t in enumerate(traj.times):
         state = asymptotic_state(sigma, model, x0, float(t))
-        np.testing.assert_allclose(state.x, traj.states[k], rtol=1e-12, atol=0.0)
-        x, total, ratio = reference_asymptotic_state(sigma, model, x0, float(t))
-        np.testing.assert_allclose(traj.states[k], x, rtol=1e-13, atol=0.0)
-        assert state.total == pytest.approx(total, rel=1e-13, abs=0.0)
+        x, x_size, total, total_size, ratio = reference_asymptotic_state(sigma, model, x0, float(t))
+        assert np.all(np.abs(state.x - traj.states[k]) <= 1e-12 * x_size)
+        assert np.all(np.abs(traj.states[k] - x) <= 1e-13 * x_size)
+        assert abs(state.total - total) <= 1e-13 * total_size
         assert state.correction_ratio == pytest.approx(ratio, rel=1e-13, abs=0.0)
         assert state.leading_valid == (ratio <= CORRECTION_LIMIT)
         # while the first correction is small the truncated expansion stays positive
