@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .analysis import FitError, rate_report, verify_convergence
-from .closedform import OracleRangeError, sample_asymptotic, sample_exact
+from .closedform import CORRECTION_LIMIT, OracleRangeError, sample_asymptotic, sample_exact
 from .config import ConfigError, RunConfig, load_config
 from .models import DomainError
 from .presets import PHASE_PRESETS, phase_grid, preset_names, run_preset, write_phase_artifacts
@@ -121,6 +121,14 @@ def _cmd_simulate(args) -> int:
     if traj.positivity_violated:
         print(
             f"warning: clamped a nonpositive component at step {traj.first_violation}",
+            file=sys.stderr,
+        )
+    if traj.leading_valid is not None and not traj.leading_valid.all():
+        invalid = (~traj.leading_valid).nonzero()[0]
+        print(
+            f"warning: the asymptotic expansion is invalid on {invalid.size} of "
+            f"{traj.times.size} rows (correction ratio above {CORRECTION_LIMIT:g}), "
+            f"the last at t = {traj.times[invalid[-1]]:.12g}",
             file=sys.stderr,
         )
     return 0

@@ -311,12 +311,15 @@ def _asymptotic_grid(sigma: SigmaCoefficients, model: ModelSpec, x0: np.ndarray,
 def _sample(model: ModelSpec, x0, dt: float, steps: int, scheme: Scheme) -> Trajectory:
     times = sample_times(dt, steps)
     x0 = np.asarray(x0, dtype=float)
+    valid = None
     if scheme is Scheme.EXACT:
         states, _ = _exact_grid(FFunction.from_model(model, x0), model, x0, times)
     else:
-        states, _, _ = _asymptotic_grid(sigma_coefficients(model, x0), model, x0, times)
+        states, _, ratio = _asymptotic_grid(sigma_coefficients(model, x0), model, x0, times)
+        valid = ratio <= CORRECTION_LIMIT
     return Trajectory(
-        times=times, states=states, sums=states.sum(axis=1), scheme=scheme, dt=float(dt)
+        times=times, states=states, sums=states.sum(axis=1), scheme=scheme, dt=float(dt),
+        leading_valid=valid,
     )
 
 
@@ -330,5 +333,6 @@ def sample_asymptotic(model: ModelSpec, x0, dt: float, steps: int) -> Trajectory
 
     Row ``k`` is ``asymptotic_state(sigma_coefficients(model, x0), model,
     x0, k * dt).x`` up to rounding; the whole grid is evaluated at once.
+    ``leading_valid`` holds that state's flag for every row.
     """
     return _sample(model, x0, dt, steps, Scheme.ASYMPTOTIC)

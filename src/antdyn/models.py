@@ -276,8 +276,10 @@ def rhs(model: ModelSpec):
 
     The saturation and the response are resolved once, here, so ``f``
     does no checking and no coercion: it expects a float array of shape
-    ``(n,)`` in canonical order and returns a fresh array
-    ``gamma * g(-alpha + beta * phi(x) * d) * x``.  Outside the domain it
+    ``(n,)`` or ``(..., n)`` in canonical order and returns a fresh array
+    ``gamma * g(-alpha + beta * phi(x) * d) * x`` of the same shape.  A
+    batch of states is one reduction per row along the last axis, and each
+    row equals the result for that row alone.  Outside the domain it
     computes whatever the floats give (a zero sum gives ``inf``), so the
     integrators evaluate stage points unchecked and check each step once
     it is complete.
@@ -287,7 +289,10 @@ def rhs(model: ModelSpec):
     alpha, beta, gamma, d = model.alpha, model.beta, model.gamma, model.paths.d
 
     def f(x: np.ndarray) -> np.ndarray:
-        a = beta * (1.0 / reduce(x)) * d
+        s = reduce(x, -1)
+        if x.ndim > 1:  # a batch: one value per row, as a column that broadcasts
+            s = s[..., None]
+        a = beta * (1.0 / s) * d
         a -= alpha
         if response is not None:
             response(a, out=a)

@@ -13,13 +13,14 @@ toward the longer paths, x(0) = (0.1, 0.2, ..., 1.0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .analysis import VariantRanking, compare_variants, rate_report, verify_convergence
-from .models import GKind, ModelSpec, PathSystem, PhiKind, vector_field
+from .models import GKind, ModelSpec, PathSystem, PhiKind, rhs
 from .reporting import (
     compose_report,
     equilibria_lines,
@@ -240,9 +241,12 @@ def phase_grid(
     """Sample the vector field on a regular grid over a two-path model.
 
     ``bounds`` is the common (low, high) range of both axes; the default
-    is ``(0.01, 1.5 * beta * d_1 / alpha)``.  The low bound must be
-    strictly positive: both axes share it, so a zero low bound would put
-    the origin, where the saturation is undefined, on the grid.
+    is ``(0.01, 1.5 * beta * d_1 / alpha)``.  Both bounds must be finite
+    and the low bound strictly positive: both axes share it, so a zero low
+    bound would put the origin, where the saturation is undefined, on the
+    grid.  The whole grid is one call of the :func:`rhs` kernel, and a
+    field that is not finite at some node (bounds so small that the
+    saturation overflows) raises ``ValueError`` naming that node.
     """
     if model.n != 2:
         raise ValueError(f"phase grids are for two-path models, got n={model.n}")
@@ -251,22 +255,24 @@ def phase_grid(
     if bounds is None:
         bounds = (0.01, 1.5 * model.beta * model.paths.d[0] / model.alpha)
     lo, hi = float(bounds[0]), float(bounds[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bounds must be finite, got {bounds!r}")
     if not lo < hi:
         raise ValueError(f"bounds must satisfy lo < hi, got {bounds!r}")
     if lo < 0.0:
         raise ValueError("bounds must stay in the nonnegative quadrant")
-    axis = np.linspace(lo, hi, resolution)
     if lo == 0.0:
         raise ValueError("grid would contain the origin; raise the lower bound above 0")
-    u = np.empty((resolution, resolution))
-    v = np.empty((resolution, resolution))
+    axis = np.linspace(lo, hi, resolution)
+    with np.errstate(all="ignore"):  # checked below, node by node
+        field = rhs(model)(np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1))
+    bad = np.argwhere(~np.isfinite(field).all(axis=-1))
+    if bad.size:
+        raise ValueError(f"vector field is not finite at node {tuple(axis[bad[0]].tolist())}")
+    u, v = field[..., 0], field[..., 1]
     tie = np.zeros((resolution, resolution), dtype=bool)
-    for i, a in enumerate(axis):
-        for j, b in enumerate(axis):
-            f = vector_field(model, np.array([a, b]))
-            u[i, j], v[i, j] = f[0], f[1]
-            if model.phi_kind is PhiKind.MAX and a == b:
-                tie[i, j] = True
+    if model.phi_kind is PhiKind.MAX:
+        tie = axis[:, None] == axis
     return PhaseGrid(
         x1=axis.copy(),
         x2=axis.copy(),

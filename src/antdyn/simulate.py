@@ -79,7 +79,9 @@ class Trajectory:
     """Equally spaced samples of one run.
 
     ``states`` has shape (steps + 1, n) in canonical path order and
-    ``sums`` is the row sum of ``states`` exactly as stored.
+    ``sums`` is the row sum of ``states`` exactly as stored.  Samples of
+    the asymptotic expansion carry ``leading_valid``, one flag per row
+    that is False where the expansion is too early to hold.
     """
 
     times: np.ndarray
@@ -89,6 +91,7 @@ class Trajectory:
     dt: float
     positivity_violated: bool = False
     first_violation: Optional[tuple[int, int]] = None
+    leading_valid: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:

@@ -59,7 +59,11 @@ def _fmt(v: float) -> str:
 
 
 class _Frame:
-    """Data-to-pixel mapping for one plot area."""
+    """Data-to-pixel mapping for one plot area.
+
+    ``x`` and ``y`` are plain arithmetic, so they map a scalar and an
+    array alike, with the same operations in the same order.
+    """
 
     def __init__(self, x_range, y_range, width=WIDTH, height=HEIGHT):
         self.width = width
@@ -78,11 +82,11 @@ class _Frame:
         self.py_lo = height - MARGIN_BOTTOM
         self.py_hi = MARGIN_TOP
 
-    def x(self, v: float) -> float:
+    def x(self, v):
         frac = (v - self.x_lo) / (self.x_hi - self.x_lo)
         return self.px_lo + frac * (self.px_hi - self.px_lo)
 
-    def y(self, v: float) -> float:
+    def y(self, v):
         frac = (v - self.y_lo) / (self.y_hi - self.y_lo)
         return self.py_lo + frac * (self.py_hi - self.py_lo)
 
@@ -155,9 +159,9 @@ def line_figure(
     parts = _axes(frame, title, xlabel, ylabel)
     for k, s in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
-        points = " ".join(
-            f"{frame.x(float(xv)):.2f},{frame.y(float(yv)):.2f}" for xv, yv in zip(s.x, s.y)
-        )
+        x, y = np.asarray(s.x, dtype=float), np.asarray(s.y, dtype=float)
+        xy = np.column_stack((frame.x(x), frame.y(y))).ravel().tolist()
+        points = " ".join(["%.2f,%.2f"] * len(x)) % tuple(xy)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )

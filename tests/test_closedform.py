@@ -409,6 +409,7 @@ def test_asymptotic_expansion_properties(run):
         assert abs(state.total - total) <= 1e-13 * total_size
         assert state.correction_ratio == pytest.approx(ratio, rel=1e-13, abs=0.0)
         assert state.leading_valid == (ratio <= CORRECTION_LIMIT)
+        assert traj.leading_valid[k] == state.leading_valid
         # while the first correction is small the truncated expansion stays positive
         if state.leading_valid:
             assert np.all(traj.states[k] >= 0.0)

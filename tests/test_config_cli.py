@@ -276,6 +276,43 @@ scheme = asymptotic
     assert np.array_equal(values[:, -1], expected.sums)
 
 
+def test_cli_simulate_asymptotic_warns_where_the_expansion_is_invalid(tmp_path, capsys):
+    text = """\
+[model]
+lengths = 1, 2
+
+[run]
+x0 = 0.01, 10
+dt = 0.5
+steps = 40
+scheme = asymptotic
+"""
+    path = write_config(tmp_path, text)
+    assert main(["simulate", str(path)]) == 0
+    captured = capsys.readouterr()
+    # the early rows are written as computed, so x_1 starts at -199
+    assert captured.out.splitlines()[1] == "0,-199,100,-99,asymptotic"
+    config = load_config(path)
+    traj = sample_asymptotic(config.model(), config.initial_state(), config.dt, config.steps)
+    invalid = np.flatnonzero(~traj.leading_valid)
+    assert invalid.size == 31 and traj.leading_valid[31:].all()
+    assert captured.err == (
+        "warning: the asymptotic expansion is invalid on 31 of 41 rows "
+        "(correction ratio above 0.1), the last at t = 15\n"
+    )
+
+    late = write_config(tmp_path, text.replace("x0 = 0.01, 10", "x0 = 0.9, 0.01"), name="late.ini")
+    assert main(["simulate", str(late), "-o", str(tmp_path / "late.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_phase_rejects_nonfinite_bounds(tmp_path, capsys):
+    path = write_config(tmp_path, "[model]\nlengths = 1, 2\n")
+    assert main(["phase", str(path), "--out", str(tmp_path), "--bounds", "0.01", "inf"]) == 1
+    assert "error: bounds must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "phase-identity-sum").exists()
+
+
 def test_cli_equilibria(tmp_path, capsys):
     path = write_config(tmp_path, BASIC_RUN)
     assert main(["equilibria", str(path)]) == 0

@@ -22,7 +22,7 @@ from antdyn import (
     phi_grad,
     vector_field,
 )
-from antdyn.models import require_admissible, require_positive_state
+from antdyn.models import require_admissible, require_positive_state, rhs
 
 
 def make_model(lengths, alpha=1.0, beta=1.0, gamma=1.0, phi="sum", g="identity"):
@@ -214,3 +214,19 @@ def test_vector_field_validation():
         vector_field(model, [-0.1, 1.0])
     with pytest.raises(ValueError, match="shape"):
         vector_field(model, [1.0, 1.0, 1.0])
+
+
+def test_rhs_on_rows_equals_rhs_on_each_row():
+    # a batch of states is one reduction per row; each row must be bitwise
+    # what the single-state call gives, over the pairwise-summation sizes
+    rng = np.random.default_rng(3)
+    for n in range(1, 65):
+        rows = rng.uniform(0.01, 2.0, size=(3, 2, n))
+        lengths = rng.uniform(1.0, 10.0, size=n)
+        for phi in ("sum", "max"):
+            for g in ("identity", "tanh", "signum"):
+                f = rhs(make_model(lengths, alpha=0.7, gamma=1.5, phi=phi, g=g))
+                batch = f(rows)
+                assert batch.shape == rows.shape
+                for index in np.ndindex(rows.shape[:-1]):
+                    assert np.array_equal(batch[index], f(rows[index])), (n, phi, g, index)

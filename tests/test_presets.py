@@ -9,6 +9,8 @@ import pytest
 
 from antdyn import (
     GKind,
+    ModelSpec,
+    PathSystem,
     PhiKind,
     find_equilibria,
     get_preset,
@@ -156,18 +158,21 @@ def test_phase_preset_bundle(tmp_path):
 
 
 def test_phase_grid_matches_vector_field():
-    model = PHASE_PRESETS["phase-maxant"].model
-    grid = phase_grid(model, bounds=(0.1, 1.3), resolution=7)
-    assert np.allclose(grid.x1, np.linspace(0.1, 1.3, 7))
-    for i in (0, 3, 6):
-        for j in (1, 4):
-            field = vector_field(model, np.array([grid.x1[i], grid.x2[j]]))
-            assert grid.u[i, j] == field[0]
-            assert grid.v[i, j] == field[1]
-    assert np.allclose(grid.speed, np.hypot(grid.u, grid.v))
-    # the kink of phi=max sits exactly on the diagonal
-    assert grid.tie.sum() == 7
-    assert all(grid.tie[k, k] for k in range(7))
+    paths = PathSystem.from_lengths([1, 2.5])
+    for phi in PhiKind:
+        for g in GKind:
+            model = ModelSpec(alpha=0.7, beta=1.3, gamma=2.0, phi_kind=phi, g_kind=g, paths=paths)
+            grid = phase_grid(model, bounds=(0.1, 1.3), resolution=9)
+            assert np.array_equal(grid.x1, np.linspace(0.1, 1.3, 9))
+            assert np.array_equal(grid.x2, grid.x1)
+            for i, a in enumerate(grid.x1):
+                for j, b in enumerate(grid.x2):
+                    field = vector_field(model, np.array([a, b]))
+                    assert grid.u[i, j] == field[0], (model.label, i, j)
+                    assert grid.v[i, j] == field[1], (model.label, i, j)
+                    assert grid.speed[i, j] == np.hypot(field[0], field[1])
+                    # the kink of phi=max sits exactly on the diagonal
+                    assert grid.tie[i, j] == (phi is PhiKind.MAX and i == j)
 
 
 def test_phase_grid_sum_variant_has_no_kinks():
@@ -188,6 +193,13 @@ def test_phase_grid_input_validation():
         phase_grid(model, bounds=(1.0, 1.0))
     with pytest.raises(ValueError, match="resolution"):
         phase_grid(model, resolution=1)
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        phase_grid(model, bounds=(0.01, np.inf))
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        phase_grid(model, bounds=(np.nan, 1.0))
+    # the saturation overflows at the lowest node, which the error names
+    with pytest.raises(ValueError, match=r"not finite at node \(1e-320, 1e-320\)"):
+        phase_grid(model, bounds=(1e-320, 1.0))
     three = get_preset("eigenant-fig1").runs[0][1]
     with pytest.raises(ValueError, match="two-path"):
         phase_grid(three)
