@@ -40,7 +40,16 @@ __all__ = [
 # natural scale beta d_1 / alpha.
 ZERO_THRESHOLD_FACTOR = 1e-4
 
+# The tied-set sum must come within this fraction of that scale of it.
+SUM_TOLERANCE_FACTOR = 1e-2
+
+# Largest relative change of the sum over the last 10% of a settled run.
+SETTLE_RTOL = 1e-3
+
 MIN_FIT_SAMPLES = 10
+
+# Runs are ranked by when x_1 comes within this fraction of its limit.
+RANK_THRESHOLD = 0.05
 
 
 class FitError(RuntimeError):
@@ -69,7 +78,6 @@ def fit_decay_rate(
     values,
     window: Optional[tuple[float, float]] = None,
     limit: Optional[float] = 0.0,
-    min_samples: int = MIN_FIT_SAMPLES,
 ) -> DecayFit:
     """Fit an exponential decay rate by least squares in the log domain.
 
@@ -88,7 +96,7 @@ def fit_decay_rate(
     Raises
     ------
     FitError
-        If fewer than ``min_samples`` usable samples remain.  Samples at
+        If fewer than ``MIN_FIT_SAMPLES`` usable samples remain.  Samples at
         or past a zero residual (for example an integrator that stepped
         an already-converged component below zero) truncate the window.
     """
@@ -124,9 +132,9 @@ def fit_decay_rate(
     if np.any(bad):
         t = t[: int(np.argmax(bad))]
         residual = residual[: int(np.argmax(bad))]
-    if t.size < min_samples:
+    if t.size < MIN_FIT_SAMPLES:
         raise FitError(
-            f"only {t.size} usable samples after truncation, need at least {min_samples}"
+            f"only {t.size} usable samples after truncation, need at least {MIN_FIT_SAMPLES}"
         )
     log_residual = np.log(np.abs(residual))
     slope, intercept = np.polyfit(t, log_residual, 1)
@@ -322,35 +330,28 @@ class ConvergenceReport:
     envelope: Optional[SumBoundsReport]
 
 
-def verify_convergence(
-    traj: Trajectory,
-    model: ModelSpec,
-    sum_tolerance: Optional[float] = None,
-    zero_threshold_factor: float = ZERO_THRESHOLD_FACTOR,
-    settle_rtol: float = 1e-3,
-) -> ConvergenceReport:
+def verify_convergence(traj: Trajectory, model: ModelSpec) -> ConvergenceReport:
     """Check the long-run limit statement on a finished run.
 
     Three checks: every component off the tied-leading set is below
-    ``zero_threshold_factor * beta d_1 / alpha`` at the final time; the
-    tied-set sum is within ``sum_tolerance`` (default 1% of scale) of
+    ``ZERO_THRESHOLD_FACTOR * beta d_1 / alpha`` at the final time; the
+    tied-set sum is within ``SUM_TOLERANCE_FACTOR * beta d_1 / alpha`` of
     ``beta d_1 / alpha``; and, for the identity-sum model, the state sum
-    stayed inside its envelope.  If the sum is still moving over the last
-    10% of the horizon the verdict is inconclusive rather than a verdict
-    on an unfinished transient.
+    stayed inside its envelope.  If the sum is still moving by
+    ``SETTLE_RTOL`` or more over the last 10% of the horizon the verdict
+    is inconclusive rather than a verdict on an unfinished transient.
     """
     scale = model.beta * model.paths.d[0] / model.alpha
-    if sum_tolerance is None:
-        sum_tolerance = 1e-2 * scale
+    sum_tolerance = SUM_TOLERANCE_FACTOR * scale
     tail = max(2, int(math.ceil(0.1 * traj.sums.size)))
     window = traj.sums[-tail:]
     settle_change = float((np.max(window) - np.min(window)) / abs(traj.sums[-1]))
-    settled = settle_change < settle_rtol
+    settled = settle_change < SETTLE_RTOL
 
     tied = list(model.paths.groups[0])
     others = [i for i in range(model.n) if i not in tied]
     final = traj.final_state
-    zero_threshold = zero_threshold_factor * scale
+    zero_threshold = ZERO_THRESHOLD_FACTOR * scale
     max_other = float(np.max(final[others])) if others else 0.0
     zero_ok = max_other < zero_threshold
 
@@ -406,14 +407,12 @@ class VariantRanking:
     threshold: float
 
 
-def compare_variants(
-    runs: Sequence[tuple[str, ModelSpec, Trajectory]], threshold: float = 0.05
-) -> VariantRanking:
+def compare_variants(runs: Sequence[tuple[str, ModelSpec, Trajectory]]) -> VariantRanking:
     """Rank runs by how fast the leading component reaches its limit.
 
     For each run the limit is the equilibrium value ``beta d_1 / alpha``
     of its model, and the crossing time is the first sample with
-    ``|x_1(t) - limit| < threshold * limit``; runs that never cross get
+    ``|x_1(t) - limit| < RANK_THRESHOLD * limit``; runs that never cross get
     infinity.  Ranking is on gain-scaled time, the scale in which runs
     with different gains are comparable; ties share a rank.
 
@@ -434,7 +433,7 @@ def compare_variants(
     raw = []
     for label, model, traj in runs:
         limit = model.beta * model.paths.d[0] / model.alpha
-        inside = np.abs(traj.states[:, 0] - limit) < threshold * limit
+        inside = np.abs(traj.states[:, 0] - limit) < RANK_THRESHOLD * limit
         if np.any(inside):
             k = int(np.argmax(inside))
             tau_time = float(traj.times[k])
@@ -460,4 +459,4 @@ def compare_variants(
                 reached=reached,
             )
         )
-    return VariantRanking(entries=tuple(entries), threshold=float(threshold))
+    return VariantRanking(entries=tuple(entries), threshold=RANK_THRESHOLD)

@@ -45,6 +45,7 @@ __all__ = [
     "f_eval",
     "f_inverse",
     "f_prime",
+    "require_closed_form",
     "sample_asymptotic",
     "sample_exact",
     "sigma_coefficients",
@@ -74,6 +75,16 @@ def logsumexp(a, axis=-1):
     return np.log(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis=axis)
 
 
+def require_closed_form(g_kind, phi_kind) -> None:
+    """Check that a variant is the identity-sum one, the only one with a closed form."""
+    g, phi = GKind(g_kind), PhiKind(phi_kind)
+    if g is not GKind.IDENTITY or phi is not PhiKind.SUM:
+        raise ValueError(
+            "the closed form and its expansion exist for the identity response with "
+            f"phi=sum only, got g={g.value} phi={phi.value}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class FFunction:
     """The exponential sum F and its building blocks.
@@ -93,11 +104,7 @@ class FFunction:
     @classmethod
     def from_model(cls, model: ModelSpec, x0) -> "FFunction":
         """Build F for an identity-sum model and positive initial state."""
-        if model.phi_kind is not PhiKind.SUM or model.g_kind is not GKind.IDENTITY:
-            raise ValueError(
-                "closed form exists for the identity response with phi=sum only, "
-                f"got g={model.g_kind.value} phi={model.phi_kind.value}"
-            )
+        require_closed_form(model.g_kind, model.phi_kind)
         x0 = require_positive_state(x0, model.n)
         exponents = model.beta * model.paths.d
         coefficients = x0 / exponents
@@ -285,8 +292,7 @@ def _asymptotic_grid(sigma: SigmaCoefficients, model: ModelSpec, x0: np.ndarray,
 
     Each component takes the distinct weight of its group as its exponent.
     """
-    if model.phi_kind is not PhiKind.SUM or model.g_kind is not GKind.IDENTITY:
-        raise ValueError("asymptotic expansion applies to the identity response with phi=sum only")
+    require_closed_form(model.g_kind, model.phi_kind)
     tau = model.gamma * times
     dp = model.paths.d_distinct
     s = sigma.sigma

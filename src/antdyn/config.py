@@ -23,10 +23,12 @@ A run file has up to four sections.  Only ``[model]`` is required::
 
     [analysis]
     window = 20.0, 39.2      ; gain-scaled fit window
-    threshold = 0.05
 
 ``parse_config`` collects every problem it can find and raises one
 ``ConfigError`` listing all of them, so a bad file is fixed in one pass.
+Each value goes through the library check that the run itself makes, and
+an error quotes its message as ``[section] option: <message>``; only the
+fit window has a rule of its own here.
 ``render_config(load)`` and ``parse_config(render)`` round-trip exactly.
 """
 
@@ -38,8 +40,9 @@ from typing import Optional
 
 import numpy as np
 
-from .models import GKind, ModelSpec, PathSystem, PhiKind
-from .simulate import PositivityPolicy, Scheme
+from .closedform import require_closed_form
+from .models import GKind, ModelSpec, PathSystem, PhiKind, require_positive, require_positive_state
+from .simulate import PositivityPolicy, Scheme, require_steps
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "render_config"]
 
@@ -66,7 +69,6 @@ class RunConfig:
     trajectory: Optional[str] = None
     source_column: bool = False
     window: Optional[tuple[float, float]] = None
-    threshold: float = 0.05
 
     def model(self) -> ModelSpec:
         return ModelSpec(
@@ -89,7 +91,7 @@ _KNOWN = {
     "model": ("lengths", "alpha", "beta", "gamma", "response", "saturation"),
     "run": ("x0", "dt", "steps", "scheme", "positivity"),
     "outputs": ("trajectory", "source_column"),
-    "analysis": ("window", "threshold"),
+    "analysis": ("window",),
 }
 
 _BOOL = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
@@ -106,10 +108,8 @@ class _Collector:
     def complain(self, section: str, option: str, message: str) -> None:
         self.errors.append(f"[{section}] {option}: {message}")
 
-    def take(self, section, option, convert, default=None) -> None:
+    def take(self, section, option, convert) -> None:
         if not self.parser.has_option(section, option):
-            if default is not None:
-                self.values[option] = default
             return
         raw = self.parser.get(section, option).strip()
         try:
@@ -202,7 +202,6 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
     col.take("outputs", "trajectory", str)
     col.take("outputs", "source_column", _bool)
     col.take("analysis", "window", _pair)
-    col.take("analysis", "threshold", _float)
 
     if col.errors:
         raise ConfigError(f"{origin}:\n  " + "\n  ".join(col.errors))
@@ -215,34 +214,26 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
 
 
 def _semantic_errors(config: RunConfig) -> list[str]:
+    """Run every value through the check the run makes, each failure under its option."""
     errors = []
-    if any(v <= 0 or not np.isfinite(v) for v in config.lengths):
-        errors.append("[model] lengths: all path lengths must be positive and finite")
+
+    def check(section, option, rule, *args):
+        try:
+            rule(*args)
+        except ValueError as exc:
+            errors.append(f"[{section}] {option}: {exc}")
+
+    check("model", "lengths", PathSystem.from_lengths, config.lengths)
     for name in ("alpha", "beta", "gamma"):
-        if getattr(config, name) <= 0:
-            errors.append(f"[model] {name}: must be positive")
+        check("model", name, require_positive, name, getattr(config, name))
     if config.x0 is not None:
-        if len(config.x0) != len(config.lengths):
-            errors.append(
-                f"[run] x0: expected {len(config.lengths)} entries to match lengths, "
-                f"got {len(config.x0)}"
-            )
-        elif any(v <= 0 for v in config.x0):
-            errors.append("[run] x0: all components must be positive")
-    if config.dt <= 0:
-        errors.append("[run] dt: must be positive")
-    if config.steps < 0:
-        errors.append("[run] steps: must be nonnegative")
+        check("run", "x0", require_positive_state, config.x0, len(config.lengths))
+    check("run", "dt", require_positive, "dt", config.dt)
+    check("run", "steps", require_steps, config.steps)
     if config.scheme in ("exact", "asymptotic"):
-        if config.response != "identity" or config.saturation != "sum":
-            errors.append(
-                f"[run] scheme: {config.scheme!r} requires response=identity "
-                "and saturation=sum"
-            )
+        check("run", "scheme", require_closed_form, config.response, config.saturation)
     if config.window is not None and not config.window[0] < config.window[1]:
         errors.append("[analysis] window: start must be strictly before end")
-    if config.threshold <= 0 or config.threshold >= 1:
-        errors.append("[analysis] threshold: must lie strictly between 0 and 1")
     return errors
 
 

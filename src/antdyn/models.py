@@ -170,10 +170,7 @@ class ModelSpec:
         object.__setattr__(self, "phi_kind", PhiKind(self.phi_kind))
         object.__setattr__(self, "g_kind", GKind(self.g_kind))
         for name in ("alpha", "beta", "gamma"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, require_positive(name, getattr(self, name)))
 
     @property
     def n(self) -> int:
@@ -182,6 +179,14 @@ class ModelSpec:
     @property
     def label(self) -> str:
         return f"{self.g_kind.value}-{self.phi_kind.value}"
+
+
+def require_positive(name: str, value) -> float:
+    """Check a rate or step size: a finite float > 0, returned as a float."""
+    value = float(value)
+    if not 0.0 < value < math.inf:  # nan fails both
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
 
 
 def require_admissible(x) -> np.ndarray:

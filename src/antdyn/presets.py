@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis import VariantRanking, compare_variants, rate_report, verify_convergence
 from .models import GKind, ModelSpec, PathSystem, PhiKind, rhs
@@ -60,7 +61,13 @@ SPURIOUS_SPEED_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class ExperimentPreset:
-    """A fixed simulation experiment: one or more models, shared schedule."""
+    """A fixed simulation experiment: one or more models, shared schedule.
+
+    A preset of several runs draws their shortest-path components in one
+    comparison figure; a single run draws every component, plus the sum
+    of the tied-leading paths when more than one path shares the largest
+    weight.
+    """
 
     name: str
     description: str
@@ -68,7 +75,6 @@ class ExperimentPreset:
     x0: np.ndarray
     dt: float
     steps: int
-    panels: tuple[str, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +144,6 @@ def _build_presets() -> dict:
         x0=bias,
         dt=DEFAULT_DT,
         steps=DEFAULT_STEPS,
-        panels=("states",),
     )
     presets["tanh-sum-fig2"] = ExperimentPreset(
         name="tanh-sum-fig2",
@@ -147,7 +152,6 @@ def _build_presets() -> dict:
         x0=bias,
         dt=DEFAULT_DT,
         steps=DEFAULT_STEPS,
-        panels=("states",),
     )
     # The source material states both gains for the signum run, so both
     # ship as named presets.
@@ -158,7 +162,6 @@ def _build_presets() -> dict:
         x0=bias,
         dt=DEFAULT_DT,
         steps=DEFAULT_STEPS,
-        panels=("states",),
     )
     presets["signum-sum-fig3-gamma1"] = ExperimentPreset(
         name="signum-sum-fig3-gamma1",
@@ -167,7 +170,6 @@ def _build_presets() -> dict:
         x0=bias,
         dt=DEFAULT_DT,
         steps=DEFAULT_STEPS,
-        panels=("states",),
     )
     presets["comparison-fig4"] = ExperimentPreset(
         name="comparison-fig4",
@@ -183,7 +185,6 @@ def _build_presets() -> dict:
         x0=bias,
         dt=DEFAULT_DT,
         steps=DEFAULT_STEPS,
-        panels=("comparison",),
     )
     presets["tied-shortest-fig5"] = ExperimentPreset(
         name="tied-shortest-fig5",
@@ -192,7 +193,6 @@ def _build_presets() -> dict:
         x0=bias,
         dt=DEFAULT_DT,
         steps=DEFAULT_STEPS,
-        panels=("states", "tied-sum"),
     )
     return presets
 
@@ -286,34 +286,23 @@ def phase_grid(
 def spurious_equilibria_scan(grid: PhaseGrid, equilibria) -> tuple[bool, list[tuple[int, int]]]:
     """Check that near-zero speed minima only occur next to true equilibria.
 
-    Returns (clean, offending nodes).  A node is suspicious when it is a
-    local minimum of the speed with speed below 1e-8 and farther than one
-    grid cell from every analytic equilibrium.
+    Returns (clean, offending nodes in row-major order).  A node is
+    suspicious when no neighbour is strictly slower, its speed is below
+    1e-8 and it lies farther than one grid cell from every analytic
+    equilibrium.
     """
-    res_x, res_y = grid.speed.shape
+    speed = grid.speed
+    # each node's 3x3 neighbourhood, padded with inf past the edges; the
+    # node itself is never strictly slower than itself
+    around = sliding_window_view(np.pad(speed, 1, constant_values=np.inf), (3, 3))
+    suspicious = (speed < SPURIOUS_SPEED_TOL) & ~(around < speed[..., None, None]).any(axis=(2, 3))
     cell_x = grid.x1[1] - grid.x1[0]
     cell_y = grid.x2[1] - grid.x2[0]
-    offending = []
-    for i in range(res_x):
-        for j in range(res_y):
-            s = grid.speed[i, j]
-            if s >= SPURIOUS_SPEED_TOL:
-                continue
-            neighbors = [
-                grid.speed[a, b]
-                for a in range(max(i - 1, 0), min(i + 2, res_x))
-                for b in range(max(j - 1, 0), min(j + 2, res_y))
-                if (a, b) != (i, j)
-            ]
-            if any(nb < s for nb in neighbors):
-                continue
-            point = np.array([grid.x1[i], grid.x2[j]])
-            near = any(
-                abs(eq.point[0] - point[0]) <= cell_x and abs(eq.point[1] - point[1]) <= cell_y
-                for eq in equilibria
-            )
-            if not near:
-                offending.append((i, j))
+    for eq in equilibria:
+        near_x = np.abs(eq.point[0] - grid.x1) <= cell_x
+        near_y = np.abs(eq.point[1] - grid.x2) <= cell_y
+        suspicious &= ~(near_x[:, None] & near_y)
+    offending = [(int(i), int(j)) for i, j in np.argwhere(suspicious)]
     return (not offending, offending)
 
 
@@ -339,7 +328,7 @@ def write_phase_artifacts(grid: PhaseGrid, equilibria, out_dir, title: str, capt
 
 
 def _figure_for(preset: ExperimentPreset, trajectories: dict) -> str:
-    if "comparison" in preset.panels:
+    if len(preset.runs) > 1:
         series = []
         for label, model in preset.runs:
             traj = trajectories[label]
@@ -356,8 +345,8 @@ def _figure_for(preset: ExperimentPreset, trajectories: dict) -> str:
     series = [
         Series(label=f"x_{i + 1}", x=traj.times, y=traj.states[:, i]) for i in range(traj.n)
     ]
-    if "tied-sum" in preset.panels:
-        tied = list(model.paths.groups[0])
+    tied = list(model.paths.groups[0])
+    if len(tied) > 1:
         series.append(
             Series(label="tied sum", x=traj.times, y=traj.states[:, tied].sum(axis=1))
         )

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import GKind, ModelSpec, PhiKind, require_positive_state, rhs
+from .models import GKind, ModelSpec, PhiKind, require_positive, require_positive_state, rhs
 
 __all__ = [
     "CLAMP_FLOOR",
@@ -89,7 +89,6 @@ class Trajectory:
     sums: np.ndarray
     scheme: Scheme
     dt: float
-    positivity_violated: bool = False
     first_violation: Optional[tuple[int, int]] = None
     leading_valid: Optional[np.ndarray] = None
 
@@ -105,6 +104,11 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
+    @property
+    def positivity_violated(self) -> bool:
+        """Whether a component was clamped; ``first_violation`` says where."""
+        return self.first_violation is not None
+
 
 @dataclass(frozen=True)
 class SumBoundsReport:
@@ -116,13 +120,17 @@ class SumBoundsReport:
     within: bool
 
 
-def sample_times(dt: float, steps: int) -> np.ndarray:
-    """The uniform grid ``0, dt, ..., steps * dt`` after checking both inputs."""
-    if not np.isfinite(dt) or dt <= 0.0:
-        raise ValueError(f"dt must be finite and positive, got {dt}")
+def require_steps(steps: int) -> int:
+    """Check a step count: nonnegative."""
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    return np.arange(steps + 1) * dt
+    return steps
+
+
+def sample_times(dt: float, steps: int) -> np.ndarray:
+    """The uniform grid ``0, dt, ..., steps * dt`` after checking both inputs."""
+    require_positive("dt", dt)
+    return np.arange(require_steps(steps) + 1) * dt
 
 
 def integrate(
@@ -227,7 +235,6 @@ def integrate(
         sums=states.sum(axis=1),
         scheme=scheme,
         dt=dt,
-        positivity_violated=first_violation is not None,
         first_violation=first_violation,
     )
 

@@ -154,20 +154,20 @@ def spectrum_at_equilibrium(model: ModelSpec, eq: Equilibrium) -> np.ndarray:
     return eigs
 
 
-def classify(spectra: Sequence[np.ndarray], tol: float = CLASSIFY_TOL) -> list[StabilityLabel]:
+def classify(spectra: Sequence[np.ndarray]) -> list[StabilityLabel]:
     """Label each spectrum by the signs of its real parts.
 
-    All real parts below ``-tol``: locally asymptotically stable.  Any
-    real part above ``+tol``: unstable.  Otherwise marginal, which is
+    All real parts below ``-CLASSIFY_TOL``: locally asymptotically stable.
+    Any real part above ``+CLASSIFY_TOL``: unstable.  Otherwise marginal, which is
     also what equilibria of a tied-leading set receive, since the tie
     contributes an exactly zero eigenvalue.
     """
     labels = []
     for spectrum in spectra:
         real = np.real(np.asarray(spectrum))
-        if np.all(real < -tol):
+        if np.all(real < -CLASSIFY_TOL):
             labels.append(StabilityLabel.LOCALLY_ASYMPTOTICALLY_STABLE)
-        elif np.any(real > tol):
+        elif np.any(real > CLASSIFY_TOL):
             labels.append(StabilityLabel.UNSTABLE)
         else:
             labels.append(StabilityLabel.MARGINAL)

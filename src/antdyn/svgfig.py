@@ -148,7 +148,7 @@ def line_figure(
     ylabel: str,
     caption: Optional[str] = None,
 ) -> str:
-    """Polyline chart with axes, grid and a legend column."""
+    """Polyline chart with axes, grid and a legend column; each series needs len(x) == len(y)."""
     if not series:
         raise ValueError("need at least one series")
     x_lo = min(float(np.min(s.x)) for s in series)
@@ -160,6 +160,8 @@ def line_figure(
     for k, s in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
         x, y = np.asarray(s.x, dtype=float), np.asarray(s.y, dtype=float)
+        if len(x) != len(y):
+            raise ValueError(f"series {s.label!r} has {len(x)} x values but {len(y)} y values")
         xy = np.column_stack((frame.x(x), frame.y(y))).ravel().tolist()
         points = " ".join(["%.2f,%.2f"] * len(x)) % tuple(xy)
         parts.append(

@@ -228,7 +228,7 @@ def test_criterion_7_variant_ordering(capsys):
         (label, model, integrate(model, preset.x0, preset.dt, preset.steps))
         for label, model in preset.runs
     ]
-    ranking = compare_variants(runs, threshold=0.05)
+    ranking = compare_variants(runs)
     tau = {entry.label: entry.tau_scaled for entry in ranking.entries}
     max_vs_sum = tau["identity-max"] <= tau["identity-sum"]
     fastest = min(ranking.entries, key=lambda e: e.rank)

@@ -229,9 +229,8 @@ def test_verify_fails_on_wrong_limit():
     assert report.settled
     assert not report.sum_ok
     assert report.status is VerificationStatus.FAIL
-    # a wide tolerance turns the same numbers into a pass
-    relaxed = verify_convergence(scaled, model, sum_tolerance=0.5)
-    assert relaxed.status is VerificationStatus.PASS
+    # the other checks pass, so the tied-set sum alone decides the verdict
+    assert report.zero_ok and report.envelope_ok
 
 
 def test_verify_fails_on_surviving_component():

@@ -1,6 +1,7 @@
 """Run-file parsing and command-line interface tests."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,7 +51,6 @@ source_column = yes
 
 [analysis]
 window = 1.0, 9.5
-threshold = 0.1
 """
 
 
@@ -66,7 +66,7 @@ def test_parse_minimal_fills_defaults():
     assert config.dt == 0.02 and config.steps == 2000
     assert config.positivity == "reject"
     assert config.trajectory is None and config.source_column is False
-    assert config.window is None and config.threshold == 0.05
+    assert config.window is None
 
 
 def test_parse_full_and_render_round_trip():
@@ -121,14 +121,14 @@ alpha = -3
 dt = 0
 
 [analysis]
-threshold = 1.5
+window = 5, 2
 """
     with pytest.raises(ConfigError) as info:
         parse_config(text)
     message = str(info.value)
     assert "alpha" in message
     assert "dt" in message
-    assert "threshold" in message
+    assert "window" in message
 
 
 def test_structural_errors():
@@ -162,29 +162,78 @@ def test_value_errors():
 
 
 def test_semantic_errors():
+    # each failure quotes the model layer's own message after its option
     cases = [
-        ("[model]\nlengths = 1, -2\n", "positive and finite"),
-        ("[model]\nlengths = 1, 2\nbeta = 0\n", "beta"),
-        (MINIMAL + "[run]\nx0 = 1, 2\n", "expected 3 entries"),
-        (MINIMAL + "[run]\nx0 = 1, 0, 1\n", "must be positive"),
-        (MINIMAL + "[run]\ndt = 0\n", "dt"),
-        (MINIMAL + "[run]\nsteps = -5\n", "steps"),
-        (MINIMAL + "[analysis]\nwindow = 5, 2\n", "strictly before"),
-        (MINIMAL + "[analysis]\nthreshold = 1.5\n", "between 0 and 1"),
+        (
+            "[model]\nlengths = 1, -2\n",
+            "[model] lengths: length 1 is -2.0; lengths must be finite and positive",
+        ),
+        (
+            "[model]\nlengths = 1, 2\nbeta = 0\n",
+            "[model] beta: beta must be finite and positive, got 0.0",
+        ),
+        (MINIMAL + "[run]\nx0 = 1, 2\n", "[run] x0: x0 has shape (2,), model has 3 paths"),
+        (
+            MINIMAL + "[run]\nx0 = 1, 0, 1\n",
+            "[run] x0: component 1 of x0 is 0.0; must be strictly positive",
+        ),
+        (MINIMAL + "[run]\ndt = 0\n", "[run] dt: dt must be finite and positive, got 0.0"),
+        (MINIMAL + "[run]\nsteps = -5\n", "[run] steps: steps must be nonnegative, got -5"),
+        (
+            MINIMAL + "[analysis]\nwindow = 5, 2\n",
+            "[analysis] window: start must be strictly before end",
+        ),
     ]
-    for text, fragment in cases:
-        with pytest.raises(ConfigError, match=fragment):
+    for text, message in cases:
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
             parse_config(text)
 
 
 def test_closed_form_schemes_need_the_solvable_variant():
-    with pytest.raises(ConfigError, match="requires response=identity"):
-        parse_config("[model]\nlengths = 1, 2\nsaturation = max\n\n[run]\nscheme = exact\n")
+    solvable = (
+        "[run] scheme: the closed form and its expansion exist for the identity response "
+        "with phi=sum only"
+    )
+    max_variant = "[model]\nlengths = 1, 2\nsaturation = max\n\n[run]\nscheme = exact\n"
+    with pytest.raises(ConfigError, match=re.escape(f"{solvable}, got g=identity phi=max")):
+        parse_config(max_variant)
     bad = "[model]\nlengths = 1, 2\nresponse = tanh\n\n[run]\nscheme = asymptotic\n"
-    with pytest.raises(ConfigError, match="asymptotic"):
+    with pytest.raises(ConfigError, match=re.escape(f"{solvable}, got g=tanh phi=sum")):
         parse_config(bad)
     good = "[model]\nlengths = 1, 2\n\n[run]\nscheme = exact\n"
     assert parse_config(good).scheme == "exact"
+
+
+def test_semantic_errors_quote_the_model_layer_all_at_once():
+    text = """\
+[model]
+lengths = 3, 0, 1
+alpha = 0
+beta = -1
+response = tanh
+
+[run]
+x0 = 0.5, 0.25, -1
+dt = -0.5
+steps = -3
+scheme = exact
+"""
+    with pytest.raises(ConfigError) as info:
+        parse_config(text, origin="bad.ini")
+    # x0 is named in the order the user wrote it, not the weight-sorted one
+    assert str(info.value).splitlines() == [
+        "bad.ini:",
+        "  [model] lengths: length 1 is 0.0; lengths must be finite and positive",
+        "  [model] alpha: alpha must be finite and positive, got 0.0",
+        "  [model] beta: beta must be finite and positive, got -1.0",
+        "  [run] x0: component 2 of x0 is -1.0; must be strictly positive",
+        "  [run] dt: dt must be finite and positive, got -0.5",
+        "  [run] steps: steps must be nonnegative, got -3",
+        "  [run] scheme: the closed form and its expansion exist for the identity response "
+        "with phi=sum only, got g=tanh phi=sum",
+    ]
+    with pytest.raises(ConfigError, match=r"\[analysis\] unknown option 'threshold'"):
+        parse_config(MINIMAL + "[analysis]\nthreshold = 0.05\n")
 
 
 def test_load_config_missing_file(tmp_path):

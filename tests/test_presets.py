@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antdyn import (
     GKind,
@@ -20,7 +22,8 @@ from antdyn import (
     spurious_equilibria_scan,
     vector_field,
 )
-from antdyn.presets import PHASE_PRESETS, PRESETS, PhaseGrid
+from antdyn.presets import PHASE_PRESETS, PRESETS, SPURIOUS_SPEED_TOL, PhaseGrid
+from antdyn.stability import Equilibrium
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden_artifacts.json"
 
@@ -235,6 +238,93 @@ def test_spurious_scan_flags_false_equilibria():
     )
     clean2, offending2 = spurious_equilibria_scan(grid2, find_equilibria(model))
     assert clean2 and offending2 == []
+
+
+def reference_scan(grid, equilibria):
+    """The scan node by node: a speed minimum below the tolerance, far from every equilibrium."""
+    res_x, res_y = grid.speed.shape
+    cell_x = grid.x1[1] - grid.x1[0]
+    cell_y = grid.x2[1] - grid.x2[0]
+    offending = []
+    for i in range(res_x):
+        for j in range(res_y):
+            s = grid.speed[i, j]
+            if s >= SPURIOUS_SPEED_TOL:
+                continue
+            neighbors = [
+                grid.speed[a, b]
+                for a in range(max(i - 1, 0), min(i + 2, res_x))
+                for b in range(max(j - 1, 0), min(j + 2, res_y))
+                if (a, b) != (i, j)
+            ]
+            if any(nb < s for nb in neighbors):
+                continue
+            point = np.array([grid.x1[i], grid.x2[j]])
+            near = any(
+                abs(eq.point[0] - point[0]) <= cell_x and abs(eq.point[1] - point[1]) <= cell_y
+                for eq in equilibria
+            )
+            if not near:
+                offending.append((i, j))
+    return (not offending, offending)
+
+
+def speed_grid(x1, x2, speed):
+    zeros = np.zeros(speed.shape)
+    return PhaseGrid(x1=x1, x2=x2, u=speed, v=zeros, speed=speed, tie=zeros.astype(bool))
+
+
+def equilibrium_at(k, x, y):
+    return Equilibrium(index=k, mu=0.0, point=np.array([x, y]), residual=0.0)
+
+
+# few distinct levels, so that plateaus and ties with the tolerance are common
+SPEED_LEVELS = (0.0, 1e-12, 3e-9, SPURIOUS_SPEED_TOL, 0.5, 1.0)
+# equilibrium offsets from a node, in cells: on it, between nodes, on the
+# one-cell boundary, just past it, and far off the grid
+CELL_OFFSETS = (0.0, 0.5, 1.0, -1.0, 1.5, -2.5, 40.0)
+
+
+@st.composite
+def scan_cases(draw):
+    rows, cols = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    axes = []
+    for size in (rows, cols):
+        lo = draw(st.floats(0.01, 2.0))
+        axes.append(np.linspace(lo, lo + draw(st.floats(0.1, 5.0)), size))
+    x1, x2 = axes
+    nodes = rows * cols
+    levels = draw(st.lists(st.sampled_from(SPEED_LEVELS), min_size=nodes, max_size=nodes))
+    equilibria = []
+    for k in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        dx, dy = draw(st.sampled_from(CELL_OFFSETS)), draw(st.sampled_from(CELL_OFFSETS))
+        x = x1[i] + dx * (x1[1] - x1[0])
+        y = x2[j] + dy * (x2[1] - x2[0])
+        equilibria.append(equilibrium_at(k, x, y))
+    return speed_grid(x1, x2, np.array(levels).reshape(rows, cols)), equilibria
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+def test_spurious_scan_matches_node_by_node_reference(case):
+    grid, equilibria = case
+    assert spurious_equilibria_scan(grid, equilibria) == reference_scan(grid, equilibria)
+
+
+def test_spurious_scan_edge_corner_and_plateau_minima():
+    axis = np.linspace(0.1, 0.6, 6)
+    speed = np.ones((6, 6))
+    speed[0, 0] = 0.0  # corner
+    speed[0, 3] = 1e-12  # edge
+    speed[3, 2] = speed[3, 3] = 1e-12  # a plateau: neither is strictly slower
+    grid = speed_grid(axis, axis, speed)
+    expected = [(0, 0), (0, 3), (3, 2), (3, 3)]
+    assert spurious_equilibria_scan(grid, []) == (False, expected)
+    # an equilibrium within one cell of the corner, and one off the grid beside the edge
+    near = [equilibrium_at(0, 0.15, 0.12), equilibrium_at(1, 0.05, 0.4)]
+    assert spurious_equilibria_scan(grid, near) == (False, [(3, 2), (3, 3)])
+    assert reference_scan(grid, near) == (False, [(3, 2), (3, 3)])
 
 
 def test_both_phase_presets_scan_clean():

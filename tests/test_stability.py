@@ -170,7 +170,7 @@ def test_classify_sign_conventions():
         np.array([-1e-9, -1.0]),  # exactly at the tolerance: not strictly below
         np.array([1e-12, -1.0]),
     ]
-    labels = classify(spectra, tol=1e-9)
+    labels = classify(spectra)
     assert labels == [
         StabilityLabel.LOCALLY_ASYMPTOTICALLY_STABLE,
         StabilityLabel.UNSTABLE,

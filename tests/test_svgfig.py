@@ -3,6 +3,7 @@
 import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,3 +110,12 @@ def test_line_figure_edge_cases_match_reference():
     ]
     for series in cases:
         assert_points_match_reference(series)
+
+
+def test_line_figure_names_a_series_of_mismatched_length():
+    series = [
+        Series("fine", np.arange(3.0), np.arange(3.0)),
+        Series("short y", np.arange(5.0), np.arange(3.0)),
+    ]
+    with pytest.raises(ValueError, match=r"^series 'short y' has 5 x values but 3 y values$"):
+        line_figure(series, title="t", xlabel="x", ylabel="y")
