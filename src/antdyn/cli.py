@@ -22,13 +22,11 @@ from pathlib import Path
 
 from .analysis import FitError, rate_report, verify_convergence
 from .closedform import CORRECTION_LIMIT, OracleRangeError, sample_asymptotic, sample_exact
-from .config import ConfigError, RunConfig, load_config
-from .models import DomainError
+from .config import RunConfig, load_config
 from .presets import PHASE_PRESETS, phase_grid, preset_names, run_preset, write_phase_artifacts
 from .reporting import equilibria_lines, rates_table, resolve_out_root, verification_lines
 from .simulate import (
     IntegrationError,
-    PositivityError,
     PositivityPolicy,
     Scheme,
     integrate,
@@ -39,8 +37,8 @@ from .stability import find_equilibria
 
 __all__ = ["main"]
 
-USAGE_ERRORS = (ConfigError, DomainError, ValueError)
-NUMERIC_ERRORS = (IntegrationError, PositivityError, OracleRangeError, FitError)
+# Caught before ValueError, because OracleRangeError is also one.
+NUMERIC_ERRORS = (IntegrationError, OracleRangeError, FitError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,35 +56,35 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="antdyn", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        return p
-
-    p = add("simulate", "integrate a run file, write or print the trajectory CSV")
+    p = sub.add_parser("simulate", help="integrate a run file, write or print the trajectory CSV")
     p.add_argument("config", type=Path, help="run file (INI format)")
     p.add_argument("-o", "--output", type=Path, help="CSV path (default: [outputs] trajectory, else stdout)")
 
-    p = add("equilibria", "list equilibria and stability labels for a run file's model")
+    p = sub.add_parser(
+        "equilibria", help="list equilibria and stability labels for a run file's model"
+    )
     p.add_argument("config", type=Path)
 
-    p = add("rates", "integrate a run file and fit convergence rates")
+    p = sub.add_parser("rates", help="integrate a run file and fit convergence rates")
     p.add_argument("config", type=Path)
 
-    p = add("verify", "integrate a run file and check the invariant-limit predictions")
+    p = sub.add_parser(
+        "verify", help="integrate a run file and check the invariant-limit predictions"
+    )
     p.add_argument("config", type=Path)
 
-    p = add("reproduce", "run a named preset and write its artifact bundle")
+    p = sub.add_parser("reproduce", help="run a named preset and write its artifact bundle")
     p.add_argument("preset", help="preset name (list them with 'antdyn presets')")
     p.add_argument("--out", type=Path, help="output root (default: $ANTDYN_OUT, else cwd)")
     p.add_argument("--steps", type=int, help="override the preset step count")
 
-    p = add("phase", "sample a two-path direction field, write grid CSV and figure")
+    p = sub.add_parser("phase", help="sample a two-path direction field, write grid CSV and figure")
     p.add_argument("config", type=Path)
     p.add_argument("--bounds", type=float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--resolution", type=int, default=21)
     p.add_argument("--out", type=Path, help="output root (default: $ANTDYN_OUT, else cwd)")
 
-    p = add("presets", "list the available preset names")
+    sub.add_parser("presets", help="list the available preset names")
     return parser
 
 
@@ -119,8 +117,9 @@ def _cmd_simulate(args) -> int:
         write_trajectory_csv(traj, target, source=source)
         print(f"wrote {target}")
     if traj.positivity_violated:
+        step, component = traj.first_violation
         print(
-            f"warning: clamped a nonpositive component at step {traj.first_violation}",
+            f"warning: clamped nonpositive component {component} at step {step}",
             file=sys.stderr,
         )
     if traj.leading_valid is not None and not traj.leading_valid.all():
@@ -159,8 +158,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    result = run_preset(args.preset, out_root=args.out, steps=args.steps)
-    for path in result.csv_paths + (result.svg_path, result.report_path):
+    for path in run_preset(args.preset, out_root=args.out, steps=args.steps):
         print(f"wrote {path}")
     return 0
 
@@ -208,7 +206,7 @@ def main(argv=None) -> int:
     except NUMERIC_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except USAGE_ERRORS as exc:
+    except ValueError as exc:  # ConfigError, DomainError and every input check
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -70,21 +71,26 @@ class RunConfig:
     source_column: bool = False
     window: Optional[tuple[float, float]] = None
 
+    @cached_property
+    def paths(self) -> PathSystem:
+        """The path system of ``lengths``, built once and shared by the methods below."""
+        return PathSystem.from_lengths(self.lengths)
+
     def model(self) -> ModelSpec:
         return ModelSpec(
             alpha=self.alpha,
             beta=self.beta,
             gamma=self.gamma,
-            phi_kind=PhiKind(self.saturation),
-            g_kind=GKind(self.response),
-            paths=PathSystem.from_lengths(self.lengths),
+            phi_kind=self.saturation,
+            g_kind=self.response,
+            paths=self.paths,
         )
 
     def initial_state(self) -> np.ndarray:
         """Initial state in canonical (weight-sorted) component order."""
         if self.x0 is None:
             return np.ones(len(self.lengths))
-        return PathSystem.from_lengths(self.lengths).to_canonical(np.asarray(self.x0))
+        return self.paths.to_canonical(np.asarray(self.x0))
 
 
 _KNOWN = {
@@ -223,7 +229,7 @@ def _semantic_errors(config: RunConfig) -> list[str]:
         except ValueError as exc:
             errors.append(f"[{section}] {option}: {exc}")
 
-    check("model", "lengths", PathSystem.from_lengths, config.lengths)
+    check("model", "lengths", lambda: config.paths)
     for name in ("alpha", "beta", "gamma"):
         check("model", name, require_positive, name, getattr(config, name))
     if config.x0 is not None:

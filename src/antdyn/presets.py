@@ -6,31 +6,33 @@ and rate CSVs, an SVG figure and a plain-text report.  Everything here
 is deterministic, so rerunning a preset reproduces its files byte for
 byte.
 
-The ten-path presets share the classic setup: path lengths 1..10 (so
-preference weights 1, 1/2, ..., 1/10) and the initial state biased
-toward the longer paths, x(0) = (0.1, 0.2, ..., 1.0).
+The ten-path presets share the classic setup, which is the default of
+:class:`ExperimentPreset`: path lengths 1..10 (so preference weights 1,
+1/2, ..., 1/10), the initial state biased toward the longer paths,
+x(0) = (0.1, 0.2, ..., 1.0), and 2000 Euler steps of 0.02.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .analysis import VariantRanking, compare_variants, rate_report, verify_convergence
-from .models import GKind, ModelSpec, PathSystem, PhiKind, rhs
+from .analysis import compare_variants, rate_report, verify_convergence
+from .models import ModelSpec, PathSystem, PhiKind, rhs
 from .reporting import (
     compose_report,
     equilibria_lines,
     grid_csv,
     model_lines,
+    ranking_lines,
     rates_csv,
     rates_table,
     render_kv,
-    render_table,
     resolve_out_root,
     verification_lines,
     write_text_atomic,
@@ -40,11 +42,9 @@ from .stability import find_equilibria
 from .svgfig import Series, line_figure, quiver_figure
 
 __all__ = [
-    "DEFAULT_STEPS",
     "ExperimentPreset",
     "PhaseGrid",
     "PhasePreset",
-    "PresetResult",
     "get_preset",
     "phase_grid",
     "preset_names",
@@ -52,9 +52,6 @@ __all__ = [
     "spurious_equilibria_scan",
     "write_phase_artifacts",
 ]
-
-DEFAULT_DT = 0.02
-DEFAULT_STEPS = 2000
 
 SPURIOUS_SPEED_TOL = 1e-8
 
@@ -72,9 +69,9 @@ class ExperimentPreset:
     name: str
     description: str
     runs: tuple[tuple[str, ModelSpec], ...]
-    x0: np.ndarray
-    dt: float
-    steps: int
+    x0: np.ndarray = field(default_factory=lambda: np.arange(1, 11) * 0.1)
+    dt: float = 0.02
+    steps: int = 2000
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +81,8 @@ class PhasePreset:
     name: str
     description: str
     model: ModelSpec
-    bounds: tuple[float, float]
-    resolution: int
+    bounds: tuple[float, float] = (0.01, 1.5)
+    resolution: int = 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,120 +101,75 @@ class PhaseGrid:
     tie: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class PresetResult:
-    """Artifacts and in-memory results of one preset run."""
-
-    name: str
-    out_dir: object
-    csv_paths: tuple[object, ...]
-    svg_path: object
-    report_path: object
-    trajectories: dict
-    verifications: dict
-    rates: dict
-    ranking: Optional[VariantRanking]
-    grid: Optional[PhaseGrid]
+def _model(alpha, beta, gamma, phi, g, lengths=range(1, 11)) -> ModelSpec:
+    return ModelSpec(alpha, beta, gamma, phi, g, PathSystem.from_lengths(lengths))
 
 
-def _model(alpha, beta, gamma, phi, g, lengths) -> ModelSpec:
-    return ModelSpec(
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        phi_kind=PhiKind(phi),
-        g_kind=GKind(g),
-        paths=PathSystem.from_lengths(lengths),
-    )
-
-
-def _build_presets() -> dict:
-    ten = list(range(1, 11))
-    bias = np.arange(1, 11) * 0.1
-    tied_lengths = [1, 1, 1] + list(range(2, 9))
-    presets = {}
-
-    presets["eigenant-fig1"] = ExperimentPreset(
-        name="eigenant-fig1",
-        description="identity response, reciprocal-sum saturation, ten paths, biased start",
-        runs=(("identity-sum", _model(1.0, 1.0, 10.0, "sum", "identity", ten)),),
-        x0=bias,
-        dt=DEFAULT_DT,
-        steps=DEFAULT_STEPS,
-    )
-    presets["tanh-sum-fig2"] = ExperimentPreset(
-        name="tanh-sum-fig2",
-        description="tanh response, reciprocal-sum saturation, ten paths, biased start",
-        runs=(("tanh-sum", _model(0.1, 0.1, 10.0, "sum", "tanh", ten)),),
-        x0=bias,
-        dt=DEFAULT_DT,
-        steps=DEFAULT_STEPS,
-    )
-    # The source material states both gains for the signum run, so both
-    # ship as named presets.
-    presets["signum-sum-fig3"] = ExperimentPreset(
-        name="signum-sum-fig3",
-        description="signum response with gain 0.5, reciprocal-sum saturation, ten paths",
-        runs=(("signum-sum", _model(0.1, 0.1, 0.5, "sum", "signum", ten)),),
-        x0=bias,
-        dt=DEFAULT_DT,
-        steps=DEFAULT_STEPS,
-    )
-    presets["signum-sum-fig3-gamma1"] = ExperimentPreset(
-        name="signum-sum-fig3-gamma1",
-        description="signum response with gain 1, reciprocal-sum saturation, ten paths",
-        runs=(("signum-sum", _model(0.1, 0.1, 1.0, "sum", "signum", ten)),),
-        x0=bias,
-        dt=DEFAULT_DT,
-        steps=DEFAULT_STEPS,
-    )
-    presets["comparison-fig4"] = ExperimentPreset(
-        name="comparison-fig4",
-        description="shortest-path component across all six response/saturation variants",
-        runs=(
-            ("identity-sum", _model(1.0, 1.0, 10.0, "sum", "identity", ten)),
-            ("identity-max", _model(1.0, 1.0, 10.0, "max", "identity", ten)),
-            ("tanh-sum", _model(0.1, 0.1, 10.0, "sum", "tanh", ten)),
-            ("tanh-max", _model(0.1, 0.1, 10.0, "max", "tanh", ten)),
-            ("signum-sum", _model(0.1, 0.1, 1.0, "sum", "signum", ten)),
-            ("signum-max", _model(0.1, 0.1, 1.0, "max", "signum", ten)),
+PRESETS = {
+    preset.name: preset
+    for preset in (
+        ExperimentPreset(
+            "eigenant-fig1",
+            "identity response, reciprocal-sum saturation, ten paths, biased start",
+            (("identity-sum", _model(1.0, 1.0, 10.0, "sum", "identity")),),
         ),
-        x0=bias,
-        dt=DEFAULT_DT,
-        steps=DEFAULT_STEPS,
+        ExperimentPreset(
+            "tanh-sum-fig2",
+            "tanh response, reciprocal-sum saturation, ten paths, biased start",
+            (("tanh-sum", _model(0.1, 0.1, 10.0, "sum", "tanh")),),
+        ),
+        # The source material states both gains for the signum run, so both
+        # ship as named presets.
+        ExperimentPreset(
+            "signum-sum-fig3",
+            "signum response with gain 0.5, reciprocal-sum saturation, ten paths",
+            (("signum-sum", _model(0.1, 0.1, 0.5, "sum", "signum")),),
+        ),
+        ExperimentPreset(
+            "signum-sum-fig3-gamma1",
+            "signum response with gain 1, reciprocal-sum saturation, ten paths",
+            (("signum-sum", _model(0.1, 0.1, 1.0, "sum", "signum")),),
+        ),
+        ExperimentPreset(
+            "comparison-fig4",
+            "shortest-path component across all six response/saturation variants",
+            (
+                ("identity-sum", _model(1.0, 1.0, 10.0, "sum", "identity")),
+                ("identity-max", _model(1.0, 1.0, 10.0, "max", "identity")),
+                ("tanh-sum", _model(0.1, 0.1, 10.0, "sum", "tanh")),
+                ("tanh-max", _model(0.1, 0.1, 10.0, "max", "tanh")),
+                ("signum-sum", _model(0.1, 0.1, 1.0, "sum", "signum")),
+                ("signum-max", _model(0.1, 0.1, 1.0, "max", "signum")),
+            ),
+        ),
+        ExperimentPreset(
+            "tied-shortest-fig5",
+            "three tied shortest paths; their sum carries the invariant limit",
+            (
+                (
+                    "identity-sum",
+                    _model(0.1, 0.1, 10.0, "sum", "identity", [1, 1, 1, *range(2, 9)]),
+                ),
+            ),
+        ),
     )
-    presets["tied-shortest-fig5"] = ExperimentPreset(
-        name="tied-shortest-fig5",
-        description="three tied shortest paths; their sum carries the invariant limit",
-        runs=(("identity-sum", _model(0.1, 0.1, 10.0, "sum", "identity", tied_lengths)),),
-        x0=bias,
-        dt=DEFAULT_DT,
-        steps=DEFAULT_STEPS,
+}
+
+PHASE_PRESETS = {
+    preset.name: preset
+    for preset in (
+        PhasePreset(
+            "phase-eigenant",
+            "two-path direction field, identity response, reciprocal sum",
+            _model(1.0, 1.0, 1.0, "sum", "identity", [1, 2]),
+        ),
+        PhasePreset(
+            "phase-maxant",
+            "two-path direction field, identity response, reciprocal max",
+            _model(1.0, 1.0, 1.0, "max", "identity", [1, 2]),
+        ),
     )
-    return presets
-
-
-def _build_phase_presets() -> dict:
-    presets = {}
-    presets["phase-eigenant"] = PhasePreset(
-        name="phase-eigenant",
-        description="two-path direction field, identity response, reciprocal sum",
-        model=_model(1.0, 1.0, 1.0, "sum", "identity", [1, 2]),
-        bounds=(0.01, 1.5),
-        resolution=21,
-    )
-    presets["phase-maxant"] = PhasePreset(
-        name="phase-maxant",
-        description="two-path direction field, identity response, reciprocal max",
-        model=_model(1.0, 1.0, 1.0, "max", "identity", [1, 2]),
-        bounds=(0.01, 1.5),
-        resolution=21,
-    )
-    return presets
-
-
-PRESETS = _build_presets()
-PHASE_PRESETS = _build_phase_presets()
+}
 
 
 def preset_names() -> list[str]:
@@ -359,97 +311,53 @@ def _figure_for(preset: ExperimentPreset, trajectories: dict) -> str:
     )
 
 
-def _run_trajectory_preset(
-    preset: ExperimentPreset, out_dir, steps: Optional[int]
-) -> PresetResult:
-    steps = preset.steps if steps is None else int(steps)
-    trajectories = {}
-    verifications = {}
-    rates = {}
-    csv_paths = []
-    sections = [
-        (
-            None,
-            render_kv(
-                [
-                    ("preset", preset.name),
-                    ("description", preset.description),
-                    ("dt", preset.dt),
-                    ("steps", steps),
-                    ("horizon", preset.dt * steps),
-                    ("x0", ", ".join(f"{v:.12g}" for v in preset.x0)),
-                ]
-            ),
-        )
-    ]
-    for label, model in preset.runs:
-        traj = integrate(model, preset.x0, preset.dt, steps)
-        trajectories[label] = traj
-        path = out_dir / f"trajectory-{label}.csv"
-        write_trajectory_csv(traj, path)
-        csv_paths.append(path)
-        verifications[label] = verify_convergence(traj, model)
-        rates[label] = rate_report(model, traj)
-        rates_path = out_dir / f"rates-{label}.csv"
-        write_text_atomic(rates_path, rates_csv(rates[label]))
-        csv_paths.append(rates_path)
-        sections.append((f"model:{label}", model_lines(model)))
-        sections.append((f"verification:{label}", verification_lines(verifications[label])))
-        sections.append((f"rates:{label}", rates_table(rates[label])))
-        sections.append((f"equilibria:{label}", equilibria_lines(model)))
+def _run_trajectory_preset(preset: ExperimentPreset, out_dir: Path, steps: int):
+    """Integrate every run and write its CSVs and the figure.
 
-    ranking = None
+    Returns the report's preamble pairs, its sections and the written paths.
+    """
+    trajectories = {}
+    sections = []
+    paths = []
+    for label, model in preset.runs:
+        traj = trajectories[label] = integrate(model, preset.x0, preset.dt, steps)
+        rates = rate_report(model, traj)
+        paths.append(write_trajectory_csv(traj, out_dir / f"trajectory-{label}.csv"))
+        paths.append(write_text_atomic(out_dir / f"rates-{label}.csv", rates_csv(rates)))
+        sections += [
+            (f"model:{label}", model_lines(model)),
+            (f"verification:{label}", verification_lines(verify_convergence(traj, model))),
+            (f"rates:{label}", rates_table(rates)),
+            (f"equilibria:{label}", equilibria_lines(model)),
+        ]
     if len(preset.runs) > 1:
         ranking = compare_variants(
             [(label, model, trajectories[label]) for label, model in preset.runs]
         )
-        rows = [
-            (e.rank, e.label, e.tau_scaled, e.tau_time, e.limit, e.reached)
-            for e in ranking.entries
-        ]
-        lines = render_table(
-            ("rank", "run", "tau_scaled", "tau_time", "limit", "reached"), rows
-        )
-        lines.append(f"threshold = {ranking.threshold:.12g}")
-        sections.append(("ranking", lines))
-
-    svg_path = out_dir / "figure.svg"
-    write_text_atomic(svg_path, _figure_for(preset, trajectories))
-    report_path = out_dir / "report.txt"
-    write_text_atomic(report_path, compose_report(sections))
-    return PresetResult(
-        name=preset.name,
-        out_dir=out_dir,
-        csv_paths=tuple(csv_paths),
-        svg_path=svg_path,
-        report_path=report_path,
-        trajectories=trajectories,
-        verifications=verifications,
-        rates=rates,
-        ranking=ranking,
-        grid=None,
-    )
+        sections.append(("ranking", ranking_lines(ranking)))
+    paths.append(write_text_atomic(out_dir / "figure.svg", _figure_for(preset, trajectories)))
+    preamble = [
+        ("dt", preset.dt),
+        ("steps", steps),
+        ("horizon", preset.dt * steps),
+        ("x0", ", ".join(f"{v:.12g}" for v in preset.x0)),
+    ]
+    return preamble, sections, paths
 
 
-def _run_phase_preset(preset: PhasePreset, out_dir) -> PresetResult:
+def _run_phase_preset(preset: PhasePreset, out_dir: Path):
+    """Sample and scan the field and write its grid and figure, as the runner above."""
     grid = phase_grid(preset.model, bounds=preset.bounds, resolution=preset.resolution)
     equilibria = find_equilibria(preset.model)
     clean, offending = spurious_equilibria_scan(grid, equilibria)
-    csv_path, svg_path = write_phase_artifacts(
+    paths = write_phase_artifacts(
         grid, equilibria, out_dir, title=preset.name, caption=preset.description
     )
+    preamble = [
+        ("bounds", f"{preset.bounds[0]:.12g} .. {preset.bounds[1]:.12g}"),
+        ("resolution", preset.resolution),
+    ]
     sections = [
-        (
-            None,
-            render_kv(
-                [
-                    ("preset", preset.name),
-                    ("description", preset.description),
-                    ("bounds", f"{preset.bounds[0]:.12g} .. {preset.bounds[1]:.12g}"),
-                    ("resolution", preset.resolution),
-                ]
-            ),
-        ),
         ("model", model_lines(preset.model)),
         ("equilibria", equilibria_lines(preset.model)),
         (
@@ -463,33 +371,28 @@ def _run_phase_preset(preset: PhasePreset, out_dir) -> PresetResult:
             ),
         ),
     ]
-    report_path = out_dir / "report.txt"
-    write_text_atomic(report_path, compose_report(sections))
-    return PresetResult(
-        name=preset.name,
-        out_dir=out_dir,
-        csv_paths=(csv_path,),
-        svg_path=svg_path,
-        report_path=report_path,
-        trajectories={},
-        verifications={},
-        rates={},
-        ranking=None,
-        grid=grid,
-    )
+    return preamble, sections, paths
 
 
-def run_preset(name: str, out_root=None, steps: Optional[int] = None) -> PresetResult:
-    """Run a named preset and write its artifact bundle.
+def run_preset(name: str, out_root=None, steps: Optional[int] = None) -> tuple[Path, ...]:
+    """Run a named preset, write its artifact bundle and return the written paths.
 
     Artifacts land in ``<out_root>/<name>/``; the root defaults to the
     ``ANTDYN_OUT`` environment variable and then the working directory.
     ``steps`` overrides the preset's step count (trajectory presets only).
+    The paths come in the order written: per run the trajectory CSV and
+    then the rates CSV, or ``field-grid.csv`` for a phase preset, then
+    ``figure.svg`` and last ``report.txt``.
     """
     preset = get_preset(name)
     out_dir = resolve_out_root(out_root) / name
     if isinstance(preset, PhasePreset):
         if steps is not None:
             raise ValueError(f"preset {name!r} has no step schedule to override")
-        return _run_phase_preset(preset, out_dir)
-    return _run_trajectory_preset(preset, out_dir, steps)
+        preamble, sections, paths = _run_phase_preset(preset, out_dir)
+    else:
+        steps = preset.steps if steps is None else int(steps)
+        preamble, sections, paths = _run_trajectory_preset(preset, out_dir, steps)
+    head = render_kv([("preset", preset.name), ("description", preset.description), *preamble])
+    report = write_text_atomic(out_dir / "report.txt", compose_report([(None, head), *sections]))
+    return (*paths, report)

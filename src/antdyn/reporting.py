@@ -2,7 +2,7 @@
 
 Reports are line oriented: ``key = value`` pairs, ``[section]`` headers
 and pipe-separated tables with a header row.  The section renderers
-(model, verification, rates, equilibria) and the rate and phase-grid
+(model, verification, rates, ranking, equilibria) and the rate and phase-grid
 CSVs are shared by the presets and the CLI.  The format is stable and
 carries no timestamps, so reruns of a deterministic computation produce
 byte-identical files.
@@ -20,7 +20,7 @@ from .models import GKind, ModelSpec
 from .stability import equilibrium_report, find_equilibria
 
 if TYPE_CHECKING:
-    from .analysis import ConvergenceReport, RateReport
+    from .analysis import ConvergenceReport, RateReport, VariantRanking
     from .presets import PhaseGrid
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "fmt_value",
     "grid_csv",
     "model_lines",
+    "ranking_lines",
     "rates_csv",
     "rates_table",
     "render_kv",
@@ -205,6 +206,16 @@ def rates_table(report: RateReport) -> list[str]:
             )
     lines = render_table(headers, rows)
     lines.append(f"fit_window_scaled = {report.window[0]:.12g} .. {report.window[1]:.12g}")
+    return lines
+
+
+def ranking_lines(ranking: VariantRanking) -> list[str]:
+    """Report table of convergence-time ranks across runs, with the threshold."""
+    rows = [
+        (e.rank, e.label, e.tau_scaled, e.tau_time, e.limit, e.reached) for e in ranking.entries
+    ]
+    lines = render_table(("rank", "run", "tau_scaled", "tau_time", "limit", "reached"), rows)
+    lines.append(f"threshold = {ranking.threshold:.12g}")
     return lines
 
 

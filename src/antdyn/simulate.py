@@ -280,12 +280,9 @@ def trajectory_to_csv(traj: Trajectory, source: Optional[str] = None) -> str:
     """Render a trajectory as CSV text.
 
     Header is ``t,x_1,...,x_n,S``; floats carry 17 significant digits so
-    doubles round-trip.  When ``source`` is given (or for sample grids,
-    where it defaults to the scheme tag) a trailing ``source`` column is
-    appended.
+    doubles round-trip.  When ``source`` is given, a trailing ``source``
+    column carries it on every row.
     """
-    if source is None and traj.scheme in (Scheme.EXACT, Scheme.ASYMPTOTIC):
-        source = traj.scheme.value
     columns = ["t"] + [f"x_{i + 1}" for i in range(traj.n)] + ["S"]
     if source is not None:
         columns.append("source")
@@ -296,8 +293,8 @@ def trajectory_to_csv(traj: Trajectory, source: Optional[str] = None) -> str:
     return ",".join(columns) + "\n" + "".join([row % tuple(v) for v in values])
 
 
-def write_trajectory_csv(traj: Trajectory, path, source: Optional[str] = None) -> None:
-    """Write :func:`trajectory_to_csv` output atomically."""
+def write_trajectory_csv(traj: Trajectory, path, source: Optional[str] = None):
+    """Write :func:`trajectory_to_csv` output atomically; return the path as a ``Path``."""
     from .reporting import write_text_atomic
 
-    write_text_atomic(path, trajectory_to_csv(traj, source=source))
+    return write_text_atomic(path, trajectory_to_csv(traj, source=source))

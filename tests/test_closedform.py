@@ -299,11 +299,11 @@ def test_sample_grids_share_the_trajectory_container():
     assert exact.scheme is Scheme.EXACT
     assert exact.states.shape == (13, 3)
     assert np.allclose(exact.sums, exact.states.sum(axis=1))
-    assert trajectory_to_csv(exact).splitlines()[0] == "t,x_1,x_2,x_3,S,source"
+    assert trajectory_to_csv(exact).splitlines()[0] == "t,x_1,x_2,x_3,S"
 
     tail = sample_asymptotic(model, x0, 5.0, 4)
     assert tail.scheme is Scheme.ASYMPTOTIC
-    assert trajectory_to_csv(tail).splitlines()[1].endswith(",asymptotic")
+    assert trajectory_to_csv(tail, source=tail.scheme.value).splitlines()[1].endswith(",asymptotic")
     for dt, shown in ((0.0, "0.0"), (np.float64(math.nan), "nan")):
         with pytest.raises(ValueError, match=f"^dt must be finite and positive, got {shown}$"):
             sample_exact(model, x0, dt, 4)

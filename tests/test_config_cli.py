@@ -14,6 +14,7 @@ import antdyn.closedform
 from antdyn import (
     ConfigError,
     OracleRangeError,
+    PathSystem,
     RunConfig,
     load_config,
     parse_config,
@@ -90,6 +91,26 @@ def test_model_and_initial_state_construction():
     # x0 is given in user path order; the model state is weight-sorted
     assert np.allclose(config.initial_state(), [0.7, 0.3])
     assert np.allclose(parse_config(MINIMAL).initial_state(), [1.0, 1.0, 1.0])
+
+
+def test_run_builds_its_path_system_once(tmp_path, monkeypatch):
+    build = PathSystem.from_lengths
+    calls = []
+
+    def counting(lengths):
+        calls.append(lengths)
+        return build(lengths)
+
+    monkeypatch.setattr(PathSystem, "from_lengths", counting)
+    path = tmp_path / "run.ini"
+    path.write_text(FULL)
+    config = load_config(path)
+    model, x0 = config.model(), config.initial_state()
+    assert len(calls) == 1
+    assert model.paths is config.paths
+    assert np.allclose(x0, [0.3, 0.4, 0.5])
+    # the cached system is no field: equality and the round trip ignore it
+    assert parse_config(render_config(config)) == config
 
 
 def test_errors_are_aggregated():
@@ -308,6 +329,9 @@ x0 = 0.5, 0.2, 0.9, 0.4
 dt = 0.5
 steps = 40
 scheme = asymptotic
+
+[outputs]
+source_column = yes
 """
     path = write_config(tmp_path, text)
     out = tmp_path / "asym.csv"
@@ -335,6 +359,9 @@ x0 = 0.01, 10
 dt = 0.5
 steps = 40
 scheme = asymptotic
+
+[outputs]
+source_column = yes
 """
     path = write_config(tmp_path, text)
     assert main(["simulate", str(path)]) == 0
@@ -353,6 +380,29 @@ scheme = asymptotic
     late = write_config(tmp_path, text.replace("x0 = 0.01, 10", "x0 = 0.9, 0.01"), name="late.ini")
     assert main(["simulate", str(late), "-o", str(tmp_path / "late.csv")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_cli_simulate_exact_has_no_source_column_by_default(tmp_path, capsys):
+    path = write_config(tmp_path, BASIC_RUN + "scheme = exact\n")
+    assert main(["simulate", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "t,x_1,x_2,S"
+
+
+def test_cli_simulate_warns_with_the_clamped_step_and_component(tmp_path, capsys):
+    text = """\
+[model]
+lengths = 10, 1
+
+[run]
+x0 = 1, 1
+dt = 1.5
+steps = 10
+positivity = clamp-epsilon
+"""
+    path = write_config(tmp_path, text)
+    assert main(["simulate", str(path), "-o", str(tmp_path / "out.csv")]) == 0
+    # canonical order puts the shorter path first, so component 1 has length 10
+    assert capsys.readouterr().err == "warning: clamped nonpositive component 1 at step 1\n"
 
 
 def test_cli_phase_rejects_nonfinite_bounds(tmp_path, capsys):

@@ -79,34 +79,48 @@ def test_registry_parameters_spot_checks():
     assert get_preset("phase-maxant").model.phi_kind is PhiKind.MAX
 
 
+def report_table(report: str, section: str) -> list[dict]:
+    """The rows of the pipe-separated table that opens ``[section]``, keyed by header."""
+    (chunk,) = [c for c in report.split("\n\n") if c.startswith(f"[{section}]\n")]
+    header, *rows = [line for line in chunk.splitlines()[1:] if " | " in line]
+    keys = [cell.strip() for cell in header.split(" | ")]
+    return [dict(zip(keys, (cell.strip() for cell in row.split(" | ")))) for row in rows]
+
+
 def test_run_preset_writes_expected_bundle(tmp_path):
-    result = run_preset("eigenant-fig1", out_root=tmp_path, steps=400)
-    assert result.out_dir == tmp_path / "eigenant-fig1"
-    names = sorted(p.name for p in result.out_dir.iterdir())
+    paths = run_preset("eigenant-fig1", out_root=tmp_path, steps=400)
+    out_dir = tmp_path / "eigenant-fig1"
+    assert paths == tuple(
+        out_dir / name
+        for name in (
+            "trajectory-identity-sum.csv", "rates-identity-sum.csv", "figure.svg", "report.txt"
+        )
+    )
+    names = sorted(p.name for p in out_dir.iterdir())
     assert names == [
         "figure.svg",
         "rates-identity-sum.csv",
         "report.txt",
         "trajectory-identity-sum.csv",
     ]
-    csv_lines = (result.out_dir / "trajectory-identity-sum.csv").read_text().splitlines()
+    csv_lines = (out_dir / "trajectory-identity-sum.csv").read_text().splitlines()
     assert csv_lines[0] == "t,x_1,x_2,x_3,x_4,x_5,x_6,x_7,x_8,x_9,x_10,S"
     assert len(csv_lines) == 402
-    report = (result.out_dir / "report.txt").read_text()
+    report = (out_dir / "report.txt").read_text()
     for section in ("[model:identity-sum]", "[verification:identity-sum]",
                     "[rates:identity-sum]", "[equilibria:identity-sum]"):
         assert section in report
     assert "status = pass" in report
-    rates_lines = (result.out_dir / "rates-identity-sum.csv").read_text().splitlines()
+    rates_lines = (out_dir / "rates-identity-sum.csv").read_text().splitlines()
     assert rates_lines[0].startswith("path,d,tied,fitted_rate")
     assert len(rates_lines) == 11
 
 
 def test_run_preset_is_deterministic(tmp_path):
-    first = run_preset("tied-shortest-fig5", out_root=tmp_path / "a", steps=250)
-    second = run_preset("tied-shortest-fig5", out_root=tmp_path / "b", steps=250)
-    for path_a in sorted(first.out_dir.iterdir()):
-        path_b = second.out_dir / path_a.name
+    run_preset("tied-shortest-fig5", out_root=tmp_path / "a", steps=250)
+    run_preset("tied-shortest-fig5", out_root=tmp_path / "b", steps=250)
+    for path_a in sorted((tmp_path / "a" / "tied-shortest-fig5").iterdir()):
+        path_b = tmp_path / "b" / "tied-shortest-fig5" / path_a.name
         assert path_a.read_bytes() == path_b.read_bytes()
 
 
@@ -125,22 +139,24 @@ def test_preset_artifacts_match_golden_hashes(tmp_path):
 
 
 def test_run_preset_comparison_ranks_all_variants(tmp_path):
-    result = run_preset("comparison-fig4", out_root=tmp_path, steps=600)
-    assert len(result.trajectories) == 6
-    assert result.ranking is not None
-    labels = {entry.label for entry in result.ranking.entries}
-    assert labels == {l for l, _ in get_preset("comparison-fig4").runs}
-    assert all(entry.reached for entry in result.ranking.entries)
-    report = (result.out_dir / "report.txt").read_text()
-    assert "[ranking]" in report
-    assert (result.out_dir / "figure.svg").read_text().count("polyline") >= 6
+    paths = run_preset("comparison-fig4", out_root=tmp_path, steps=600)
+    labels = [label for label, _ in get_preset("comparison-fig4").runs]
+    assert len(labels) == 6
+    out_dir = tmp_path / "comparison-fig4"
+    per_run = [f"{kind}-{label}.csv" for label in labels for kind in ("trajectory", "rates")]
+    assert paths == tuple(out_dir / name for name in per_run + ["figure.svg", "report.txt"])
+    ranking = report_table((out_dir / "report.txt").read_text(), "ranking")
+    assert sorted(row["run"] for row in ranking) == sorted(labels)
+    assert all(row["reached"] == "yes" for row in ranking)
+    assert (out_dir / "figure.svg").read_text().count("polyline") >= 6
 
 
 def test_run_preset_respects_out_env(tmp_path, monkeypatch):
     monkeypatch.setenv("ANTDYN_OUT", str(tmp_path / "via-env"))
-    result = run_preset("phase-eigenant")
-    assert result.out_dir == tmp_path / "via-env" / "phase-eigenant"
-    assert (result.out_dir / "field-grid.csv").exists()
+    paths = run_preset("phase-eigenant")
+    out_dir = tmp_path / "via-env" / "phase-eigenant"
+    assert paths == tuple(out_dir / name for name in ("field-grid.csv", "figure.svg", "report.txt"))
+    assert all(path.exists() for path in paths)
 
 
 def test_run_preset_rejects_steps_for_phase(tmp_path):
@@ -149,14 +165,15 @@ def test_run_preset_rejects_steps_for_phase(tmp_path):
 
 
 def test_phase_preset_bundle(tmp_path):
-    result = run_preset("phase-maxant", out_root=tmp_path)
-    grid_lines = (result.out_dir / "field-grid.csv").read_text().splitlines()
+    run_preset("phase-maxant", out_root=tmp_path)
+    out_dir = tmp_path / "phase-maxant"
+    grid_lines = (out_dir / "field-grid.csv").read_text().splitlines()
     assert grid_lines[0] == "x_1,x_2,dx_1,dx_2,speed,tie"
     assert len(grid_lines) == 1 + 21 * 21
-    report = (result.out_dir / "report.txt").read_text()
+    report = (out_dir / "report.txt").read_text()
     assert "clean = yes" in report
     assert "spurious_minima = 0" in report
-    svg = (result.out_dir / "figure.svg").read_text()
+    svg = (out_dir / "figure.svg").read_text()
     assert "<svg" in svg and "mu_1" in svg
 
 
@@ -335,8 +352,7 @@ def test_both_phase_presets_scan_clean():
 
 
 def test_signum_preset_report_has_no_stability_labels(tmp_path):
-    result = run_preset("signum-sum-fig3-gamma1", out_root=tmp_path, steps=300)
-    report = (result.out_dir / "report.txt").read_text()
+    report = run_preset("signum-sum-fig3-gamma1", out_root=tmp_path, steps=300)[-1].read_text()
     assert "n/a (signum)" in report
     assert "no linearization" in report
     (label, model), = get_preset("signum-sum-fig3-gamma1").runs

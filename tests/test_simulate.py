@@ -369,7 +369,7 @@ def test_csv_source_column():
     lines = text.strip().split("\n")
     assert lines[0] == "t,x_1,x_2,S,source"
     assert all(line.endswith(",euler") for line in lines[1:])
-    # sample-grid schemes tag themselves
+    # only the caller's source adds the column, whatever the scheme
     tagged = Trajectory(
         times=traj.times,
         states=traj.states,
@@ -377,7 +377,8 @@ def test_csv_source_column():
         scheme=Scheme.EXACT,
         dt=traj.dt,
     )
-    assert trajectory_to_csv(tagged).splitlines()[1].endswith(",exact")
+    assert trajectory_to_csv(tagged).splitlines()[0] == "t,x_1,x_2,S"
+    assert trajectory_to_csv(tagged, source="exact").splitlines()[1].endswith(",exact")
 
 
 def test_csv_is_deterministic_and_written_atomically(tmp_path):
