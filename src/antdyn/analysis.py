@@ -9,6 +9,7 @@ which the variant ranking below relies on.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -47,6 +48,8 @@ SUM_TOLERANCE_FACTOR = 1e-2
 SETTLE_RTOL = 1e-3
 
 MIN_FIT_SAMPLES = 10
+
+_EPS = np.finfo(float).eps
 
 # Runs are ranked by when x_1 comes within this fraction of its limit.
 RANK_THRESHOLD = 0.05
@@ -104,43 +107,42 @@ def fit_decay_rate(
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1:
         raise ValueError("times and values must be 1-D arrays of equal length")
-    if window is None:
-        mask = np.ones(times.size, dtype=bool)
-    else:
-        lo, hi = window
-        if not lo < hi:
-            raise ValueError(f"window must satisfy lo < hi, got {window!r}")
-        mask = (times >= lo) & (times <= hi)
-    t = times[mask]
-    v = values[mask]
+    t, v = times, values
+    if window is not None:
+        mask = _window_mask(times, window)
+        t, v = times[mask], values[mask]
     if t.size == 0:
         raise FitError(f"no samples in window {window!r}")
     if limit is None:
         # the tail defines the limit, so its residuals are estimation bias,
         # not decay; fit the rate on the remaining samples only
-        tail = max(1, int(math.ceil(0.1 * t.size)))
-        limit = float(np.mean(v[-tail:]))
+        limit, tail = _tail_mean(v)
         t = t[:-tail]
         v = v[:-tail]
         if t.size == 0:
             raise FitError("no samples left of the tail used for the limit estimate")
     residual = v - limit
-    if limit == 0.0:
-        bad = v <= 0.0
-    else:
-        bad = residual == 0.0
-    if np.any(bad):
-        t = t[: int(np.argmax(bad))]
-        residual = residual[: int(np.argmax(bad))]
+    bad = v <= 0.0 if limit == 0.0 else residual == 0.0
+    if bad.any():
+        end = int(bad.argmax())
+        t, residual = t[:end], residual[:end]
     if t.size < MIN_FIT_SAMPLES:
         raise FitError(
             f"only {t.size} usable samples after truncation, need at least {MIN_FIT_SAMPLES}"
         )
     log_residual = np.log(np.abs(residual))
-    slope, intercept = np.polyfit(t, log_residual, 1)
+    # the degree-1 least squares of numpy's polyfit, step for step, without its wrapper
+    lhs = np.ones((t.size, 2))
+    lhs[:, 0] = t
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    coef, _, rank, _ = np.linalg.lstsq(lhs, log_residual, t.size * _EPS)
+    if rank != 2:
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+    slope, intercept = coef / scale
     predicted = slope * t + intercept
-    ss_res = float(np.sum((log_residual - predicted) ** 2))
-    ss_tot = float(np.sum((log_residual - np.mean(log_residual)) ** 2))
+    ss_res = float(((log_residual - predicted) ** 2).sum())
+    ss_tot = float(((log_residual - log_residual.sum() / t.size) ** 2).sum())
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return DecayFit(
         rate=float(-slope),
@@ -149,6 +151,21 @@ def fit_decay_rate(
         n_samples=int(t.size),
         window=(float(t[0]), float(t[-1])),
     )
+
+
+def _window_mask(times: np.ndarray, window) -> np.ndarray:
+    lo, hi = window
+    if not lo < hi:
+        raise ValueError(f"window must satisfy lo < hi, got {window!r}")
+    return (times >= lo) & (times <= hi)
+
+
+def _tail_mean(values: np.ndarray) -> tuple[float, int]:
+    """Mean of the last 10% of the samples (at least one), and how many that is."""
+    if values.size == 0:
+        raise FitError("no samples to estimate a limit from")
+    tail = max(1, int(math.ceil(0.1 * values.size)))
+    return float(values[-tail:].sum() / tail), tail
 
 
 @dataclass(frozen=True)
@@ -197,15 +214,6 @@ def default_fit_window(scaled_times: np.ndarray) -> tuple[float, float]:
     return (0.5 * end, 0.98 * end)
 
 
-def _tail_mean(times: np.ndarray, values: np.ndarray, window: tuple[float, float]) -> float:
-    mask = (times >= window[0]) & (times <= window[1])
-    v = values[mask]
-    if v.size == 0:
-        raise FitError(f"no samples in window {window!r}")
-    tail = max(1, int(math.ceil(0.1 * v.size)))
-    return float(np.mean(v[-tail:]))
-
-
 def rate_report(
     model: ModelSpec, traj: Trajectory, window: Optional[tuple[float, float]] = None
 ) -> RateReport:
@@ -225,6 +233,11 @@ def rate_report(
     scaled = model.gamma * traj.times
     if window is None:
         window = default_fit_window(scaled)
+    # window once for every fit: one time vector and one contiguous row per component
+    mask = _window_mask(scaled, window)
+    t = scaled[mask]
+    windowed = traj.states[mask]
+    rows = windowed.T.copy()
     scale = model.beta * paths.d[0] / model.alpha
     tied = set(paths.groups[0])
     x0 = traj.states[0]
@@ -236,9 +249,7 @@ def rate_report(
         theoretical_rate = 0.0 if is_tied else model.alpha * (1.0 - paths.d[i] / paths.d[0])
         theoretical_limit = x0[i] / (model.alpha * sigma1) if is_tied else 0.0
         try:
-            fit = fit_decay_rate(
-                scaled, traj.states[:, i], window=window, limit=None if is_tied else 0.0
-            )
+            fit = fit_decay_rate(t, rows[i], limit=None if is_tied else 0.0)
             fitted_rate, fitted_limit = fit.rate, fit.limit
             r_squared, n_samples = fit.r_squared, fit.n_samples
         except FitError:
@@ -247,7 +258,7 @@ def rate_report(
             n_samples = 0
             if is_tied:
                 try:
-                    fitted_limit = _tail_mean(scaled, traj.states[:, i], window)
+                    fitted_limit = _tail_mean(rows[i])[0]
                 except FitError:
                     pass
         rel = None
@@ -274,7 +285,7 @@ def rate_report(
 
     def _series(label: str, series: np.ndarray) -> Optional[SeriesRate]:
         try:
-            fitted_limit = _tail_mean(scaled, series, window)
+            fitted_limit = _tail_mean(series)[0]
             if sum_rate_theory is None:
                 return SeriesRate(
                     label=label,
@@ -287,7 +298,7 @@ def rate_report(
                 )
             # Residual centered on the theoretical limit: the decay-rate
             # statement is about the distance from the true limit.
-            fit = fit_decay_rate(scaled, series, window=window, limit=scale)
+            fit = fit_decay_rate(t, series, limit=scale)
             rel = abs(fit.rate - sum_rate_theory) / sum_rate_theory
             return SeriesRate(
                 label=label,
@@ -301,11 +312,11 @@ def rate_report(
         except FitError:
             return None
 
-    tied_series = traj.states[:, sorted(tied)].sum(axis=1)
+    # summed along each sample's row: a sum down ``rows`` rounds differently once 8 paths tie
     return RateReport(
         components=tuple(components),
-        tied_sum=_series("tied-sum", tied_series),
-        total_sum=_series("total-sum", traj.sums),
+        tied_sum=_series("tied-sum", windowed[:, sorted(tied)].sum(axis=1)),
+        total_sum=_series("total-sum", traj.sums[mask]),
         gamma=model.gamma,
         window=(float(window[0]), float(window[1])),
     )
@@ -338,15 +349,16 @@ def verify_convergence(traj: Trajectory, model: ModelSpec) -> ConvergenceReport:
     tied-set sum is within ``SUM_TOLERANCE_FACTOR * beta d_1 / alpha`` of
     ``beta d_1 / alpha``; and, for the identity-sum model, the state sum
     stayed inside its envelope.  If the sum is still moving by
-    ``SETTLE_RTOL`` or more over the last 10% of the horizon the verdict
-    is inconclusive rather than a verdict on an unfinished transient.
+    ``SETTLE_RTOL`` or more over the last 10% of the horizon, or the run
+    has a single sample and so shows no movement at all, the verdict is
+    inconclusive rather than a verdict on an unfinished transient.
     """
     scale = model.beta * model.paths.d[0] / model.alpha
     sum_tolerance = SUM_TOLERANCE_FACTOR * scale
     tail = max(2, int(math.ceil(0.1 * traj.sums.size)))
     window = traj.sums[-tail:]
     settle_change = float((np.max(window) - np.min(window)) / abs(traj.sums[-1]))
-    settled = settle_change < SETTLE_RTOL
+    settled = window.size >= 2 and settle_change < SETTLE_RTOL
 
     tied = list(model.paths.groups[0])
     others = [i for i in range(model.n) if i not in tied]

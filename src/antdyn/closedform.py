@@ -71,8 +71,8 @@ class OracleRangeError(ValueError):
 
 def logsumexp(a, axis=-1):
     """``log(sum(exp(a)))`` along ``axis``, shifted by the maximum so no exp overflows."""
-    top = np.max(a, axis=axis, keepdims=True)
-    return np.log(np.sum(np.exp(a - top), axis=axis)) + np.squeeze(top, axis=axis)
+    top = np.maximum.reduce(a, axis=axis, keepdims=True)
+    return np.log(np.add.reduce(np.exp(a - top), axis=axis)) + top.squeeze(axis)
 
 
 def require_closed_form(g_kind, phi_kind) -> None:
@@ -95,11 +95,14 @@ class FFunction:
         ``c_i = x_i(0) / (beta d_i)``, canonical order.
     exponents : ndarray
         ``r_i = beta d_i``, nonincreasing.
+    log_coefficients, log_slopes : ndarray
+        ``log c_i`` and ``log c_i + log r_i``, the terms of ``log F`` and ``log F'`` at u = 0.
     """
 
     coefficients: np.ndarray
     exponents: np.ndarray
     log_coefficients: np.ndarray
+    log_slopes: np.ndarray
 
     @classmethod
     def from_model(cls, model: ModelSpec, x0) -> "FFunction":
@@ -108,11 +111,8 @@ class FFunction:
         x0 = require_positive_state(x0, model.n)
         exponents = model.beta * model.paths.d
         coefficients = x0 / exponents
-        return cls(
-            coefficients=coefficients,
-            exponents=exponents,
-            log_coefficients=np.log(coefficients),
-        )
+        log_coefficients = np.log(coefficients)
+        return cls(coefficients, exponents, log_coefficients, log_coefficients + np.log(exponents))
 
     @property
     def f0(self) -> float:
@@ -126,7 +126,7 @@ class FFunction:
 def _terms(u) -> np.ndarray:
     """``u`` with a trailing axis to broadcast against the n terms of F."""
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0):
+    if (u < 0.0).any():
         raise ValueError(f"u must be nonnegative, got {float(np.min(u))}")
     return u[..., None]
 
@@ -138,7 +138,7 @@ def f_eval(F: FFunction, u):
 
 def f_prime(F: FFunction, u):
     """``log F'(u)`` for scalar or array ``u >= 0``, elementwise."""
-    return logsumexp(F.log_coefficients + np.log(F.exponents) + F.exponents * _terms(u))
+    return logsumexp(F.log_slopes + F.exponents * _terms(u))
 
 
 def f_inverse(F: FFunction, log_y):
@@ -156,7 +156,7 @@ def f_inverse(F: FFunction, log_y):
     log_y = np.asarray(log_y, dtype=float)
     log_f0 = F.log_f0
     valid = np.isfinite(log_y) & (log_y >= log_f0 + math.log1p(-_INVERSE_RTOL))
-    if not np.all(valid):
+    if not valid.all():
         bad = float(log_y[~valid].flat[0])
         raise DomainError(f"log y = {bad} is not finite or y is below F(0) (log F(0) = {log_f0})")
     tol = np.maximum(1e-13, 4.0 * np.finfo(float).eps * np.abs(log_y))
@@ -166,7 +166,7 @@ def f_inverse(F: FFunction, log_y):
         log_f = f_eval(F, u)
         residual = log_f - log_y
         active = (np.abs(residual) > tol) & (u > 0.0)
-        if not np.any(active):
+        if not active.any():
             return u
         step = residual * np.exp(log_f - f_prime(F, u))
         u = np.where(active, np.maximum(u - step, 0.0), u)
@@ -211,7 +211,7 @@ def _group_index(paths: PathSystem) -> np.ndarray:
 def _exact_grid(F: FFunction, model: ModelSpec, x0: np.ndarray, times: np.ndarray):
     """Exact states (one row per time) and closed-form totals on a grid of model times."""
     at = model.alpha * (model.gamma * times)
-    if np.any(at > MAX_LOG_ARG):
+    if (at > MAX_LOG_ARG).any():
         raise OracleRangeError(
             f"alpha * gamma * t = {float(np.max(at))} exceeds the evaluator guard "
             f"({MAX_LOG_ARG:.1f}); use asymptotic_state for times this late"

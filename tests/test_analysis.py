@@ -1,12 +1,19 @@
 """Rate fitting, limit verification and variant ranking tests."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import antdyn.analysis
 from antdyn import (
     FitError,
+    IntegrationError,
     ModelSpec,
     PathSystem,
+    PositivityPolicy,
     Scheme,
     Trajectory,
     VerificationStatus,
@@ -18,6 +25,8 @@ from antdyn import (
     sample_exact,
     verify_convergence,
 )
+from antdyn.analysis import MIN_FIT_SAMPLES, DecayFit
+from antdyn.models import TIE_RTOL
 
 
 def make_model(lengths, alpha=1.0, beta=1.0, gamma=1.0, phi="sum", g="identity"):
@@ -108,6 +117,104 @@ def test_default_fit_window_fractions():
     assert window == (50.0, 98.0)
 
 
+def reference_fit(times, values, window=None, limit=0.0):
+    """The fit as numpy's own wrappers compute it: a mask, np.mean, np.polyfit and np.sum."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.shape != values.shape or times.ndim != 1:
+        raise ValueError("times and values must be 1-D arrays of equal length")
+    if window is None:
+        mask = np.ones(times.size, dtype=bool)
+    else:
+        lo, hi = window
+        if not lo < hi:
+            raise ValueError(f"window must satisfy lo < hi, got {window!r}")
+        mask = (times >= lo) & (times <= hi)
+    t = times[mask]
+    v = values[mask]
+    if t.size == 0:
+        raise FitError(f"no samples in window {window!r}")
+    if limit is None:
+        tail = max(1, int(math.ceil(0.1 * t.size)))
+        limit = float(np.mean(v[-tail:]))
+        t = t[:-tail]
+        v = v[:-tail]
+        if t.size == 0:
+            raise FitError("no samples left of the tail used for the limit estimate")
+    residual = v - limit
+    bad = v <= 0.0 if limit == 0.0 else residual == 0.0
+    if np.any(bad):
+        t = t[: int(np.argmax(bad))]
+        residual = residual[: int(np.argmax(bad))]
+    if t.size < MIN_FIT_SAMPLES:
+        raise FitError(
+            f"only {t.size} usable samples after truncation, need at least {MIN_FIT_SAMPLES}"
+        )
+    log_residual = np.log(np.abs(residual))
+    slope, intercept = np.polyfit(t, log_residual, 1)
+    predicted = slope * t + intercept
+    ss_res = float(np.sum((log_residual - predicted) ** 2))
+    ss_tot = float(np.sum((log_residual - np.mean(log_residual)) ** 2))
+    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return DecayFit(
+        rate=float(-slope),
+        limit=float(limit),
+        r_squared=r_squared,
+        n_samples=int(t.size),
+        window=(float(t[0]), float(t[-1])),
+    )
+
+
+def outcome(fit, *args, **kwargs):
+    """The fit, or the type and message of the error it raised."""
+    try:
+        return fit(*args, **kwargs)
+    except (FitError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def fit_inputs(draw):
+    """Noisy decays on irregular grids, toward 0, an estimated limit or a known one,
+    with dead samples, windows anywhere (empty and inverted ones too) and too few samples."""
+    m = draw(st.integers(0, 60))
+    start = draw(st.floats(0.0, 50.0))
+    times = start + np.cumsum(draw(st.lists(st.floats(1e-3, 2.0), min_size=m, max_size=m)))
+    noise = np.array(draw(st.lists(st.floats(-1e-2, 1e-2), min_size=m, max_size=m)))
+    kind = draw(st.sampled_from(["zero", "estimated", "known"]))
+    level = 0.0 if kind == "zero" else 10.0 ** draw(st.floats(-3.0, 3.0))
+    amplitude = 10.0 ** draw(st.floats(-6.0, 6.0))
+    decay = np.exp(-draw(st.floats(1e-3, 3.0)) * (times - start))
+    values = level + amplitude * decay * (1.0 + noise)
+    dead = draw(st.none() | st.integers(0, max(m - 1, 0)))
+    if dead is not None and m:
+        # an integrator that bottomed out, or a residual that reached exactly 0
+        values[dead:] = draw(st.sampled_from([0.0, -1e-12])) if kind == "zero" else level
+    window = None
+    if m and draw(st.booleans()):
+        lo, hi = draw(st.lists(st.floats(start - 1.0, float(times[-1]) + 1.0), min_size=2, max_size=2))
+        window = (lo, hi)
+    limit = {"zero": 0.0, "estimated": None, "known": level}[kind]
+    return times, values, window, limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_inputs())
+def test_fit_is_bitwise_numpys_polyfit(inputs):
+    times, values, window, limit = inputs
+    expected = outcome(reference_fit, times, values, window=window, limit=limit)
+    assert outcome(fit_decay_rate, times, values, window=window, limit=limit) == expected
+
+
+def test_fit_warns_like_polyfit_on_a_degenerate_grid():
+    times = np.full(12, 3.0)  # one time: the [t, 1] design matrix has rank 1
+    values = np.exp(-np.arange(12.0))
+    with pytest.warns(np.exceptions.RankWarning, match="poorly conditioned"):
+        expected = reference_fit(times, values)
+    with pytest.warns(np.exceptions.RankWarning, match="poorly conditioned"):
+        assert fit_decay_rate(times, values) == expected
+
+
 # -- rate reports -------------------------------------------------------
 
 
@@ -192,6 +299,112 @@ def test_rate_report_all_tied_has_no_sum_rate():
     assert report.total_sum.theoretical_rate is None
     assert np.isnan(report.total_sum.fitted_rate)
     assert report.total_sum.theoretical_limit == pytest.approx(0.5)
+
+
+def assert_report_is_its_fits(model, traj, window=None):
+    """Every fitted entry of the report is ``fit_decay_rate`` on the unwindowed arrays."""
+    report = rate_report(model, traj, window=window)
+    scaled = model.gamma * traj.times
+    window = report.window
+    for comp in report.components:
+        limit = None if comp.tied else 0.0
+        fit = outcome(fit_decay_rate, scaled, traj.states[:, comp.index], window=window, limit=limit)
+        if isinstance(fit, DecayFit):
+            got = (comp.fitted_rate, comp.fitted_limit, comp.r_squared, comp.n_samples)
+            assert got == (fit.rate, fit.limit, fit.r_squared, fit.n_samples)
+        else:
+            assert fit[0] is FitError and np.isnan(comp.fitted_rate) and comp.n_samples == 0
+    scale = model.beta * model.paths.d[0] / model.alpha
+    tied_series = traj.states[:, sorted(model.paths.groups[0])].sum(axis=1)
+    for entry, series in ((report.tied_sum, tied_series), (report.total_sum, traj.sums)):
+        if entry is not None and entry.theoretical_rate is None:
+            continue  # all paths tied: the sums are reported, not fitted
+        fit = outcome(fit_decay_rate, scaled, series, window=window, limit=scale)
+        if entry is None:
+            assert fit[0] is FitError
+        else:
+            assert (entry.fitted_rate, entry.r_squared) == (fit.rate, fit.r_squared)
+
+
+VARIANTS = [(g, phi) for g in ("identity", "tanh", "signum") for phi in ("sum", "max")]
+
+
+@st.composite
+def reported_runs(draw):
+    """Euler and RK4 runs of all six variants and exact identity-sum samples, with
+    ties and near-ties, steps coarse enough that the clamp pins components at its
+    floor, and default or drawn fit windows."""
+    n = draw(st.integers(2, 6))
+    lengths = draw(st.lists(st.floats(1.0, 10.0), min_size=n, max_size=n))
+    for i in range(1, n):
+        spread = draw(st.sampled_from([None, None, 0.0, 0.5, 2.0]))
+        if spread is not None:  # tie length i to an earlier one, exactly or within a few TIE_RTOL
+            lengths[i] = lengths[draw(st.integers(0, i - 1))] * (1.0 + spread * TIE_RTOL)
+    g, phi = draw(st.sampled_from(VARIANTS))
+    gains = st.floats(0.2, 2.0)
+    model = make_model(
+        lengths, alpha=draw(gains), beta=draw(gains), gamma=draw(gains), phi=phi, g=g
+    )
+    x0 = draw(st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n))
+    # fine steps, or steps coarse enough that components overshoot zero
+    dt = draw(st.floats(0.005, 0.5) | st.floats(1.0, 3.0)) / (model.gamma * model.alpha)
+    steps = draw(st.integers(4 * MIN_FIT_SAMPLES, 300))
+    if (g, phi) == ("identity", "sum") and draw(st.booleans()):
+        traj = sample_exact(model, x0, dt, steps)
+    else:
+        scheme = draw(st.sampled_from([Scheme.EULER, Scheme.RK4]))
+        policy = PositivityPolicy.CLAMP_EPSILON
+        try:
+            traj = integrate(model, x0, dt, steps, scheme=scheme, positivity=policy)
+        except IntegrationError:
+            assume(False)
+    window = None
+    if draw(st.booleans()):
+        end = float(model.gamma * traj.times[-1])
+        lo = draw(st.floats(0.0, 0.9)) * end
+        window = (lo, lo + draw(st.floats(0.05, 1.0)) * end)
+    return model, traj, window
+
+
+@settings(max_examples=300, deadline=None)
+@given(reported_runs())
+def test_rate_report_entries_are_the_fits_on_whole_arrays(run):
+    assert_report_is_its_fits(*run)
+
+
+def test_rate_report_entries_are_the_fits_on_pinned_and_tied_runs():
+    # Euler with dt * gamma * |g(a_2)| = 1.5 * 0.9 > 1 pins x_2 at the clamp floor
+    pinned = make_model([1.0, 10.0])
+    traj = integrate(pinned, [0.5, 0.5], 1.5, 500, positivity=PositivityPolicy.CLAMP_EPSILON)
+    assert traj.positivity_violated
+    assert_report_is_its_fits(pinned, traj)
+    tied = make_model([1, 1, 1, 2, 3], alpha=0.5, gamma=2.0)
+    assert_report_is_its_fits(tied, sample_exact(tied, [0.2, 0.3, 0.4, 0.8, 1.0], 0.05, 1500))
+    all_tied = make_model([2, 2])
+    assert_report_is_its_fits(all_tied, integrate(all_tied, [0.4, 0.9], 0.05, 400))
+
+
+def test_rate_report_fits_each_series_once_through_the_module(monkeypatch):
+    # the benchmark counts fits by wrapping this module attribute
+    calls = []
+    fit = antdyn.analysis.fit_decay_rate
+
+    def counting_fit(*args, **kwargs):
+        calls.append(None)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(antdyn.analysis, "fit_decay_rate", counting_fit)
+    model = ten_path_model()
+    traj = sample_exact(model, np.arange(1, 11) * 0.1, 0.02, 300)
+    rate_report(model, traj)
+    assert len(calls) == model.n + 2  # every component, the tied-set sum and the total
+    calls.clear()
+    rate_report(model, traj, window=(100.0, 200.0))  # no samples: the sums are not fitted
+    assert len(calls) == model.n
+    calls.clear()
+    all_tied = make_model([2, 2])
+    rate_report(all_tied, integrate(all_tied, [0.4, 0.9], 0.05, 400))
+    assert len(calls) == all_tied.n
 
 
 # -- limit verification -------------------------------------------------

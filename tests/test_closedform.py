@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import antdyn.closedform
 from antdyn import (
     DomainError,
     FFunction,
@@ -37,7 +38,7 @@ from antdyn import (
     sigma_coefficients,
     trajectory_to_csv,
 )
-from antdyn.closedform import CORRECTION_LIMIT, MAX_LOG_ARG
+from antdyn.closedform import CORRECTION_LIMIT, MAX_LOG_ARG, NEWTON_BUDGET
 from antdyn.models import TIE_RTOL
 
 
@@ -347,6 +348,83 @@ def test_closed_form_properties(run):
     for k, t in enumerate(traj.times):
         state = exact_state(F, model, x0, float(t))
         np.testing.assert_allclose(state.x, traj.states[k], rtol=1e-12, atol=0.0)
+
+
+def reference_logsumexp(a):
+    """Log-sum-exp over the last axis through numpy's wrappers."""
+    top = np.max(a, axis=-1, keepdims=True)
+    return np.log(np.sum(np.exp(a - top), axis=-1)) + np.squeeze(top, axis=-1)
+
+
+def reference_exact_states(model, x0, times):
+    """Exact states on a grid by the monotone Newton solve, through numpy's wrappers.
+
+    Returns the states and the number of Newton iterations taken.
+    """
+    r = model.beta * model.paths.d
+    log_c = np.log(x0 / r)
+
+    def log_f(u):
+        return reference_logsumexp(log_c + r * u[..., None])
+
+    def log_f_prime(u):
+        return reference_logsumexp(log_c + np.log(r) + r * u[..., None])
+
+    at = model.alpha * (model.gamma * times)
+    with np.errstate(divide="ignore"):
+        growth = at + np.log(-np.expm1(-at)) - math.log(model.alpha)
+    log_f0 = float(reference_logsumexp(log_c))
+    log_y = np.logaddexp(log_f0, growth)
+    tol = np.maximum(1e-13, 4.0 * np.finfo(float).eps * np.abs(log_y))
+    u = np.where(log_y <= log_f0, 0.0, (log_y - log_c[0]) / r[0])
+    for iterations in range(NEWTON_BUDGET):
+        value = log_f(u)
+        residual = value - log_y
+        active = (np.abs(residual) > tol) & (u > 0.0)
+        if not np.any(active):
+            return x0 * np.exp(r * u[:, None] - at[:, None]), iterations
+        step = residual * np.exp(value - log_f_prime(u))
+        u = np.where(active, np.maximum(u - step, 0.0), u)
+    raise AssertionError("the reference Newton solve did not converge")
+
+
+@settings(max_examples=100, deadline=None)
+@given(identity_sum_runs())
+def test_exact_samples_are_bitwise_the_reference_newton(run):
+    model, x0, dt, steps = run
+    traj = sample_exact(model, x0, dt, steps)
+    expected, _ = reference_exact_states(model, x0, traj.times)
+    assert np.array_equal(traj.states, expected)
+
+
+def test_sample_exact_calls_f_prime_once_per_newton_step(monkeypatch):
+    # the benchmark counts Newton steps as the f_prime calls made inside f_inverse
+    inside, newton_steps = [], []
+    f_inverse, f_prime = antdyn.closedform.f_inverse, antdyn.closedform.f_prime
+
+    def traced_inverse(*args, **kwargs):
+        inside.append(None)
+        try:
+            return f_inverse(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting_prime(*args, **kwargs):
+        if inside:
+            newton_steps.append(None)
+        return f_prime(*args, **kwargs)
+
+    monkeypatch.setattr(antdyn.closedform, "f_inverse", traced_inverse)
+    monkeypatch.setattr(antdyn.closedform, "f_prime", counting_prime)
+    rng = np.random.default_rng(43)
+    # one path: the first Newton guess is the root, so no step is taken
+    for n, expected in ((1, 0), (3, 5), (10, 5)):
+        model = make_model(rng.uniform(1.0, 10.0, n), alpha=0.7, beta=1.3, gamma=2.0)
+        x0 = rng.uniform(0.1, 1.0, n)
+        newton_steps.clear()
+        traj = sample_exact(model, x0, 0.3, 100)
+        assert reference_exact_states(model, x0, traj.times)[1] == expected
+        assert len(newton_steps) == expected
 
 
 def reference_asymptotic_state(sigma, model, x0, t):

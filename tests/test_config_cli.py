@@ -459,6 +459,32 @@ steps = 1500
     assert "envelope_ok = yes" in out
 
 
+ZERO_STEP_RUN = """\
+[model]
+lengths = 1, 2, 3
+
+[run]
+x0 = 1, 1e-9, 1e-9
+dt = 0.01
+steps = 0
+"""
+
+
+def test_cli_verify_does_not_pass_a_run_that_never_moved(tmp_path, capsys):
+    # the start already meets every limit check, but one sample shows no settling
+    path = write_config(tmp_path, ZERO_STEP_RUN)
+    assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["status = inconclusive", "settled = no"]
+    assert "sum_ok = True" in out and "zero_ok = True" in out
+
+
+def test_cli_rates_rejects_the_empty_window_of_a_run_that_never_moved(tmp_path, capsys):
+    path = write_config(tmp_path, ZERO_STEP_RUN)
+    assert main(["rates", str(path)]) == 1
+    assert "window must satisfy lo < hi, got (0.0, 0.0)" in capsys.readouterr().err
+
+
 def test_cli_reproduce_and_presets(tmp_path, capsys):
     assert main(["reproduce", "tied-shortest-fig5", "--out", str(tmp_path), "--steps", "250"]) == 0
     out = capsys.readouterr().out
