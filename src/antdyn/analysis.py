@@ -211,6 +211,8 @@ class RateReport:
 def default_fit_window(scaled_times: np.ndarray) -> tuple[float, float]:
     """Last half of the horizon, excluding the final 2%."""
     end = float(scaled_times[-1])
+    if not end > 0.0:
+        raise ValueError("the run spans no time, so there is nothing to fit")
     return (0.5 * end, 0.98 * end)
 
 
@@ -238,14 +240,14 @@ def rate_report(
     t = scaled[mask]
     windowed = traj.states[mask]
     rows = windowed.T.copy()
-    scale = model.beta * paths.d[0] / model.alpha
-    tied = set(paths.groups[0])
+    scale = model.mu[0]
+    tied = paths.tied
     x0 = traj.states[0]
-    sigma1 = float(np.sum(x0[list(tied)])) / (model.beta * paths.d_distinct[0])
+    sigma1 = float(np.sum(x0[:tied])) / (model.beta * paths.d_distinct[0])
 
     components = []
     for i in range(model.n):
-        is_tied = i in tied
+        is_tied = i < tied
         theoretical_rate = 0.0 if is_tied else model.alpha * (1.0 - paths.d[i] / paths.d[0])
         theoretical_limit = x0[i] / (model.alpha * sigma1) if is_tied else 0.0
         try:
@@ -312,10 +314,11 @@ def rate_report(
         except FitError:
             return None
 
-    # summed along each sample's row: a sum down ``rows`` rounds differently once 8 paths tie
+    # an index array, not a slice: a slice sums each row pairwise, which rounds
+    # differently once 8 paths tie
     return RateReport(
         components=tuple(components),
-        tied_sum=_series("tied-sum", windowed[:, sorted(tied)].sum(axis=1)),
+        tied_sum=_series("tied-sum", windowed[:, np.arange(tied)].sum(axis=1)),
         total_sum=_series("total-sum", traj.sums[mask]),
         gamma=model.gamma,
         window=(float(window[0]), float(window[1])),
@@ -353,21 +356,20 @@ def verify_convergence(traj: Trajectory, model: ModelSpec) -> ConvergenceReport:
     has a single sample and so shows no movement at all, the verdict is
     inconclusive rather than a verdict on an unfinished transient.
     """
-    scale = model.beta * model.paths.d[0] / model.alpha
+    scale = model.mu[0]
     sum_tolerance = SUM_TOLERANCE_FACTOR * scale
     tail = max(2, int(math.ceil(0.1 * traj.sums.size)))
     window = traj.sums[-tail:]
     settle_change = float((np.max(window) - np.min(window)) / abs(traj.sums[-1]))
     settled = window.size >= 2 and settle_change < SETTLE_RTOL
 
-    tied = list(model.paths.groups[0])
-    others = [i for i in range(model.n) if i not in tied]
+    tied = model.paths.tied
     final = traj.final_state
     zero_threshold = ZERO_THRESHOLD_FACTOR * scale
-    max_other = float(np.max(final[others])) if others else 0.0
+    max_other = float(np.max(final[tied:])) if tied < model.n else 0.0
     zero_ok = max_other < zero_threshold
 
-    tied_sum_final = float(np.sum(final[tied]))
+    tied_sum_final = float(np.sum(final[:tied]))
     sum_ok = abs(tied_sum_final - scale) <= sum_tolerance
 
     envelope = None
@@ -393,7 +395,7 @@ def verify_convergence(traj: Trajectory, model: ModelSpec) -> ConvergenceReport:
         tied_sum_final=tied_sum_final,
         expected_sum=float(scale),
         sum_tolerance=float(sum_tolerance),
-        tied_indices=tuple(tied),
+        tied_indices=tuple(range(tied)),
         envelope_ok=envelope_ok,
         envelope=envelope,
     )
@@ -444,7 +446,7 @@ def compare_variants(runs: Sequence[tuple[str, ModelSpec, Trajectory]]) -> Varia
 
     raw = []
     for label, model, traj in runs:
-        limit = model.beta * model.paths.d[0] / model.alpha
+        limit = model.mu[0]
         inside = np.abs(traj.states[:, 0] - limit) < RANK_THRESHOLD * limit
         if np.any(inside):
             k = int(np.argmax(inside))

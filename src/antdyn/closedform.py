@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import DomainError, GKind, ModelSpec, PathSystem, PhiKind, require_positive_state
+from .models import DomainError, GKind, ModelSpec, PhiKind, require_positive_state
 from .simulate import Scheme, Trajectory, sample_times
 
 __all__ = [
@@ -97,12 +97,16 @@ class FFunction:
         ``r_i = beta d_i``, nonincreasing.
     log_coefficients, log_slopes : ndarray
         ``log c_i`` and ``log c_i + log r_i``, the terms of ``log F`` and ``log F'`` at u = 0.
+    log_f0, x0
+        ``log F(0)``, and the checked initial state F was built from.
     """
 
     coefficients: np.ndarray
     exponents: np.ndarray
     log_coefficients: np.ndarray
     log_slopes: np.ndarray
+    log_f0: float
+    x0: np.ndarray
 
     @classmethod
     def from_model(cls, model: ModelSpec, x0) -> "FFunction":
@@ -111,16 +115,13 @@ class FFunction:
         x0 = require_positive_state(x0, model.n)
         exponents = model.beta * model.paths.d
         coefficients = x0 / exponents
-        log_coefficients = np.log(coefficients)
-        return cls(coefficients, exponents, log_coefficients, log_coefficients + np.log(exponents))
+        logs = np.log(coefficients)
+        log_f0 = float(logsumexp(logs))
+        return cls(coefficients, exponents, logs, logs + np.log(exponents), log_f0, x0)
 
     @property
     def f0(self) -> float:
         return float(np.sum(self.coefficients))
-
-    @property
-    def log_f0(self) -> float:
-        return float(logsumexp(self.log_coefficients))
 
 
 def _terms(u) -> np.ndarray:
@@ -187,29 +188,25 @@ class ClosedFormState:
 
 @dataclass(frozen=True, eq=False)
 class SigmaCoefficients:
-    """Tail-sum coefficients, one per distinct weight value.
+    """Tail-sum coefficients, one per distinct weight value, of the checked initial state ``x0``.
 
     ``sigma[k] = sum(x0_j for j in group k) / (beta * d_distinct[k])``.
     """
 
     sigma: np.ndarray
+    x0: np.ndarray
 
 
 def sigma_coefficients(model: ModelSpec, x0) -> SigmaCoefficients:
     """Compute the tail-sum coefficients of a positive initial state."""
     x0 = require_positive_state(x0, model.n)
     paths = model.paths
-    sums = np.bincount(_group_index(paths), weights=x0, minlength=paths.d_distinct.size)
-    return SigmaCoefficients(sigma=sums / (model.beta * paths.d_distinct))
+    sums = np.bincount(paths.group, weights=x0)
+    return SigmaCoefficients(sigma=sums / (model.beta * paths.d_distinct), x0=x0)
 
 
-def _group_index(paths: PathSystem) -> np.ndarray:
-    """Each component's weight group: the number of distinct weights at or above it, less one."""
-    return np.searchsorted(-paths.d_distinct, -paths.d, side="right") - 1
-
-
-def _exact_grid(F: FFunction, model: ModelSpec, x0: np.ndarray, times: np.ndarray):
-    """Exact states (one row per time) and closed-form totals on a grid of model times."""
+def _exact_grid(F: FFunction, model: ModelSpec, times: np.ndarray):
+    """Exact states (one row per time) on a grid of model times, and the solved ``u``."""
     at = model.alpha * (model.gamma * times)
     if (at > MAX_LOG_ARG).any():
         raise OracleRangeError(
@@ -220,9 +217,7 @@ def _exact_grid(F: FFunction, model: ModelSpec, x0: np.ndarray, times: np.ndarra
     with np.errstate(divide="ignore"):
         growth = at + np.log(-np.expm1(-at)) - math.log(model.alpha)
     u = f_inverse(F, np.logaddexp(F.log_f0, growth))
-    x = x0 * np.exp(F.exponents * u[:, None] - at[:, None])
-    total = np.exp(f_prime(F, u) - at)
-    return x, total
+    return F.x0 * np.exp(F.exponents * u[:, None] - at[:, None]), u
 
 
 def exact_state(F: FFunction, model: ModelSpec, x0, t: float) -> ClosedFormState:
@@ -233,16 +228,19 @@ def exact_state(F: FFunction, model: ModelSpec, x0, t: float) -> ClosedFormState
     ``alpha tau`` exceeds the log-domain guard; use
     :func:`asymptotic_state` there, the truncation error of which is far
     below double resolution at such times.  A negative or non-finite ``t``
-    raises ``ValueError``.
+    raises ``ValueError``, and so does an ``x0`` other than the one ``F``
+    was built from.
     """
-    x0 = require_positive_state(x0, model.n)
-    t = _time(t)
-    x, total = _exact_grid(F, model, x0, np.array([t]))
+    t = _one_time(F.x0, x0, "F", t)
+    x, u = _exact_grid(F, model, np.array([t]))
+    total = np.exp(f_prime(F, u) - model.alpha * (model.gamma * t))
     return ClosedFormState(x=x[0], total=float(total[0]), t=t)
 
 
-def _time(t) -> float:
-    """A single requested time as a float, checked to be finite and nonnegative."""
+def _one_time(built_from: np.ndarray, x0, what: str, t) -> float:
+    """Check that ``x0`` is the state ``what`` was built from and ``t`` is finite and >= 0."""
+    if not np.array_equal(np.asarray(x0, dtype=float), built_from):
+        raise ValueError(f"x0 is not {built_from.tolist()}, the state {what} was built from")
     t = float(t)
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t}")
@@ -276,18 +274,18 @@ def asymptotic_state(
     remainder is set to zero, so validity is advertised through
     ``correction_ratio`` rather than silently degraded values: while
     ``leading_valid`` is False the tied-leading components may even come
-    out negative.  A negative or non-finite ``t`` raises ``ValueError``.
+    out negative.  A negative or non-finite ``t`` raises ``ValueError``,
+    and so does an ``x0`` other than the one ``sigma`` was computed from.
     This is the one-row case of the grid that :func:`sample_asymptotic`
     evaluates.
     """
-    x0 = require_positive_state(x0, model.n)
-    t = _time(t)
-    x, total, ratio = _asymptotic_grid(sigma, model, x0, np.array([t]))
+    t = _one_time(sigma.x0, x0, "sigma", t)
+    x, total, ratio = _asymptotic_grid(sigma, model, np.array([t]))
     ratio = float(ratio[0])
     return AsymptoticState(x[0], float(total[0]), t, ratio, ratio <= CORRECTION_LIMIT)
 
 
-def _asymptotic_grid(sigma: SigmaCoefficients, model: ModelSpec, x0: np.ndarray, times):
+def _asymptotic_grid(sigma: SigmaCoefficients, model: ModelSpec, times):
     """Expansion states (one row per time), totals and correction ratios on a grid of model times.
 
     Each component takes the distinct weight of its group as its exponent.
@@ -302,26 +300,25 @@ def _asymptotic_grid(sigma: SigmaCoefficients, model: ModelSpec, x0: np.ndarray,
     # one column per non-leading group
     decay = np.exp(-model.alpha * (1.0 - exponent[1:]) * tau[:, None])
     correction = np.zeros(tau.size)
-    total = np.full(tau.size, model.beta * dp[0] / model.alpha)
+    total = np.full(tau.size, model.mu[0])
     if dp.size > 1:  # the first correction comes from the second group
         correction = (s[1] / s[0]) * scale[1] * decay[:, 0]
         total -= model.beta * s[1] * (dp[0] - dp[1]) * scale[1] * decay[:, 0]
-    tied = len(model.paths.groups[0])
-    rest = _group_index(model.paths)[tied:]
+    tied = model.paths.tied
+    rest = model.paths.group[tied:]
     x = np.empty((tau.size, model.n))
-    x[:, :tied] = x0[:tied] * (lead - correction)[:, None]
-    x[:, tied:] = x0[tied:] * scale[rest] * decay[:, rest - 1]
+    x[:, :tied] = sigma.x0[:tied] * (lead - correction)[:, None]
+    x[:, tied:] = sigma.x0[tied:] * scale[rest] * decay[:, rest - 1]
     return x, total, correction / lead
 
 
 def _sample(model: ModelSpec, x0, dt: float, steps: int, scheme: Scheme) -> Trajectory:
     times = sample_times(dt, steps)
-    x0 = np.asarray(x0, dtype=float)
     valid = None
     if scheme is Scheme.EXACT:
-        states, _ = _exact_grid(FFunction.from_model(model, x0), model, x0, times)
+        states, _ = _exact_grid(FFunction.from_model(model, x0), model, times)
     else:
-        states, _, ratio = _asymptotic_grid(sigma_coefficients(model, x0), model, x0, times)
+        states, _, ratio = _asymptotic_grid(sigma_coefficients(model, x0), model, times)
         valid = ratio <= CORRECTION_LIMIT
     return Trajectory(
         times=times, states=states, sums=states.sum(axis=1), scheme=scheme, dt=float(dt),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -84,17 +85,18 @@ class PathSystem:
     order : ndarray
         Permutation such that ``d = (1/asarray(lengths))[order]``.
     d_distinct : ndarray
-        Distinct weight values, strictly decreasing.
-    groups : tuple of tuple of int
-        Canonical indices sharing each distinct value; the tuples
-        partition ``range(n)`` and the first one is the tied-leading set.
+        Distinct weight values, strictly decreasing: the first weight of
+        each group.
+    group : ndarray of int
+        Each component's index in ``d_distinct``, nondecreasing; group 0
+        is the tied-leading set.
     """
 
     lengths: tuple[float, ...]
     d: np.ndarray
     order: np.ndarray
     d_distinct: np.ndarray
-    groups: tuple[tuple[int, ...], ...]
+    group: np.ndarray
 
     @classmethod
     def from_lengths(cls, lengths) -> "PathSystem":
@@ -115,24 +117,25 @@ class PathSystem:
         # stable sort keeps user order among exact ties
         order = np.argsort(-recip, kind="stable")
         d = recip[order]
-        groups: list[list[int]] = [[0]]
-        for k in range(1, d.size):
-            if d[k - 1] - d[k] <= TIE_RTOL * d[k - 1]:
-                groups[-1].append(k)
-            else:
-                groups.append([k])
-        d_distinct = np.array([d[g[0]] for g in groups])
+        # a weight starts a new group unless it ties with its predecessor (ties chain)
+        starts = np.ones(d.size, dtype=bool)
+        starts[1:] = ~(d[:-1] - d[1:] <= TIE_RTOL * d[:-1])
         return cls(
             lengths=tuple(float(v) for v in arr),
             d=d,
             order=order,
-            d_distinct=d_distinct,
-            groups=tuple(tuple(g) for g in groups),
+            d_distinct=d[starts],
+            group=np.cumsum(starts) - 1,
         )
 
     @property
     def n(self) -> int:
         return self.d.size
+
+    @cached_property
+    def tied(self) -> int:
+        """Size of the tied-leading set: canonical indices ``0 .. tied - 1``."""
+        return int(np.searchsorted(self.group, 1))
 
     def to_canonical(self, values) -> np.ndarray:
         """Reorder a user-order vector into canonical (sorted-d) order."""
@@ -179,6 +182,11 @@ class ModelSpec:
     @property
     def label(self) -> str:
         return f"{self.g_kind.value}-{self.phi_kind.value}"
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """Equilibrium scales ``mu_i = beta d_i / alpha``: path i's equilibrium is ``mu_i e_i``."""
+        return self.beta * self.paths.d / self.alpha
 
 
 def require_positive(name: str, value) -> float:

@@ -297,11 +297,11 @@ def _figure_for(preset: ExperimentPreset, trajectories: dict) -> str:
     series = [
         Series(label=f"x_{i + 1}", x=traj.times, y=traj.states[:, i]) for i in range(traj.n)
     ]
-    tied = list(model.paths.groups[0])
-    if len(tied) > 1:
-        series.append(
-            Series(label="tied sum", x=traj.times, y=traj.states[:, tied].sum(axis=1))
-        )
+    tied = model.paths.tied
+    if tied > 1:
+        # an index array, not a slice, so the sum rounds as rate_report's tied-sum series
+        y = traj.states[:, np.arange(tied)].sum(axis=1)
+        series.append(Series(label="tied sum", x=traj.times, y=y))
     return line_figure(
         series,
         title=preset.name,

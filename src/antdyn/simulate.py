@@ -246,8 +246,7 @@ def sum_envelope(model: ModelSpec, s0: float, times: np.ndarray) -> tuple[np.nda
     ``beta d_1 / alpha`` at rate ``alpha * gamma``.
     """
     decay = np.exp(-model.alpha * model.gamma * np.asarray(times, dtype=float))
-    low = model.beta * model.paths.d[-1] / model.alpha
-    high = model.beta * model.paths.d[0] / model.alpha
+    low, high = model.mu[-1], model.mu[0]
     return low + (s0 - low) * decay, high + (s0 - high) * decay
 
 

@@ -29,7 +29,7 @@ from .models import (
     phi_eval,
     phi_grad,
     require_admissible,
-    vector_field,
+    rhs,
 )
 
 __all__ = [
@@ -73,32 +73,22 @@ class EquilibriumReport:
     notes: tuple[str, ...]
 
 
-def _equilibrium_residual(model: ModelSpec, point: np.ndarray) -> float:
-    # The signum output is +-1 for any rounding-level argument, so for that
-    # response the residual is measured on the inner switching argument
-    # scaled to field units; smooth responses use the field itself.
-    if model.g_kind is GKind.SIGNUM:
-        saturation = phi_eval(model.phi_kind, point)
-        a = -model.alpha + model.beta * saturation * model.paths.d
-        return float(np.max(np.abs(model.gamma * a * point)))
-    return float(np.max(np.abs(vector_field(model, point))))
-
-
 def find_equilibria(model: ModelSpec) -> list[Equilibrium]:
     """All equilibria of a model, one per canonical path index.
 
-    Each scale is the closed form ``mu_i = beta d_i / alpha``, which holds
-    for both the sum and the max saturation.
+    Each scale is the closed form ``mu_i = beta d_i / alpha``
+    (``model.mu``), which holds for both the sum and the max saturation.
     """
-    out = []
-    for i in range(model.n):
-        mu = model.beta * float(model.paths.d[i]) / model.alpha
-        point = np.zeros(model.n)
-        point[i] = mu
-        out.append(
-            Equilibrium(index=i, mu=mu, point=point, residual=_equilibrium_residual(model, point))
-        )
-    return out
+    mu = model.mu
+    points = np.diag(mu)
+    if model.g_kind is GKind.SIGNUM:
+        # sign() is +-1 for any rounding-level argument, so measure the switching
+        # argument at mu_k e_k, where phi = 1 / mu_k, in field units instead
+        a = -model.alpha + model.beta * (1.0 / mu) * model.paths.d
+        residuals = np.abs(model.gamma * a * mu)
+    else:
+        residuals = np.abs(rhs(model)(points)).max(axis=1)
+    return [Equilibrium(i, float(mu[i]), points[i], float(residuals[i])) for i in range(model.n)]
 
 
 def jacobian(model: ModelSpec, x) -> np.ndarray:
@@ -138,7 +128,8 @@ def spectrum_at_equilibrium(model: ModelSpec, eq: Equilibrium) -> np.ndarray:
     At ``mu_k e_k`` the Jacobian is diagonal except for row k, so the
     eigenvalues are the diagonal entries: ``gamma * g(alpha (d_j/d_k - 1))``
     for j != k and, in slot k,
-    ``gamma * g'(0) * beta d_k mu_k * (grad phi)_k`` which evaluates to
+    ``gamma * g'(0) * beta d_k mu_k * (grad phi)_k`` with
+    ``(grad phi)_k = -1 / mu_k**2``, which evaluates to
     ``-gamma g'(0) alpha`` for both shipped saturations.
     """
     if model.g_kind is GKind.SIGNUM:
@@ -148,7 +139,7 @@ def spectrum_at_equilibrium(model: ModelSpec, eq: Equilibrium) -> np.ndarray:
     d = model.paths.d
     k = eq.index
     eigs = model.gamma * g_eval(model.g_kind, model.alpha * (d / d[k] - 1.0))
-    grad_k = phi_grad(model.phi_kind, eq.point)[k]
+    grad_k = -1.0 / (eq.mu * eq.mu)
     g_prime_zero = float(g_prime(model.g_kind, 0.0))
     eigs[k] = model.gamma * g_prime_zero * model.beta * d[k] * eq.mu * grad_k
     return eigs
@@ -184,9 +175,9 @@ def equilibrium_report(model: ModelSpec) -> EquilibriumReport:
     spectra = tuple(spectrum_at_equilibrium(model, eq) for eq in equilibria)
     labels = tuple(classify(spectra))
     notes = []
-    leading = model.paths.groups[0]
-    if len(leading) > 1:
-        paths = ", ".join(str(i) for i in leading)
+    tied = model.paths.tied
+    if tied > 1:
+        paths = ", ".join(str(i) for i in range(tied))
         notes.append(
             f"paths {paths} share the largest preference weight: their equilibria are "
             "individually marginal and the long-run statement applies to their sum"

@@ -315,7 +315,7 @@ def assert_report_is_its_fits(model, traj, window=None):
         else:
             assert fit[0] is FitError and np.isnan(comp.fitted_rate) and comp.n_samples == 0
     scale = model.beta * model.paths.d[0] / model.alpha
-    tied_series = traj.states[:, sorted(model.paths.groups[0])].sum(axis=1)
+    tied_series = traj.states[:, list(range(model.paths.tied))].sum(axis=1)
     for entry, series in ((report.tied_sum, tied_series), (report.total_sum, traj.sums)):
         if entry is not None and entry.theoretical_rate is None:
             continue  # all paths tied: the sums are reported, not fitted
@@ -382,6 +382,11 @@ def test_rate_report_entries_are_the_fits_on_pinned_and_tied_runs():
     assert_report_is_its_fits(tied, sample_exact(tied, [0.2, 0.3, 0.4, 0.8, 1.0], 0.05, 1500))
     all_tied = make_model([2, 2])
     assert_report_is_its_fits(all_tied, integrate(all_tied, [0.4, 0.9], 0.05, 400))
+    # from 8 tied paths on, a sum over a slice would round differently
+    for ties in (8, 12):
+        many = make_model([1] * ties + [2, 3], alpha=0.5, gamma=2.0)
+        x0 = np.linspace(0.1, 1.0, ties + 2)
+        assert_report_is_its_fits(many, sample_exact(many, x0, 0.05, 1500))
 
 
 def test_rate_report_fits_each_series_once_through_the_module(monkeypatch):

@@ -7,6 +7,8 @@ loop covering every response/saturation combination.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antdyn import (
     DomainError,
@@ -22,7 +24,7 @@ from antdyn import (
     phi_grad,
     vector_field,
 )
-from antdyn.models import require_admissible, require_positive_state, rhs
+from antdyn.models import TIE_RTOL, require_admissible, require_positive_state, rhs
 
 
 def make_model(lengths, alpha=1.0, beta=1.0, gamma=1.0, phi="sum", g="identity"):
@@ -60,7 +62,8 @@ def test_path_system_round_trip_permutation():
 def test_path_system_groups_exact_ties():
     ps = PathSystem.from_lengths([2.0, 2.0, 1.0])
     assert np.allclose(ps.d, [1.0, 0.5, 0.5])
-    assert ps.groups == ((0,), (1, 2))
+    assert ps.group.tolist() == [0, 1, 1]
+    assert ps.tied == 1
     assert np.allclose(ps.d_distinct, [1.0, 0.5])
     # stable sort: tied user paths keep their relative order
     assert list(ps.order) == [2, 0, 1]
@@ -68,8 +71,50 @@ def test_path_system_groups_exact_ties():
 
 def test_path_system_all_tied_single_group():
     ps = PathSystem.from_lengths([4.0, 4.0, 4.0])
-    assert ps.groups == ((0, 1, 2),)
+    assert ps.group.tolist() == [0, 0, 0]
+    assert ps.tied == 3
     assert ps.d_distinct.size == 1
+
+
+def reference_groups(d):
+    """The tie groups of sorted weights, one comparison at a time."""
+    groups = [[0]]
+    for k in range(1, d.size):
+        if d[k - 1] - d[k] <= TIE_RTOL * d[k - 1]:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    return groups
+
+
+@st.composite
+def tied_lengths(draw):
+    """1 to 32 lengths with exact ties and chains of near-ties at 0.5 to 2 TIE_RTOL."""
+    n = draw(st.integers(1, 32))
+    lengths = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    for i in range(1, n):
+        kind = draw(st.sampled_from(["free", "exact", "near"]))
+        if kind == "exact":
+            lengths[i] = lengths[draw(st.integers(0, i - 1))]
+        elif kind == "near":  # each link of the chain is relative to the previous length
+            lengths[i] = lengths[i - 1] * (1.0 + draw(st.floats(0.5, 2.0)) * TIE_RTOL)
+    return lengths
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_lengths())
+def test_path_system_groups_match_the_pairwise_loop(lengths):
+    ps = PathSystem.from_lengths(lengths)
+    groups = reference_groups(ps.d)
+    assert ps.group.tolist() == [k for k, members in enumerate(groups) for _ in members]
+    assert ps.d_distinct.tolist() == [ps.d[members[0]] for members in groups]
+    assert ps.tied == len(groups[0])
+
+
+def test_model_mu_is_the_equilibrium_scale_computed_once():
+    model = make_model([1.0, 3.0, 7.0], alpha=0.3, beta=1.7)
+    assert model.mu.tolist() == [model.beta * d / model.alpha for d in model.paths.d]
+    assert model.mu is model.mu
 
 
 def test_path_system_rejects_bad_lengths():

@@ -8,6 +8,8 @@ the implementation under test.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antdyn import (
     GKind,
@@ -23,6 +25,7 @@ from antdyn import (
     spectrum_at_equilibrium,
     vector_field,
 )
+from antdyn.models import g_eval, g_prime, phi_eval, phi_grad
 
 
 def make_model(lengths, alpha=1.0, beta=1.0, gamma=1.0, phi="sum", g="identity"):
@@ -63,6 +66,59 @@ def test_equilibrium_scales_and_residuals():
                 assert np.count_nonzero(eq.point) == 1
                 assert eq.point[eq.index] == eq.mu
                 assert eq.residual <= 1e-12 * model.gamma * model.beta * model.paths.d[0]
+
+
+def reference_equilibria(model):
+    """``(mu, residual, spectrum)`` of each equilibrium, one point at a time
+    through the checked ``vector_field``, ``phi_eval`` and ``phi_grad``."""
+    d = model.paths.d
+    out = []
+    for i in range(model.n):
+        mu = model.beta * float(d[i]) / model.alpha
+        point = np.zeros(model.n)
+        point[i] = mu
+        spectrum = None
+        if model.g_kind is GKind.SIGNUM:  # the switching argument, in field units
+            a = -model.alpha + model.beta * phi_eval(model.phi_kind, point) * d
+            residual = float(np.max(np.abs(model.gamma * a * point)))
+        else:
+            residual = float(np.max(np.abs(vector_field(model, point))))
+            spectrum = model.gamma * g_eval(model.g_kind, model.alpha * (d / d[i] - 1.0))
+            grad = phi_grad(model.phi_kind, point)[i]
+            slope = float(g_prime(model.g_kind, 0.0))
+            spectrum[i] = model.gamma * slope * model.beta * d[i] * mu * grad
+        out.append((mu, residual, spectrum))
+    return out
+
+
+@st.composite
+def models(draw):
+    """All six variants, 1 to 12 paths over three decades with exact ties, and
+    rates over two decades."""
+    n = draw(st.integers(1, 12))
+    lengths = draw(st.lists(st.floats(0.1, 100.0), min_size=n, max_size=n))
+    for i in range(1, n):
+        if draw(st.booleans()):
+            lengths[i] = lengths[draw(st.integers(0, i - 1))]
+    rates = st.floats(0.1, 10.0)
+    return make_model(
+        lengths, alpha=draw(rates), beta=draw(rates), gamma=draw(rates),
+        phi=draw(st.sampled_from(["sum", "max"])),
+        g=draw(st.sampled_from(["identity", "tanh", "signum"])),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(models())
+def test_equilibria_and_spectra_are_bitwise_the_pointwise_reference(model):
+    expected = reference_equilibria(model)
+    eqs = find_equilibria(model)
+    assert [(eq.mu, eq.residual) for eq in eqs] == [(mu, res) for mu, res, _ in expected]
+    for eq, (mu, _, _) in zip(eqs, expected):
+        assert eq.point.tolist() == [mu if j == eq.index else 0.0 for j in range(model.n)]
+    if model.g_kind is not GKind.SIGNUM:
+        spectra = equilibrium_report(model).spectra
+        assert [s.tolist() for s in spectra] == [s.tolist() for _, _, s in expected]
 
 
 # -- Jacobian -----------------------------------------------------------
