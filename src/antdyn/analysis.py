@@ -35,6 +35,7 @@ __all__ = [
     "fit_decay_rate",
     "rate_report",
     "verify_convergence",
+    "window_mask",
 ]
 
 # A component counts as converged to zero below this fraction of the
@@ -109,7 +110,7 @@ def fit_decay_rate(
         raise ValueError("times and values must be 1-D arrays of equal length")
     t, v = times, values
     if window is not None:
-        mask = _window_mask(times, window)
+        mask = window_mask(times, window)
         t, v = times[mask], values[mask]
     if t.size == 0:
         raise FitError(f"no samples in window {window!r}")
@@ -153,7 +154,8 @@ def fit_decay_rate(
     )
 
 
-def _window_mask(times: np.ndarray, window) -> np.ndarray:
+def window_mask(times: np.ndarray, window) -> np.ndarray:
+    """The samples of ``times`` inside the inclusive ``window = (lo, hi)``."""
     lo, hi = window
     if not lo < hi:
         raise ValueError(f"window must satisfy lo < hi, got {window!r}")
@@ -236,7 +238,7 @@ def rate_report(
     if window is None:
         window = default_fit_window(scaled)
     # window once for every fit: one time vector and one contiguous row per component
-    mask = _window_mask(scaled, window)
+    mask = window_mask(scaled, window)
     t = scaled[mask]
     windowed = traj.states[mask]
     rows = windowed.T.copy()

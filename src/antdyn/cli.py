@@ -20,7 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import FitError, rate_report, verify_convergence
+from .analysis import FitError, rate_report, verify_convergence, window_mask
 from .closedform import CORRECTION_LIMIT, OracleRangeError, sample_asymptotic, sample_exact
 from .config import RunConfig, load_config
 from .presets import PHASE_PRESETS, phase_grid, preset_names, run_preset, write_phase_artifacts
@@ -144,6 +144,14 @@ def _cmd_equilibria(args) -> int:
 def _cmd_rates(args) -> int:
     config = load_config(args.config)
     model, traj = _integrate_from(config)
+    if config.window is not None:
+        scaled = model.gamma * traj.times
+        if not window_mask(scaled, config.window).any():
+            lo, hi = config.window
+            raise ValueError(
+                f"[analysis] window = {lo!r}, {hi!r} selects no sample of the run, "
+                f"whose gain-scaled horizon is {scaled[-1]:.12g}"
+            )
     report = rate_report(model, traj, window=config.window)
     print("\n".join(rates_table(report)))
     return 0

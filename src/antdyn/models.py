@@ -285,33 +285,52 @@ def g_prime(g_kind: GKind, a):
 
 
 def rhs(model: ModelSpec):
-    """The right-hand side of ``model`` as a function ``f(x)`` of a state.
+    """The right-hand side of ``model`` as a function ``f(x, out=None)`` of a state.
 
-    The saturation and the response are resolved once, here, so ``f``
-    does no checking and no coercion: it expects a float array of shape
-    ``(n,)`` or ``(..., n)`` in canonical order and returns a fresh array
-    ``gamma * g(-alpha + beta * phi(x) * d) * x`` of the same shape.  A
-    batch of states is one reduction per row along the last axis, and each
-    row equals the result for that row alone.  Outside the domain it
-    computes whatever the floats give (a zero sum gives ``inf``), so the
-    integrators evaluate stage points unchecked and check each step once
-    it is complete.
+    The saturation, the response and the constants are bound once, here,
+    so ``f`` does no checking and no coercion: it expects a float array
+    of shape ``(n,)`` or ``(..., n)`` in canonical order and writes
+    ``gamma * g(-alpha + beta * phi(x) * d) * x`` into ``out`` (a fresh
+    array when ``out`` is None), which it returns.  ``out`` must have the
+    shape of ``x`` and must not alias it.  A batch of states is one
+    reduction per row along the last axis, and each row equals the result
+    for that row alone.  Outside the domain it computes whatever the
+    floats give (a zero sum gives ``inf``), so the integrators evaluate
+    stage points unchecked and check each step once it is complete.
+
+    A single state reduces into a 0-d buffer bound here, so ``f`` belongs
+    to one caller at a time: bind it once per model, and do not call it
+    reentrantly.
     """
     reduce = _SATURATION[model.phi_kind]
     response = _RESPONSE[model.g_kind]
     alpha, beta, gamma, d = model.alpha, model.beta, model.gamma, model.paths.d
+    # numpy combines two short arrays faster than an array and a float, but
+    # broadcasting a row over a batch is slower than a float
+    alpha_row, gamma_row = np.full(model.n, alpha), np.full(model.n, gamma)
+    total = np.empty(())
+    # bound ufuncs with a positional out: the cheapest call numpy offers
+    multiply, subtract = np.multiply, np.subtract
 
-    def f(x: np.ndarray) -> np.ndarray:
-        s = reduce(x, -1)
-        if x.ndim > 1:  # a batch: one value per row, as a column that broadcasts
-            s = s[..., None]
-        a = beta * (1.0 / s) * d
-        a -= alpha
+    def f(x: np.ndarray, out=None) -> np.ndarray:
+        if x.ndim == 1:
+            if out is None:
+                out = np.empty(x.size)
+            s = float(reduce(x, -1, None, total))
+            try:
+                out.fill(beta * (1.0 / s))
+            except ZeroDivisionError:  # numpy's 1 / 0, where Python raises
+                out.fill(beta * math.copysign(math.inf, s))
+            multiply(out, d, out)
+            a, c = alpha_row, gamma_row
+        else:  # a batch: one value per row, as a column that broadcasts
+            out = multiply(beta * (1.0 / reduce(x, -1)[..., None]), d, out)
+            a, c = alpha, gamma
+        subtract(out, a, out)
         if response is not None:
-            response(a, out=a)
-        a *= gamma
-        a *= x
-        return a
+            response(out, out)
+        multiply(out, c, out)
+        return multiply(out, x, out)
 
     return f
 

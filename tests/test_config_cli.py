@@ -485,6 +485,26 @@ def test_cli_rates_rejects_the_empty_window_of_a_run_that_never_moved(tmp_path, 
     assert capsys.readouterr().err == "error: the run spans no time, so there is nothing to fit\n"
 
 
+def test_cli_rates_rejects_a_window_that_selects_no_sample(tmp_path, capsys):
+    # the run is a single sample at t = 0, so a window past it has nothing to fit
+    path = write_config(tmp_path, ZERO_STEP_RUN + "\n[analysis]\nwindow = 0.5, 1.0\n")
+    assert main(["rates", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: [analysis] window = 0.5, 1.0 selects no sample of the run, "
+        "whose gain-scaled horizon is 0\n"
+    )
+    # a window past the end of a run that moves, and one between two samples
+    moving = ZERO_STEP_RUN.replace("steps = 0", "steps = 30")
+    for window, horizon in (("0.5, 1.0", "0.3"), ("0.101, 0.109", "0.3")):
+        path = write_config(tmp_path, moving + f"\n[analysis]\nwindow = {window}\n")
+        assert main(["rates", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"window = {window} selects no sample" in err
+        assert err.endswith(f"horizon is {horizon}\n")
+    path = write_config(tmp_path, moving + "\n[analysis]\nwindow = 0.1, 0.2\n")
+    assert main(["rates", str(path)]) == 0
+
+
 def test_cli_reproduce_and_presets(tmp_path, capsys):
     assert main(["reproduce", "tied-shortest-fig5", "--out", str(tmp_path), "--steps", "250"]) == 0
     out = capsys.readouterr().out

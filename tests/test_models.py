@@ -275,3 +275,44 @@ def test_rhs_on_rows_equals_rhs_on_each_row():
                 assert batch.shape == rows.shape
                 for index in np.ndindex(rows.shape[:-1]):
                     assert np.array_equal(batch[index], f(rows[index])), (n, phi, g, index)
+
+
+def float_reference(model, x):
+    """The right-hand side in numpy's scalar arithmetic, at any point of any sign."""
+    reduce = np.add.reduce if model.phi_kind is PhiKind.SUM else np.maximum.reduce
+    a = model.beta * (1.0 / reduce(x)) * model.paths.d - model.alpha
+    return model.gamma * g_eval(model.g_kind, a) * x
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 32])
+@pytest.mark.parametrize("phi", list(PhiKind))
+@pytest.mark.parametrize("g", list(GKind))
+def test_rhs_out_is_bitwise_the_fresh_result(g, phi, n):
+    # from n = 8 on numpy sums with eight accumulators, not one after another
+    rng = np.random.default_rng(n)
+    model = make_model(rng.uniform(1.0, 10.0, n), alpha=0.7, beta=1.3, gamma=1.5, phi=phi, g=g)
+    f = rhs(model)
+    rows = rng.uniform(0.01, 2.0, size=(5, n))
+    out = np.empty(n)
+    for x in rows:
+        assert f(x, out) is out
+        assert np.array_equal(out, f(x))
+        assert np.array_equal(out, float_reference(model, x))
+    batch_out = np.empty_like(rows)
+    assert f(rows, batch_out) is batch_out
+    for x, row in zip(rows, batch_out):
+        assert np.array_equal(row, f(x))
+
+    # Stage points outside the domain give what the floats give, bit for
+    # bit and signed zeros included: a zero saturation of either sign gives
+    # an infinite phi of that sign, not an exception.
+    outside = [np.zeros(n), np.full(n, -0.0), -rows[0]]
+    if n > 1:
+        outside.append(np.r_[1.0, -1.0, np.zeros(n - 2)])  # sum +0
+        outside.append(np.r_[0.0, -rows[0, 1:]])  # maximum +0
+        outside.append(np.r_[-0.0, -rows[0, 1:]])  # maximum -0
+    with np.errstate(all="ignore"):
+        for x in outside:
+            assert f(x, out).tobytes() == float_reference(model, x).tobytes()
+        if n > 1 and g == GKind.IDENTITY:
+            assert np.isinf(f(outside[3 if phi == PhiKind.SUM else 4])).any()
