@@ -77,51 +77,40 @@ class DecayFit:
     window: tuple[float, float]
 
 
-def fit_decay_rate(
-    times,
-    values,
-    window: Optional[tuple[float, float]] = None,
-    limit: Optional[float] = 0.0,
-) -> DecayFit:
+def fit_decay_rate(times, values, limit: Optional[float] = 0.0) -> DecayFit:
     """Fit an exponential decay rate by least squares in the log domain.
+
+    Every sample given is fitted; choosing a time window is the caller's
+    business (``rate_report`` applies its window once for every series).
 
     Parameters
     ----------
     times, values : array_like
         Sample grid; ``times`` in whatever scale the caller fits in.
-    window : (float, float), optional
-        Inclusive time window; defaults to all samples.
     limit : float or None
         Center of the residual.  0 for quantities decaying to zero
         (default).  ``None`` estimates the center as the mean over the
-        last 10% of the windowed samples, the convention for components
-        that approach a nonzero limit.
+        last 10% of the samples, the convention for components that
+        approach a nonzero limit.
 
     Raises
     ------
     FitError
-        If fewer than ``MIN_FIT_SAMPLES`` usable samples remain.  Samples at
-        or past a zero residual (for example an integrator that stepped
-        an already-converged component below zero) truncate the window.
+        If fewer than ``MIN_FIT_SAMPLES`` usable samples remain, an empty
+        input included.  Samples at or past a zero residual (for example
+        an integrator that stepped an already-converged component below
+        zero) truncate the fit.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.shape != values.shape or times.ndim != 1:
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if t.shape != v.shape or t.ndim != 1:
         raise ValueError("times and values must be 1-D arrays of equal length")
-    t, v = times, values
-    if window is not None:
-        mask = window_mask(times, window)
-        t, v = times[mask], values[mask]
-    if t.size == 0:
-        raise FitError(f"no samples in window {window!r}")
     if limit is None:
         # the tail defines the limit, so its residuals are estimation bias,
         # not decay; fit the rate on the remaining samples only
         limit, tail = _tail_mean(v)
         t = t[:-tail]
         v = v[:-tail]
-        if t.size == 0:
-            raise FitError("no samples left of the tail used for the limit estimate")
     residual = v - limit
     bad = v <= 0.0 if limit == 0.0 else residual == 0.0
     if bad.any():
@@ -158,14 +147,12 @@ def window_mask(times: np.ndarray, window) -> np.ndarray:
     """The samples of ``times`` inside the inclusive ``window = (lo, hi)``."""
     lo, hi = window
     if not lo < hi:
-        raise ValueError(f"window must satisfy lo < hi, got {window!r}")
+        raise ValueError(f"window must satisfy lo < hi, got ({float(lo)!r}, {float(hi)!r})")
     return (times >= lo) & (times <= hi)
 
 
 def _tail_mean(values: np.ndarray) -> tuple[float, int]:
     """Mean of the last 10% of the samples (at least one), and how many that is."""
-    if values.size == 0:
-        raise FitError("no samples to estimate a limit from")
     tail = max(1, int(math.ceil(0.1 * values.size)))
     return float(values[-tail:].sum() / tail), tail
 
@@ -229,16 +216,30 @@ def rate_report(
     as zero with no relative error.  The residual of the state sum from
     ``beta d_1 / alpha`` decays at ``alpha (1 - d'_2 / d_1)``, fitted
     here as the ``total-sum`` series (and the tied-set sum as
-    ``tied-sum``).  Fits that run out of usable samples, for instance on
-    a chattering signum run, are reported with NaN rates rather than
-    aborting the report.
+    ``tied-sum``).
+
+    Every fit uses the samples inside ``window``, an inclusive interval
+    of gain-scaled time.  A given window with ``lo >= hi`` or one that
+    selects no sample raises ``ValueError``; the default,
+    ``default_fit_window``, lies inside the horizon and is taken as is.
+    Fits that run out of usable samples inside the window, for instance
+    on a chattering signum run or a run of a step or two, are reported
+    with NaN rates rather than aborting the report.
     """
     paths = model.paths
     scaled = model.gamma * traj.times
+    # window once for every fit: one time vector and one contiguous row per component
     if window is None:
         window = default_fit_window(scaled)
-    # window once for every fit: one time vector and one contiguous row per component
-    mask = window_mask(scaled, window)
+        mask = window_mask(scaled, window)
+    else:
+        mask = window_mask(scaled, window)
+        if not mask.any():
+            lo, hi = window
+            raise ValueError(
+                f"window = {float(lo)!r}, {float(hi)!r} selects no sample of the run, "
+                f"whose gain-scaled horizon is {scaled[-1]:.12g}"
+            )
     t = scaled[mask]
     windowed = traj.states[mask]
     rows = windowed.T.copy()
@@ -260,11 +261,8 @@ def rate_report(
             # no measurable decay; a tied component still has a limit to report
             fitted_rate = fitted_limit = r_squared = float("nan")
             n_samples = 0
-            if is_tied:
-                try:
-                    fitted_limit = _tail_mean(rows[i])[0]
-                except FitError:
-                    pass
+            if is_tied and t.size:
+                fitted_limit = _tail_mean(rows[i])[0]
         rel = None
         if not is_tied and np.isfinite(fitted_rate):
             rel = abs(fitted_rate - theoretical_rate) / theoretical_rate
@@ -288,33 +286,35 @@ def rate_report(
         sum_rate_theory = model.alpha * (1.0 - paths.d_distinct[1] / paths.d_distinct[0])
 
     def _series(label: str, series: np.ndarray) -> Optional[SeriesRate]:
-        try:
-            fitted_limit = _tail_mean(series)[0]
-            if sum_rate_theory is None:
-                return SeriesRate(
-                    label=label,
-                    fitted_rate=float("nan"),
-                    theoretical_rate=None,
-                    fitted_limit=fitted_limit,
-                    theoretical_limit=scale,
-                    relative_rate_error=None,
-                    r_squared=float("nan"),
-                )
-            # Residual centered on the theoretical limit: the decay-rate
-            # statement is about the distance from the true limit.
-            fit = fit_decay_rate(t, series, limit=scale)
-            rel = abs(fit.rate - sum_rate_theory) / sum_rate_theory
+        if not series.size:  # the default window can fall between the two samples of one step
+            return None
+        fitted_limit = _tail_mean(series)[0]
+        if sum_rate_theory is None:
             return SeriesRate(
                 label=label,
-                fitted_rate=fit.rate,
-                theoretical_rate=sum_rate_theory,
+                fitted_rate=float("nan"),
+                theoretical_rate=None,
                 fitted_limit=fitted_limit,
                 theoretical_limit=scale,
-                relative_rate_error=rel,
-                r_squared=fit.r_squared,
+                relative_rate_error=None,
+                r_squared=float("nan"),
             )
+        # Residual centered on the theoretical limit: the decay-rate
+        # statement is about the distance from the true limit.
+        try:
+            fit = fit_decay_rate(t, series, limit=scale)
         except FitError:
             return None
+        rel = abs(fit.rate - sum_rate_theory) / sum_rate_theory
+        return SeriesRate(
+            label=label,
+            fitted_rate=fit.rate,
+            theoretical_rate=sum_rate_theory,
+            fitted_limit=fitted_limit,
+            theoretical_limit=scale,
+            relative_rate_error=rel,
+            r_squared=fit.r_squared,
+        )
 
     # an index array, not a slice: a slice sums each row pairwise, which rounds
     # differently once 8 paths tie

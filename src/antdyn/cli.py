@@ -20,7 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import FitError, rate_report, verify_convergence, window_mask
+from .analysis import FitError, rate_report, verify_convergence
 from .closedform import CORRECTION_LIMIT, OracleRangeError, sample_asymptotic, sample_exact
 from .config import RunConfig, load_config
 from .presets import PHASE_PRESETS, phase_grid, preset_names, run_preset, write_phase_artifacts
@@ -59,32 +59,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate a run file, write or print the trajectory CSV")
     p.add_argument("config", type=Path, help="run file (INI format)")
     p.add_argument("-o", "--output", type=Path, help="CSV path (default: [outputs] trajectory, else stdout)")
+    p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser(
         "equilibria", help="list equilibria and stability labels for a run file's model"
     )
     p.add_argument("config", type=Path)
+    p.set_defaults(run=_cmd_equilibria)
 
     p = sub.add_parser("rates", help="integrate a run file and fit convergence rates")
     p.add_argument("config", type=Path)
+    p.set_defaults(run=_cmd_rates)
 
     p = sub.add_parser(
         "verify", help="integrate a run file and check the invariant-limit predictions"
     )
     p.add_argument("config", type=Path)
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("reproduce", help="run a named preset and write its artifact bundle")
     p.add_argument("preset", help="preset name (list them with 'antdyn presets')")
     p.add_argument("--out", type=Path, help="output root (default: $ANTDYN_OUT, else cwd)")
     p.add_argument("--steps", type=int, help="override the preset step count")
+    p.set_defaults(run=_cmd_reproduce)
 
     p = sub.add_parser("phase", help="sample a two-path direction field, write grid CSV and figure")
     p.add_argument("config", type=Path)
     p.add_argument("--bounds", type=float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--resolution", type=int, default=21)
     p.add_argument("--out", type=Path, help="output root (default: $ANTDYN_OUT, else cwd)")
+    p.set_defaults(run=_cmd_phase)
 
-    sub.add_parser("presets", help="list the available preset names")
+    p = sub.add_parser("presets", help="list the available preset names")
+    p.set_defaults(run=_cmd_presets)
     return parser
 
 
@@ -144,14 +151,6 @@ def _cmd_equilibria(args) -> int:
 def _cmd_rates(args) -> int:
     config = load_config(args.config)
     model, traj = _integrate_from(config)
-    if config.window is not None:
-        scaled = model.gamma * traj.times
-        if not window_mask(scaled, config.window).any():
-            lo, hi = config.window
-            raise ValueError(
-                f"[analysis] window = {lo!r}, {hi!r} selects no sample of the run, "
-                f"whose gain-scaled horizon is {scaled[-1]:.12g}"
-            )
     report = rate_report(model, traj, window=config.window)
     print("\n".join(rates_table(report)))
     return 0
@@ -192,17 +191,6 @@ def _cmd_presets(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "equilibria": _cmd_equilibria,
-    "rates": _cmd_rates,
-    "verify": _cmd_verify,
-    "reproduce": _cmd_reproduce,
-    "phase": _cmd_phase,
-    "presets": _cmd_presets,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -210,7 +198,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except NUMERIC_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

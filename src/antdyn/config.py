@@ -27,8 +27,7 @@ A run file has up to four sections.  Only ``[model]`` is required::
 ``parse_config`` collects every problem it can find and raises one
 ``ConfigError`` listing all of them, so a bad file is fixed in one pass.
 Each value goes through the library check that the run itself makes, and
-an error quotes its message as ``[section] option: <message>``; only the
-fit window has a rule of its own here.
+an error quotes its message as ``[section] option: <message>``.
 ``render_config(load)`` and ``parse_config(render)`` round-trip exactly.
 """
 
@@ -41,6 +40,7 @@ from typing import Optional
 
 import numpy as np
 
+from .analysis import window_mask
 from .closedform import require_closed_form
 from .models import GKind, ModelSpec, PathSystem, PhiKind, require_positive, require_positive_state
 from .simulate import PositivityPolicy, Scheme, require_steps
@@ -238,8 +238,9 @@ def _semantic_errors(config: RunConfig) -> list[str]:
     check("run", "steps", require_steps, config.steps)
     if config.scheme in ("exact", "asymptotic"):
         check("run", "scheme", require_closed_form, config.response, config.saturation)
-    if config.window is not None and not config.window[0] < config.window[1]:
-        errors.append("[analysis] window: start must be strictly before end")
+    if config.window is not None:
+        # lo < hi here; whether the window selects a sample is rate_report's check
+        check("analysis", "window", window_mask, np.empty(0), config.window)
     return errors
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import os
-import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -238,10 +237,15 @@ def equilibria_lines(model: ModelSpec) -> list[str]:
 
 
 def write_text_atomic(path, text: str) -> Path:
-    """Write text via a temporary file and rename, creating parents."""
+    """Write text via a temporary file and rename, creating parents.
+
+    The file gets the mode ``open(path, "w")`` gives a new file (0o666
+    less the umask), not the 0o600 of ``tempfile.mkstemp``.
+    """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    tmp_name = target.parent / f".{target.name}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -1,6 +1,7 @@
 """Rate fitting, limit verification and variant ranking tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,16 +84,17 @@ def test_fit_estimates_limit_from_tail():
 
 
 def test_fit_window_selects_samples():
+    # the window is rate_report's: every fit sees only the samples inside it
     t = np.linspace(0.0, 20.0, 500)
-    values = np.exp(-0.5 * t)
-    fit = fit_decay_rate(t, values, window=(5.0, 15.0))
-    assert fit.window[0] >= 5.0 and fit.window[1] <= 15.0
-    assert fit.n_samples < 500
-    assert fit.rate == pytest.approx(0.5, rel=1e-10)
-    with pytest.raises(ValueError, match="window"):
-        fit_decay_rate(t, values, window=(5.0, 5.0))
-    with pytest.raises(FitError, match="no samples"):
-        fit_decay_rate(t, values, window=(100.0, 200.0))
+    traj = make_trajectory(t, np.column_stack([np.full(500, 1.0), np.exp(-0.5 * t)]))
+    entry = rate_report(make_model([1, 2]), traj, window=(5.0, 15.0)).components[1]
+    assert entry.n_samples == np.count_nonzero((t >= 5.0) & (t <= 15.0))
+    assert entry.fitted_rate == pytest.approx(0.5, rel=1e-10)
+    # numpy scalars are named as plain floats
+    with pytest.raises(ValueError, match=re.escape("got (5.0, 5.0)") + "$"):
+        rate_report(make_model([1, 2]), traj, window=(np.float64(5.0), np.float64(5.0)))
+    with pytest.raises(ValueError, match="^window = 100.0, 200.0 selects no sample"):
+        rate_report(make_model([1, 2]), traj, window=(np.float64(100.0), np.float64(200.0)))
 
 
 def test_fit_truncates_at_dead_samples():
@@ -117,30 +119,17 @@ def test_default_fit_window_fractions():
     assert window == (50.0, 98.0)
 
 
-def reference_fit(times, values, window=None, limit=0.0):
-    """The fit as numpy's own wrappers compute it: a mask, np.mean, np.polyfit and np.sum."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.shape != values.shape or times.ndim != 1:
+def reference_fit(times, values, limit=0.0):
+    """The fit as numpy's own wrappers compute it: np.mean, np.polyfit and np.sum."""
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if t.shape != v.shape or t.ndim != 1:
         raise ValueError("times and values must be 1-D arrays of equal length")
-    if window is None:
-        mask = np.ones(times.size, dtype=bool)
-    else:
-        lo, hi = window
-        if not lo < hi:
-            raise ValueError(f"window must satisfy lo < hi, got {window!r}")
-        mask = (times >= lo) & (times <= hi)
-    t = times[mask]
-    v = values[mask]
-    if t.size == 0:
-        raise FitError(f"no samples in window {window!r}")
     if limit is None:
         tail = max(1, int(math.ceil(0.1 * t.size)))
-        limit = float(np.mean(v[-tail:]))
+        limit = float(np.mean(v[-tail:])) if t.size else 0.0  # no samples: nothing to fit
         t = t[:-tail]
         v = v[:-tail]
-        if t.size == 0:
-            raise FitError("no samples left of the tail used for the limit estimate")
     residual = v - limit
     bad = v <= 0.0 if limit == 0.0 else residual == 0.0
     if np.any(bad):
@@ -176,7 +165,7 @@ def outcome(fit, *args, **kwargs):
 @st.composite
 def fit_inputs(draw):
     """Noisy decays on irregular grids, toward 0, an estimated limit or a known one,
-    with dead samples, windows anywhere (empty and inverted ones too) and too few samples."""
+    with dead samples and too few samples (none too)."""
     m = draw(st.integers(0, 60))
     start = draw(st.floats(0.0, 50.0))
     times = start + np.cumsum(draw(st.lists(st.floats(1e-3, 2.0), min_size=m, max_size=m)))
@@ -190,20 +179,16 @@ def fit_inputs(draw):
     if dead is not None and m:
         # an integrator that bottomed out, or a residual that reached exactly 0
         values[dead:] = draw(st.sampled_from([0.0, -1e-12])) if kind == "zero" else level
-    window = None
-    if m and draw(st.booleans()):
-        lo, hi = draw(st.lists(st.floats(start - 1.0, float(times[-1]) + 1.0), min_size=2, max_size=2))
-        window = (lo, hi)
     limit = {"zero": 0.0, "estimated": None, "known": level}[kind]
-    return times, values, window, limit
+    return times, values, limit
 
 
 @settings(max_examples=300, deadline=None)
 @given(fit_inputs())
 def test_fit_is_bitwise_numpys_polyfit(inputs):
-    times, values, window, limit = inputs
-    expected = outcome(reference_fit, times, values, window=window, limit=limit)
-    assert outcome(fit_decay_rate, times, values, window=window, limit=limit) == expected
+    times, values, limit = inputs
+    expected = outcome(reference_fit, times, values, limit=limit)
+    assert outcome(fit_decay_rate, times, values, limit=limit) == expected
 
 
 def test_fit_warns_like_polyfit_on_a_degenerate_grid():
@@ -302,13 +287,15 @@ def test_rate_report_all_tied_has_no_sum_rate():
 
 
 def assert_report_is_its_fits(model, traj, window=None):
-    """Every fitted entry of the report is ``fit_decay_rate`` on the unwindowed arrays."""
+    """Every fitted entry of the report is ``fit_decay_rate`` on the samples in its window."""
     report = rate_report(model, traj, window=window)
     scaled = model.gamma * traj.times
-    window = report.window
+    lo, hi = report.window
+    inside = (scaled >= lo) & (scaled <= hi)
+    t = scaled[inside]
     for comp in report.components:
         limit = None if comp.tied else 0.0
-        fit = outcome(fit_decay_rate, scaled, traj.states[:, comp.index], window=window, limit=limit)
+        fit = outcome(fit_decay_rate, t, traj.states[inside, comp.index], limit=limit)
         if isinstance(fit, DecayFit):
             got = (comp.fitted_rate, comp.fitted_limit, comp.r_squared, comp.n_samples)
             assert got == (fit.rate, fit.limit, fit.r_squared, fit.n_samples)
@@ -319,7 +306,7 @@ def assert_report_is_its_fits(model, traj, window=None):
     for entry, series in ((report.tied_sum, tied_series), (report.total_sum, traj.sums)):
         if entry is not None and entry.theoretical_rate is None:
             continue  # all paths tied: the sums are reported, not fitted
-        fit = outcome(fit_decay_rate, scaled, series, window=window, limit=scale)
+        fit = outcome(fit_decay_rate, t, series[inside], limit=scale)
         if entry is None:
             assert fit[0] is FitError
         else:
@@ -372,6 +359,48 @@ def test_rate_report_entries_are_the_fits_on_whole_arrays(run):
     assert_report_is_its_fits(*run)
 
 
+@st.composite
+def windowed_runs(draw):
+    """A reported run with a window that is inverted, zero-width, past the horizon,
+    strictly between two samples, around a single sample or ordinary."""
+    model, traj, _ = draw(reported_runs())
+    scaled = model.gamma * traj.times
+    end = float(scaled[-1])
+    kinds = ["inverted", "zero-width", "past", "between", "single", "ordinary"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "inverted":
+        hi = draw(st.floats(0.0, 1.0)) * end
+        return model, traj, (hi + draw(st.floats(1e-6, 1.0)) * end, hi)
+    if kind == "zero-width":
+        lo = draw(st.sampled_from([float(t) for t in scaled]) | st.floats(0.0, end))
+        return model, traj, (lo, lo)
+    if kind == "past":
+        lo = end * (1.0 + draw(st.floats(1e-9, 1.0)))
+        return model, traj, (lo, lo + draw(st.floats(1e-6, 1.0)) * end)
+    if kind in ("between", "single"):
+        k = draw(st.integers(0, scaled.size - 2))
+        a, b = float(scaled[k]), float(scaled[k + 1])
+        f, g = sorted(draw(st.lists(st.floats(0.1, 0.9), min_size=2, max_size=2, unique=True)))
+        if kind == "single":  # the inclusive end holds sample k + 1 alone
+            return model, traj, (a + f * (b - a), b)
+        return model, traj, (a + f * (b - a), a + g * (b - a))
+    lo = draw(st.floats(0.0, 0.9)) * end
+    return model, traj, (lo, lo + draw(st.floats(0.05, 1.0)) * end)
+
+
+@settings(max_examples=300, deadline=None)
+@given(windowed_runs())
+def test_rate_report_rejects_exactly_the_windows_that_select_no_sample(run):
+    model, traj, (lo, hi) = run
+    scaled = model.gamma * traj.times
+    if lo < hi and ((scaled >= lo) & (scaled <= hi)).any():
+        assert_report_is_its_fits(model, traj, (lo, hi))
+    else:
+        with pytest.raises(ValueError) as info:
+            rate_report(model, traj, window=(lo, hi))
+        assert f"{lo!r}, {hi!r}" in str(info.value)
+
+
 def test_rate_report_entries_are_the_fits_on_pinned_and_tied_runs():
     # Euler with dt * gamma * |g(a_2)| = 1.5 * 0.9 > 1 pins x_2 at the clamp floor
     pinned = make_model([1.0, 10.0])
@@ -404,9 +433,9 @@ def test_rate_report_fits_each_series_once_through_the_module(monkeypatch):
     rate_report(model, traj)
     assert len(calls) == model.n + 2  # every component, the tied-set sum and the total
     calls.clear()
-    rate_report(model, traj, window=(100.0, 200.0))  # no samples: the sums are not fitted
-    assert len(calls) == model.n
-    calls.clear()
+    with pytest.raises(ValueError, match="selects no sample"):
+        rate_report(model, traj, window=(100.0, 200.0))
+    assert not calls  # rejected before any fit
     all_tied = make_model([2, 2])
     rate_report(all_tied, integrate(all_tied, [0.4, 0.9], 0.05, 400))
     assert len(calls) == all_tied.n

@@ -202,7 +202,7 @@ def test_semantic_errors():
         (MINIMAL + "[run]\nsteps = -5\n", "[run] steps: steps must be nonnegative, got -5"),
         (
             MINIMAL + "[analysis]\nwindow = 5, 2\n",
-            "[analysis] window: start must be strictly before end",
+            "[analysis] window: window must satisfy lo < hi, got (5.0, 2.0)",
         ),
     ]
     for text, message in cases:
@@ -490,7 +490,7 @@ def test_cli_rates_rejects_a_window_that_selects_no_sample(tmp_path, capsys):
     path = write_config(tmp_path, ZERO_STEP_RUN + "\n[analysis]\nwindow = 0.5, 1.0\n")
     assert main(["rates", str(path)]) == 1
     assert capsys.readouterr().err == (
-        "error: [analysis] window = 0.5, 1.0 selects no sample of the run, "
+        "error: window = 0.5, 1.0 selects no sample of the run, "
         "whose gain-scaled horizon is 0\n"
     )
     # a window past the end of a run that moves, and one between two samples
@@ -503,6 +503,10 @@ def test_cli_rates_rejects_a_window_that_selects_no_sample(tmp_path, capsys):
         assert err.endswith(f"horizon is {horizon}\n")
     path = write_config(tmp_path, moving + "\n[analysis]\nwindow = 0.1, 0.2\n")
     assert main(["rates", str(path)]) == 0
+    # the default window is never rejected: a one-step run is reported as too short to fit
+    path = write_config(tmp_path, ZERO_STEP_RUN.replace("steps = 0", "steps = 1"))
+    assert main(["rates", str(path)]) == 0
+    assert "nan" in capsys.readouterr().out
 
 
 def test_cli_reproduce_and_presets(tmp_path, capsys):

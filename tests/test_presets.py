@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from antdyn import (
     vector_field,
 )
 from antdyn.presets import PHASE_PRESETS, PRESETS, SPURIOUS_SPEED_TOL, PhaseGrid
+from antdyn.reporting import write_text_atomic
 from antdyn.stability import Equilibrium
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden_artifacts.json"
@@ -157,6 +159,27 @@ def test_run_preset_respects_out_env(tmp_path, monkeypatch):
     out_dir = tmp_path / "via-env" / "phase-eigenant"
     assert paths == tuple(out_dir / name for name in ("field-grid.csv", "figure.svg", "report.txt"))
     assert all(path.exists() for path in paths)
+
+
+def test_artifacts_get_the_mode_of_a_plain_open(tmp_path):
+    def plain_mode(directory):
+        sibling = directory / "plain-open"
+        with open(sibling, "w"):
+            pass
+        mode = sibling.stat().st_mode & 0o777
+        sibling.unlink()
+        return mode
+
+    old_umask = os.umask(0o022)  # under which a private 0o600 file differs from a plain one
+    try:
+        written = [write_text_atomic(tmp_path / "new" / "text.txt", "text\n")]
+        written += run_preset("phase-eigenant", out_root=tmp_path)
+        written += run_preset("eigenant-fig1", out_root=tmp_path, steps=200)
+        for path in written:
+            assert path.stat().st_mode & 0o777 == plain_mode(path.parent) == 0o644, path
+    finally:
+        os.umask(old_umask)
+    assert sorted(p.name for p in (tmp_path / "new").iterdir()) == ["text.txt"]
 
 
 def test_run_preset_rejects_steps_for_phase(tmp_path):
