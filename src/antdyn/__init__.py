@@ -17,6 +17,7 @@ from .analysis import (
     compare_variants,
     default_fit_window,
     fit_decay_rate,
+    fit_decay_rates,
     rate_report,
     verify_convergence,
 )
@@ -109,6 +110,7 @@ __all__ = [
     "f_prime",
     "find_equilibria",
     "fit_decay_rate",
+    "fit_decay_rates",
     "g_eval",
     "g_prime",
     "get_preset",

@@ -16,6 +16,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+# private: np.linalg.lstsq's own gufunc fits a stack of rows, each bit for bit as lstsq alone
+# would (ROADMAP item 1's closed-form slope removes it)
+from numpy.linalg._umath_linalg import lstsq as _lstsq
+
 from .models import GKind, ModelSpec, PhiKind
 from .simulate import SumBoundsReport, Trajectory, check_sum_bounds
 
@@ -33,6 +37,7 @@ __all__ = [
     "compare_variants",
     "default_fit_window",
     "fit_decay_rate",
+    "fit_decay_rates",
     "rate_report",
     "verify_convergence",
     "window_mask",
@@ -80,7 +85,9 @@ class DecayFit:
 def fit_decay_rate(times, values, limit: Optional[float] = 0.0) -> DecayFit:
     """Fit an exponential decay rate by least squares in the log domain.
 
-    Every sample given is fitted; choosing a time window is the caller's
+    The one-row case of ``fit_decay_rates``: the fit of ``values`` on
+    ``times`` toward ``limit``, or that row's ``FitError`` raised.  Every
+    sample given is fitted; choosing a time window is the caller's
     business (``rate_report`` applies its window once for every series).
 
     Parameters
@@ -105,42 +112,102 @@ def fit_decay_rate(times, values, limit: Optional[float] = 0.0) -> DecayFit:
     v = np.asarray(values, dtype=float)
     if t.shape != v.shape or t.ndim != 1:
         raise ValueError("times and values must be 1-D arrays of equal length")
-    if limit is None:
-        # the tail defines the limit, so its residuals are estimation bias,
-        # not decay; fit the rate on the remaining samples only
-        limit, tail = _tail_mean(v)
-        t = t[:-tail]
-        v = v[:-tail]
-    residual = v - limit
-    bad = v <= 0.0 if limit == 0.0 else residual == 0.0
-    if bad.any():
-        end = int(bad.argmax())
-        t, residual = t[:end], residual[:end]
-    if t.size < MIN_FIT_SAMPLES:
-        raise FitError(
-            f"only {t.size} usable samples after truncation, need at least {MIN_FIT_SAMPLES}"
-        )
-    log_residual = np.log(np.abs(residual))
-    # the degree-1 least squares of numpy's polyfit, step for step, without its wrapper
-    lhs = np.ones((t.size, 2))
-    lhs[:, 0] = t
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    coef, _, rank, _ = np.linalg.lstsq(lhs, log_residual, t.size * _EPS)
-    if rank != 2:
+    (fit,) = fit_decay_rates(t, v[np.newaxis], (limit,))
+    if isinstance(fit, FitError):
+        raise fit
+    return fit
+
+
+def fit_decay_rates(times, rows, limits: Sequence[Optional[float]]) -> list[DecayFit | FitError]:
+    """Fit every row of a ``(k, m)`` block on the common grid ``times``.
+
+    Row i is fitted toward ``limits[i]`` (0, ``None`` or a float, as in
+    ``fit_decay_rate``).  Entry i of the result is that row's ``DecayFit``,
+    or its ``FitError``, returned rather than raised.  Each row's fit is
+    bit for bit numpy's degree-1 ``polyfit`` of its ``log|residual|``,
+    whatever the other rows hold.
+
+    Tail means, residuals and truncation ends are taken on the whole
+    block.  A row is fitted on a prefix of the grid (the estimated tail
+    and the first zero residual only shorten it), so the rows of one
+    usable length share one design matrix, one stacked least-squares
+    call and one pass for their sums of squares.  Each rank-deficient row
+    warns ``RankWarning``; a solve that does not converge raises
+    ``LinAlgError`` for the whole block, as ``np.linalg.lstsq`` does.
+    """
+    t = np.asarray(times, dtype=float)
+    block = np.asarray(rows, dtype=float)
+    if t.ndim != 1 or block.ndim != 2 or block.shape[1] != t.size:
+        raise ValueError("rows must be a 2-D block with one column per time")
+    k, m = block.shape
+    if len(limits) != k:
+        raise ValueError(f"need one limit per row, got {len(limits)} for {k} rows")
+    estimated = np.array([limit is None for limit in limits], dtype=bool)
+    center = np.array([0.0 if limit is None else limit for limit in limits], dtype=float)
+    means, tail = _tail_means(block)
+    # the tail defines an estimated limit, so its residuals are estimation
+    # bias, not decay; such a row is fitted on the remaining samples only
+    center[estimated] = means[estimated]
+    residual = block - center[:, np.newaxis]
+    zero = center == 0.0
+    # bad[i, j]: sample j ends row i's fit; the extra column ends a row that never does
+    bad = np.ones((k, m + 1), dtype=bool)
+    bad[:, :m] = residual == 0.0
+    bad[zero, :m] = block[zero] <= 0.0
+    bad[estimated, max(m - tail, 0) : m] = True
+    centers = center.tolist()
+
+    fits: list = []
+    groups: dict[int, list[int]] = {}  # usable length -> the rows fitted on that prefix
+    for i, end in enumerate(bad.argmax(axis=1).tolist()):
+        if end < MIN_FIT_SAMPLES:
+            fits.append(
+                FitError(
+                    f"only {end} usable samples after truncation, need at least {MIN_FIT_SAMPLES}"
+                )
+            )
+        else:
+            fits.append(None)
+            groups.setdefault(end, []).append(i)
+    deficient = 0
+    for length, members in groups.items():
+        ts = t[:length]
+        # no residual inside a row's usable prefix is zero
+        y = np.log(np.abs(residual[members, :length]))
+        # the degree-1 least squares of numpy's polyfit, step for step, without its wrapper
+        lhs = np.empty((length, 2))
+        lhs[:, 0] = ts
+        lhs[:, 1] = 1.0
+        scale = np.sqrt(np.add.reduce(lhs * lhs, axis=0))
+        lhs /= scale
+        with np.errstate(
+            call=_raise_lstsq_error, invalid="call", over="ignore", divide="ignore", under="ignore"
+        ):
+            coef, _, rank, _ = _lstsq(lhs, y[..., np.newaxis], length * _EPS, signature="ddd->ddid")
+        coef = coef[..., 0] / scale
+        slope, intercept = coef[:, :1], coef[:, 1:]
+        ss_res = np.add.reduce((y - (slope * ts + intercept)) ** 2, axis=1).tolist()
+        mean = np.add.reduce(y, axis=1, keepdims=True) / length
+        ss_tot = np.add.reduce((y - mean) ** 2, axis=1).tolist()
+        rates = (-slope[:, 0]).tolist()
+        window = (float(ts[0]), float(ts[-1]))
+        deficient += int(np.count_nonzero(rank != 2))
+        for row, i in enumerate(members):
+            res, tot = ss_res[row], ss_tot[row]
+            fits[i] = DecayFit(
+                rate=rates[row],
+                limit=centers[i],
+                r_squared=1.0 if tot == 0.0 else 1.0 - res / tot,
+                n_samples=length,
+                window=window,
+            )
+    for _ in range(deficient):
         warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
-    slope, intercept = coef / scale
-    predicted = slope * t + intercept
-    ss_res = float(((log_residual - predicted) ** 2).sum())
-    ss_tot = float(((log_residual - log_residual.sum() / t.size) ** 2).sum())
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return DecayFit(
-        rate=float(-slope),
-        limit=float(limit),
-        r_squared=r_squared,
-        n_samples=int(t.size),
-        window=(float(t[0]), float(t[-1])),
-    )
+    return fits
+
+
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 def window_mask(times: np.ndarray, window) -> np.ndarray:
@@ -151,10 +218,10 @@ def window_mask(times: np.ndarray, window) -> np.ndarray:
     return (times >= lo) & (times <= hi)
 
 
-def _tail_mean(values: np.ndarray) -> tuple[float, int]:
-    """Mean of the last 10% of the samples (at least one), and how many that is."""
-    tail = max(1, int(math.ceil(0.1 * values.size)))
-    return float(values[-tail:].sum() / tail), tail
+def _tail_means(block: np.ndarray) -> tuple[np.ndarray, int]:
+    """Mean of each row's last 10% of samples (at least one), and how many that is."""
+    tail = max(1, int(math.ceil(0.1 * block.shape[-1])))
+    return np.add.reduce(block[..., -tail:], axis=-1) / tail, tail
 
 
 @dataclass(frozen=True)
@@ -218,13 +285,16 @@ def rate_report(
     here as the ``total-sum`` series (and the tied-set sum as
     ``tied-sum``).
 
-    Every fit uses the samples inside ``window``, an inclusive interval
-    of gain-scaled time.  A given window with ``lo >= hi`` or one that
-    selects no sample raises ``ValueError``; the default,
-    ``default_fit_window``, lies inside the horizon and is taken as is.
-    Fits that run out of usable samples inside the window, for instance
-    on a chattering signum run or a run of a step or two, are reported
-    with NaN rates rather than aborting the report.
+    Every series is fitted in one call of ``fit_decay_rates`` on the
+    samples inside ``window``, an inclusive interval of gain-scaled time:
+    the n components, then the tied-set sum and the state sum (these two
+    only when some path is not tied; otherwise they have no rate).  A
+    given window with ``lo >= hi`` or one that selects no sample raises
+    ``ValueError``; the default, ``default_fit_window``, lies inside the
+    horizon and is taken as is.  Fits that run out of usable samples
+    inside the window, for instance on a chattering signum run or a run
+    of a step or two, are reported with NaN rates rather than aborting
+    the report.
     """
     paths = model.paths
     scaled = model.gamma * traj.times
@@ -242,27 +312,42 @@ def rate_report(
             )
     t = scaled[mask]
     windowed = traj.states[mask]
-    rows = windowed.T.copy()
+    n, tied = model.n, paths.tied
     scale = model.mu[0]
-    tied = paths.tied
+    sum_rate_theory = None
+    if paths.d_distinct.size > 1:
+        sum_rate_theory = model.alpha * (1.0 - paths.d_distinct[1] / paths.d_distinct[0])
+    # one row per component, then the tied-set sum and the state sum
+    rows = np.empty((n + 2, t.size))
+    rows[:n] = windowed.T
+    # an index array, not a slice: a slice sums each row pairwise, which rounds
+    # differently once 8 paths tie
+    rows[n] = windowed[:, np.arange(tied)].sum(axis=1)
+    rows[n + 1] = traj.sums[mask]
+    limits = [None] * tied + [0.0] * (n - tied)
+    if sum_rate_theory is not None:
+        # the sums are centered on the theoretical limit: the decay-rate
+        # statement is about the distance from the true limit
+        limits += [scale, scale]
+    fits = fit_decay_rates(t, rows[: len(limits)], limits)
+    tail_means = _tail_means(rows)[0].tolist()
     x0 = traj.states[0]
     sigma1 = float(np.sum(x0[:tied])) / (model.beta * paths.d_distinct[0])
 
     components = []
-    for i in range(model.n):
+    for i, fit in enumerate(fits[:n]):
         is_tied = i < tied
         theoretical_rate = 0.0 if is_tied else model.alpha * (1.0 - paths.d[i] / paths.d[0])
         theoretical_limit = x0[i] / (model.alpha * sigma1) if is_tied else 0.0
-        try:
-            fit = fit_decay_rate(t, rows[i], limit=None if is_tied else 0.0)
+        if isinstance(fit, DecayFit):
             fitted_rate, fitted_limit = fit.rate, fit.limit
             r_squared, n_samples = fit.r_squared, fit.n_samples
-        except FitError:
+        else:
             # no measurable decay; a tied component still has a limit to report
             fitted_rate = fitted_limit = r_squared = float("nan")
             n_samples = 0
             if is_tied and t.size:
-                fitted_limit = _tail_mean(rows[i])[0]
+                fitted_limit = tail_means[i]
         rel = None
         if not is_tied and np.isfinite(fitted_rate):
             rel = abs(fitted_rate - theoretical_rate) / theoretical_rate
@@ -281,47 +366,37 @@ def rate_report(
             )
         )
 
-    sum_rate_theory = None
-    if paths.d_distinct.size > 1:
-        sum_rate_theory = model.alpha * (1.0 - paths.d_distinct[1] / paths.d_distinct[0])
-
-    def _series(label: str, series: np.ndarray) -> Optional[SeriesRate]:
-        if not series.size:  # the default window can fall between the two samples of one step
+    def _series(label: str, row: int) -> Optional[SeriesRate]:
+        if not t.size:  # the default window can fall between the two samples of one step
             return None
-        fitted_limit = _tail_mean(series)[0]
         if sum_rate_theory is None:
             return SeriesRate(
                 label=label,
                 fitted_rate=float("nan"),
                 theoretical_rate=None,
-                fitted_limit=fitted_limit,
+                fitted_limit=tail_means[row],
                 theoretical_limit=scale,
                 relative_rate_error=None,
                 r_squared=float("nan"),
             )
-        # Residual centered on the theoretical limit: the decay-rate
-        # statement is about the distance from the true limit.
-        try:
-            fit = fit_decay_rate(t, series, limit=scale)
-        except FitError:
+        fit = fits[row]
+        if isinstance(fit, FitError):
             return None
         rel = abs(fit.rate - sum_rate_theory) / sum_rate_theory
         return SeriesRate(
             label=label,
             fitted_rate=fit.rate,
             theoretical_rate=sum_rate_theory,
-            fitted_limit=fitted_limit,
+            fitted_limit=tail_means[row],
             theoretical_limit=scale,
             relative_rate_error=rel,
             r_squared=fit.r_squared,
         )
 
-    # an index array, not a slice: a slice sums each row pairwise, which rounds
-    # differently once 8 paths tie
     return RateReport(
         components=tuple(components),
-        tied_sum=_series("tied-sum", windowed[:, np.arange(tied)].sum(axis=1)),
-        total_sum=_series("total-sum", traj.sums[mask]),
+        tied_sum=_series("tied-sum", n),
+        total_sum=_series("total-sum", n + 1),
         gamma=model.gamma,
         window=(float(window[0]), float(window[1])),
     )

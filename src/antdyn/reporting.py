@@ -239,8 +239,9 @@ def equilibria_lines(model: ModelSpec) -> list[str]:
 def write_text_atomic(path, text: str) -> Path:
     """Write text via a temporary file and rename, creating parents.
 
-    The file gets the mode ``open(path, "w")`` gives a new file (0o666
-    less the umask), not the 0o600 of ``tempfile.mkstemp``.
+    The file gets the mode ``open(path, "w")`` gives it: an existing
+    file keeps its mode, and a new one gets 0o666 less the umask, not the
+    0o600 of ``tempfile.mkstemp``.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -248,6 +249,10 @@ def write_text_atomic(path, text: str) -> Path:
     fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
+            try:
+                os.fchmod(fd, os.stat(target).st_mode & 0o7777)
+            except FileNotFoundError:
+                pass
             handle.write(text)
         os.replace(tmp_name, target)
     except BaseException:

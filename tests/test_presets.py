@@ -182,6 +182,25 @@ def test_artifacts_get_the_mode_of_a_plain_open(tmp_path):
     assert sorted(p.name for p in (tmp_path / "new").iterdir()) == ["text.txt"]
 
 
+def test_rewritten_artifacts_keep_their_mode(tmp_path):
+    # as open(path, "w") does: rewriting truncates the file in place, mode and all
+    written = run_preset("phase-eigenant", out_root=tmp_path)
+    texts = {path: path.read_text() for path in written}
+    for path in written:
+        path.chmod(0o600)
+    assert run_preset("phase-eigenant", out_root=tmp_path) == written
+    for path in written:
+        assert path.stat().st_mode & 0o7777 == 0o600, path
+        assert path.read_text() == texts[path]
+    single = tmp_path / "single.txt"
+    write_text_atomic(single, "old\n")
+    single.chmod(0o640)
+    write_text_atomic(single, "new\n")
+    assert single.stat().st_mode & 0o7777 == 0o640
+    assert single.read_text() == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["phase-eigenant", "single.txt"]
+
+
 def test_run_preset_rejects_steps_for_phase(tmp_path):
     with pytest.raises(ValueError, match="no step schedule"):
         run_preset("phase-maxant", out_root=tmp_path, steps=100)
