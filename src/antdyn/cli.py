@@ -9,9 +9,9 @@ verify      check the invariant-limit predictions on an integrated run
 reproduce   run a named preset and write its artifact bundle
 phase       sample a two-path direction field and write grid + figure
 
-Exit codes: 0 success, 1 usage or configuration errors, 2 numerical
-failures (blow-up, positivity loss, fit breakdown, out-of-range
-closed-form evaluation).
+Exit codes: 0 success, 1 usage or configuration errors and output paths
+that cannot be written, 2 numerical failures (blow-up, positivity loss,
+fit breakdown, out-of-range closed-form evaluation).
 """
 
 from __future__ import annotations
@@ -204,6 +204,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:  # ConfigError, DomainError and every input check
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

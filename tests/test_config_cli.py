@@ -570,6 +570,36 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     assert "antdyn presets" in help_text and "--list" not in help_text
 
 
+def assert_unwritable(err: str, target: Path, root: Path):
+    """The error names the path asked for, and no temporary file is left."""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert ".tmp" not in err and "Traceback" not in err
+    assert not list(root.rglob("*.tmp"))
+
+
+def test_cli_simulate_onto_a_directory_exits_1(tmp_path, capsys):
+    path = write_config(tmp_path, BASIC_RUN)
+    target = tmp_path / "d1"
+    target.mkdir()
+    assert main(["simulate", str(path), "-o", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_unwritable(captured.err, target, tmp_path)
+    assert "Is a directory" in captured.err
+    assert target.is_dir() and not any(target.iterdir())
+
+
+def test_cli_reproduce_under_a_file_exits_1(tmp_path, capsys):
+    out_file = tmp_path / "not-a-dir"
+    out_file.write_text("keep\n")
+    assert main(["reproduce", "eigenant-fig1", "--out", str(out_file), "--steps", "5"]) == 1
+    captured = capsys.readouterr()
+    first = out_file / "eigenant-fig1" / "trajectory-identity-sum.csv"
+    assert_unwritable(captured.err, first, tmp_path)
+    assert "Not a directory" in captured.err
+    assert out_file.read_text() == "keep\n"
+
+
 def test_cli_numerical_failures_exit_2(tmp_path, capsys):
     blowup = write_config(
         tmp_path,

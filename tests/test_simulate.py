@@ -23,6 +23,7 @@ from antdyn import (
     write_trajectory_csv,
 )
 from antdyn import simulate
+from antdyn.closedform import sample_asymptotic, sample_exact
 from antdyn.models import GKind, PhiKind, rhs
 from antdyn.simulate import _CHECK_BLOCK, CLAMP_FLOOR
 
@@ -380,6 +381,39 @@ def test_csv_source_column():
     )
     assert trajectory_to_csv(tagged).splitlines()[0] == "t,x_1,x_2,S"
     assert trajectory_to_csv(tagged, source="exact").splitlines()[1].endswith(",exact")
+
+
+def old_trajectory_to_csv(traj, source=None) -> str:
+    """The row-by-row ``%`` rendering that ``trajectory_to_csv`` replaced."""
+    columns = ["t"] + [f"x_{i + 1}" for i in range(traj.n)] + ["S"]
+    if source is not None:
+        columns.append("source")
+    tail = f",{source}\n" if source is not None else "\n"
+    row = ",".join(["%.17g"] * (traj.n + 2)) + tail.replace("%", "%%")
+    values = np.column_stack([traj.times, traj.states, traj.sums]).tolist()
+    return ",".join(columns) + "\n" + "".join([row % tuple(v) for v in values])
+
+
+def test_csv_is_the_row_by_row_rendering():
+    model = make_model(range(1, 11), alpha=1.0, beta=1.0, gamma=10.0)
+    x0 = np.arange(1, 11) * 0.1
+    two_paths = make_model([1, 2])
+    clamped = integrate(
+        overshooting_model(), [1.0, 1.0], 1.0, 10, positivity=PositivityPolicy.CLAMP_EPSILON
+    )
+    assert np.any(clamped.states == CLAMP_FLOOR)
+    asymptotic = sample_asymptotic(two_paths, (0.01, 10.0), 0.05, 100)
+    assert np.any(asymptotic.states < 0.0)
+    runs = [
+        integrate(model, x0, 0.02, 2000),
+        integrate(model, x0, 0.02, 300, scheme=Scheme.RK4),
+        clamped,
+        sample_exact(two_paths, (0.01, 10.0), 0.05, 100),
+        asymptotic,
+    ]
+    for traj in runs:
+        for source in (None, traj.scheme.value, "100%"):
+            assert trajectory_to_csv(traj, source=source) == old_trajectory_to_csv(traj, source)
 
 
 def test_csv_is_deterministic_and_written_atomically(tmp_path):
