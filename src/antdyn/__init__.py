@@ -63,6 +63,7 @@ from .simulate import (
     Trajectory,
     check_sum_bounds,
     integrate,
+    integrate_rows,
     sum_envelope,
     trajectory_to_csv,
     write_trajectory_csv,
@@ -115,6 +116,7 @@ __all__ = [
     "g_prime",
     "get_preset",
     "integrate",
+    "integrate_rows",
     "jacobian",
     "load_config",
     "parse_config",

@@ -15,10 +15,12 @@ closed forms) builds on these.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -284,7 +286,7 @@ def g_prime(g_kind: GKind, a):
     )
 
 
-def rhs(model: ModelSpec):
+def rhs(model: ModelSpec | Sequence[ModelSpec]):
     """The right-hand side of ``model`` as a function ``f(x, out=None)`` of a state.
 
     The saturation, the response and the constants are bound once, here,
@@ -298,10 +300,22 @@ def rhs(model: ModelSpec):
     floats give (a zero sum gives ``inf``), so the integrators evaluate
     stage points unchecked and check each step once it is complete.
 
-    A single state reduces into a 0-d buffer bound here, so ``f`` belongs
-    to one caller at a time: bind it once per model, and do not call it
-    reentrantly.
+    ``model`` may also be a sequence of models that share one ``n``.
+    Then ``f`` takes states of shape ``(B, n)``, row ``i`` belonging to
+    ``model[i]``, and binds per-row ``alpha`` and ``gamma`` rows, a
+    ``beta`` column and the ``(B, n)`` weight block.  Each run of
+    consecutive rows that share a saturation reduces in one call on its
+    slice, and each run that shares a non-identity response responds in
+    one, so models sorted by (saturation, response) make the fewest
+    calls.  Every row rounds exactly as ``rhs(model[i])`` on that row
+    alone.
+
+    A single state reduces into a 0-d buffer bound here, and a row block
+    into a ``(B,)`` one, so ``f`` belongs to one caller at a time: bind it
+    once per model, and do not call it reentrantly.
     """
+    if not isinstance(model, ModelSpec):
+        return _rhs_rows(model)
     reduce = _SATURATION[model.phi_kind]
     response = _RESPONSE[model.g_kind]
     alpha, beta, gamma, d = model.alpha, model.beta, model.gamma, model.paths.d
@@ -330,6 +344,64 @@ def rhs(model: ModelSpec):
         if response is not None:
             response(out, out)
         multiply(out, c, out)
+        return multiply(out, x, out)
+
+    return f
+
+
+def _runs(kinds, table):
+    """``(slice, function)`` for each run of equal consecutive kinds, skipping identity."""
+    runs, start = [], 0
+    for kind, group in itertools.groupby(kinds):
+        stop = start + len(list(group))
+        if table[kind] is not None:
+            runs.append((slice(start, stop), table[kind]))
+        start = stop
+    return runs
+
+
+def require_rows(models) -> tuple[ModelSpec, ...]:
+    """Check models meant as the rows of one block: at least one, all of one ``n``."""
+    models = tuple(models)
+    if not models:
+        raise ValueError("a row block needs at least one model")
+    sizes = [m.n for m in models]
+    if min(sizes) != max(sizes):
+        raise ValueError(f"the models of a row block must share one number of paths, got {sizes}")
+    return models
+
+
+def _rhs_rows(models):
+    """The row-block kernel of :func:`rhs`, one model per row."""
+    models = require_rows(models)
+    rows, n = len(models), models[0].n
+    alpha, gamma = (
+        np.repeat([getattr(m, name) for m in models], n).reshape(rows, n)
+        for name in ("alpha", "gamma")
+    )
+    beta = np.array([m.beta for m in models])
+    d = np.stack([m.paths.d for m in models])
+    one = np.ones(rows)
+    total = np.empty(rows)
+    column = total[:, None]
+    reductions = [
+        (sl, reduce, total[sl]) for sl, reduce in _runs([m.phi_kind for m in models], _SATURATION)
+    ]
+    responses = _runs([m.g_kind for m in models], _RESPONSE)
+    divide, multiply, subtract = np.divide, np.multiply, np.subtract
+
+    def f(x: np.ndarray, out=None) -> np.ndarray:
+        for sl, reduce, part in reductions:
+            reduce(x[sl], -1, None, part)
+        # beta * (1 / s) per row, rounded as the one-row kernel rounds it
+        divide(one, total, total)
+        multiply(total, beta, total)
+        out = multiply(column, d, out)
+        subtract(out, alpha, out)
+        for sl, response in responses:
+            part = out[sl]
+            response(part, part)
+        multiply(out, gamma, out)
         return multiply(out, x, out)
 
     return f

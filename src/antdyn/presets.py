@@ -37,7 +37,7 @@ from .reporting import (
     verification_lines,
     write_text_atomic,
 )
-from .simulate import integrate, write_trajectory_csv
+from .simulate import integrate_rows, write_trajectory_csv
 from .stability import find_equilibria
 from .svgfig import Series, line_figure, quiver_figure
 
@@ -312,15 +312,16 @@ def _figure_for(preset: ExperimentPreset, trajectories: dict) -> str:
 
 
 def _run_trajectory_preset(preset: ExperimentPreset, out_dir: Path, steps: int):
-    """Integrate every run and write its CSVs and the figure.
+    """Integrate every run as one row block and write its CSVs and the figure.
 
     Returns the report's preamble pairs, its sections and the written paths.
     """
-    trajectories = {}
+    labels, models = zip(*preset.runs)
+    trajectories = dict(zip(labels, integrate_rows(models, preset.x0, preset.dt, steps)))
     sections = []
     paths = []
     for label, model in preset.runs:
-        traj = trajectories[label] = integrate(model, preset.x0, preset.dt, steps)
+        traj = trajectories[label]
         rates = rate_report(model, traj)
         paths.append(write_trajectory_csv(traj, out_dir / f"trajectory-{label}.csv"))
         paths.append(write_text_atomic(out_dir / f"rates-{label}.csv", rates_csv(rates)))

@@ -170,13 +170,19 @@ def _format_tables():
     return pow10, digits, layout, key
 
 
+def _spell_exactly(value, sep) -> bytes:
+    """One cell as ``"%.17g"`` spells it, then its separator: the formatter's fallback."""
+    return b"%.17g%c" % (value, sep)
+
+
 def _format_cells(values, sep) -> bytes:
     """Spell flat cells as ``"%.17g"`` does, each followed by its separator byte."""
     pow10, digits, layout, key = _format_tables()
     m = values.size
     mag = np.abs(values)
+    zero = mag == 0.0
     ok = (mag >= _FMT_RANGE[0]) & (mag < _FMT_RANGE[1])
-    mag[~ok] = 1.0  # a stand-in: these cells are spelled by "%.17g" below
+    mag[~ok] = 1.0  # a stand-in: zeros are spelled as a one, the rest by "%.17g" below
     e = np.floor(np.log10(mag)).astype(np.intp)
     row = e - _E_MIN
     hi, hi_high, hi_low, lo = (part.take(row) for part in pow10)
@@ -189,8 +195,10 @@ def _format_cells(values, sep) -> bytes:
     frac = rest - whole
     d = top.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
     # Undecided: a tie or near tie, an estimate of e one too high (the
-    # unrounded value is below 1e16) or one too low (d rounds to 1e17).
-    bad = ~ok | (np.abs(frac - 0.5) < _FMT_TIE) | ((top - 1e16) + rest < 0.0) | (d >= 10**17)
+    # unrounded value is below 1e16) or one too low (d rounds to 1e17),
+    # and a nonzero cell out of range.
+    bad = (np.abs(frac - 0.5) < _FMT_TIE) | ((top - 1e16) + rest < 0.0) | (d >= 10**17)
+    bad |= ~(ok | zero)
     d[bad] = 10**16
     lead, d = np.divmod(d, 10**16)
     high, low = np.divmod(d, 10**8)
@@ -204,11 +212,13 @@ def _format_cells(values, sep) -> bytes:
     src[:, _SRC_SEP] = sep
     # the first digit is nonzero, so argmax counts the trailing zeros
     trailing = np.argmax(src[:, _SRC_ZERO - 1 : _SRC_DIGIT - 1 : -1] != ord("0"), axis=1)
+    # a zero, spelled so far as the one of its stand-in, becomes "0" or "-0"
+    src[zero, _SRC_DIGIT] = ord("0")
     cols = layout.take(key[np.signbit(values).astype(np.intp), row] + (16 - trailing), axis=0)
     cols += np.arange(0, m * _SRC_WIDTH, _SRC_WIDTH)[:, None]
     out = src.ravel().take(cols)
     for i in np.flatnonzero(bad).tolist():
-        text = b"%.17g%c" % (values[i], sep[i])
+        text = _spell_exactly(values[i], sep[i])
         out[i] = np.frombuffer(text.ljust(_FMT_WIDTH, b"\0"), np.uint8)
     return out.tobytes().translate(None, b"\0")
 
@@ -223,10 +233,11 @@ def _format_block(block) -> str:
     of powers of ten built from exact integers), rounded, and spelled
     through a 4-digit table and one layout table.  A cell that this
     cannot decide with margin is spelled by ``"%.17g"`` itself, CPython's
-    correctly rounded conversion: zeros, non-finite values, magnitudes
+    correctly rounded conversion: non-finite values, nonzero magnitudes
     outside [1e-270, 1e270), scaled values within 1e-6 of a rounding tie
     (exact ties round half-even there), and cells whose decimal exponent
-    estimate was one off.  Works in passes of whole rows of at most
+    estimate was one off.  Zeros are spelled ``0`` and ``-0`` in the
+    vectorized path.  Works in passes of whole rows of at most
     ``_FMT_CELLS`` cells.
     """
     block = np.asarray(block, dtype=float)
@@ -245,8 +256,7 @@ def grid_csv(grid: PhaseGrid) -> str:
 
     Nodes run ``x_1`` outer.  Each float is spelled exactly as ``"%.17g"``
     spells it, and ``tie`` is 0 or 1, as ``int`` spells it, by
-    :func:`_format_block`, which hands every cell it cannot decide with
-    margin (here the zeros of ``tie``) to ``"%.17g"`` itself.
+    :func:`_format_block`.
     """
     cells = np.column_stack(
         [

@@ -6,20 +6,37 @@ cross-checks against the closed-form evaluator.  Both step through the
 model's right-hand side (:func:`antdyn.models.rhs`) on buffers allocated
 once per run, writing every stage and state in place, and without
 per-step checks; the finiteness and sign checks run once per block of
-steps and still report the first offending step exactly.  Trajectories
-also cover closed-form and asymptotic sample grids, which reuse the same
-container and CSV schema with a different source tag.
+steps and still report the first offending step exactly.
+
+:func:`integrate_rows` integrates several models of one ``n`` as the
+rows of one ``(B, n)`` block, through one stepping loop, and
+:func:`integrate` is its one-row case.  Rows never mix: each row's
+trajectory, clamps and first violation are bit for bit those of that
+model integrated alone, and a failing row raises the error its solo run
+raises, naming the row.  Trajectories also cover closed-form and
+asymptotic sample grids, which reuse the same container and CSV schema
+with a different source tag.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .models import GKind, ModelSpec, PhiKind, require_positive, require_positive_state, rhs
+from .models import (
+    DomainError,
+    GKind,
+    ModelSpec,
+    PhiKind,
+    require_positive,
+    require_positive_state,
+    require_rows,
+    rhs,
+)
 from .reporting import _format_block, write_text_atomic
 
 __all__ = [
@@ -32,6 +49,7 @@ __all__ = [
     "Trajectory",
     "check_sum_bounds",
     "integrate",
+    "integrate_rows",
     "sum_envelope",
     "trajectory_to_csv",
     "write_trajectory_csv",
@@ -61,18 +79,24 @@ class PositivityPolicy(str, Enum):
 
 
 class IntegrationError(RuntimeError):
-    """Integration aborted; ``step`` is the failing step index."""
+    """Integration aborted; ``step`` is the failing step index.
 
-    def __init__(self, message: str, step: int):
+    ``row`` is the failing row's index among the models integrated
+    together (0 for :func:`integrate`), or None where no integrator
+    raised it.
+    """
+
+    def __init__(self, message: str, step: int, row: Optional[int] = None):
         super().__init__(message)
         self.step = step
+        self.row = row
 
 
 class PositivityError(IntegrationError):
     """A state component turned negative under the reject policy."""
 
-    def __init__(self, message: str, step: int, component: int):
-        super().__init__(message, step)
+    def __init__(self, message: str, step: int, component: int, row: Optional[int] = None):
+        super().__init__(message, step, row)
         self.component = component
 
 
@@ -135,6 +159,15 @@ def sample_times(dt: float, steps: int) -> np.ndarray:
     return np.arange(require_steps(steps) + 1) * dt
 
 
+def _run_setup(scheme, positivity, dt, steps):
+    """Check the run arguments shared by both integrators; return them with the time grid."""
+    scheme = Scheme(scheme)
+    positivity = PositivityPolicy(positivity)
+    if scheme not in (Scheme.EULER, Scheme.RK4):
+        raise ValueError(f"scheme {scheme.value!r} is a sample-grid tag, not an integrator")
+    return scheme, positivity, sample_times(dt, steps)
+
+
 def integrate(
     model: ModelSpec,
     x0,
@@ -163,9 +196,12 @@ def integrate(
         underflows to exactly 0.0 is kept: it lies on the invariant face
         ``x_i = 0``, which is that component's limit.
 
-    Each step runs in place on buffers preallocated for the run (the
-    stages, one work row and ``dt``, ``dt / 2`` and ``dt / 6`` as
-    arrays) and rounds exactly as ``x + dt * f(x)`` (Euler) or
+    This is the one-row case of :func:`integrate_rows`, and it runs the
+    same stepping loop on a single state of shape ``(n,)``, through the
+    one-model :func:`rhs` kernel.  Each step runs in place on buffers
+    preallocated for the run (the stages, one work row and ``dt``,
+    ``dt / 2`` and ``dt / 6`` as arrays) and rounds exactly as
+    ``x + dt * f(x)`` (Euler) or
     ``x + ((k2 + k3) * 2 + k1 + k4) * (dt / 6)`` (RK4) would.
 
     A non-finite component raises :class:`IntegrationError`.  Steps run
@@ -173,25 +209,111 @@ def integrate(
     one maximum.  The first block that fails is integrated again one
     checked step at a time, and the run goes on that way, so the error,
     the clamp and ``first_violation`` name the first offending step and
-    component exactly, as a per-step check would.
+    component exactly, as a per-step check would.  The error's ``row``
+    is 0.
     """
-    scheme = Scheme(scheme)
-    positivity = PositivityPolicy(positivity)
-    if scheme not in (Scheme.EULER, Scheme.RK4):
-        raise ValueError(f"scheme {scheme.value!r} is a sample-grid tag, not an integrator")
-    times = sample_times(dt, steps)
+    scheme, positivity, times = _run_setup(scheme, positivity, dt, steps)
     x0 = require_positive_state(x0, model.n)
+    states, violations = _step(rhs(model), x0, dt, steps, scheme, positivity, (0,))
+    return Trajectory(
+        times=times,
+        states=states,
+        sums=states.sum(axis=1),
+        scheme=scheme,
+        dt=dt,
+        first_violation=violations[0],
+    )
 
-    f = rhs(model)
+
+def integrate_rows(
+    models: Sequence[ModelSpec],
+    x0,
+    dt: float,
+    steps: int,
+    scheme: Scheme = Scheme.EULER,
+    positivity: PositivityPolicy = PositivityPolicy.REJECT,
+) -> tuple[Trajectory, ...]:
+    """Integrate several models of one ``n`` side by side, as one row block.
+
+    ``models`` gives one :class:`ModelSpec` per row, all with the same
+    number of paths, and ``x0`` is broadcast to ``(B, n)``: one shared
+    state of shape ``(n,)``, or one strictly positive state per row.
+    ``dt``, ``steps``, ``scheme`` and ``positivity`` are shared and mean
+    what they mean for :func:`integrate`.  The result holds one
+    :class:`Trajectory` per model, in the caller's order.
+
+    The rows are sorted once by (saturation, response), so each
+    reduction and each non-identity response of the :func:`rhs` kernel
+    runs on a contiguous slice, and every step of the block is one pass
+    of the stepping loop of :func:`integrate`.  Each row rounds exactly
+    as that row integrated alone: every trajectory, including its
+    ``first_violation`` and its clamps, is bit for bit the one
+    ``integrate(models[i], x0[i], ...)`` returns.  One model is
+    :func:`integrate` itself.
+
+    A row that fails stops the block: the error raised is the one that
+    integrating the failing row alone raises (same type, step, component
+    and message), with ``row`` set to its index in ``models``.  If
+    several rows fail, the earliest failing step wins, and on a tie the
+    lowest row.  ``ValueError`` is raised for no models, for models of
+    different ``n`` and for an ``x0`` that does not broadcast to
+    ``(B, n)``; :class:`DomainError` for a component of ``x0`` that is
+    not finite and positive.
+    """
+    models = require_rows(models)
+    rows, n = len(models), models[0].n
+    x0 = np.asarray(x0, dtype=float)
+    try:
+        block = np.broadcast_to(x0, (rows, n))
+    except ValueError:
+        raise ValueError(
+            f"x0 has shape {x0.shape}, which does not broadcast to ({rows}, {n}): "
+            f"{rows} models of {n} paths"
+        ) from None
+    if rows == 1:
+        return (integrate(models[0], block[0], dt, steps, scheme, positivity),)
+    scheme, positivity, times = _run_setup(scheme, positivity, dt, steps)
+    if not (0.0 < block.min() and block.max() < math.inf):  # nan fails both
+        r, i = (int(v) for v in np.argwhere(~(np.isfinite(block) & (block > 0.0)))[0])
+        where = f"component {i} of x0" if x0.ndim < 2 else f"component {i} of x0 row {r}"
+        raise DomainError(f"{where} is {float(block[r, i])}; must be strictly positive")
+    order = sorted(range(rows), key=lambda i: (models[i].phi_kind.value, models[i].g_kind.value))
+    states, violations = _step(
+        rhs([models[i] for i in order]), block[order], dt, steps, scheme, positivity, order
+    )
+    # one contiguous (steps + 1, n) block per row, as integrate makes it
+    per_row = states.transpose(1, 0, 2).copy()
+    sums = per_row.sum(axis=2)
+    return tuple(
+        Trajectory(
+            times=times,
+            states=per_row[p],
+            sums=sums[p],
+            scheme=scheme,
+            dt=dt,
+            first_violation=violations[p],
+        )
+        for p in np.argsort(order).tolist()  # each caller row's place in the block
+    )
+
+
+def _step(f, x0, dt, steps, scheme, positivity, rows):
+    """The stepping loop of both integrators.
+
+    ``x0`` is one state of shape ``(n,)`` or a row block of shape
+    ``(B, n)`` that ``f`` evaluates as such, and ``rows`` names each
+    row's index in the caller's order.  Returns the states, of shape
+    ``(steps + 1, *x0.shape)``, and each row's first violation.
+    """
     euler = scheme is Scheme.EULER
     # operands and buffers made once per run: every step writes in place,
     # through bound ufuncs with array operands and a positional out
-    h, half, sixth = (np.full(x0.size, v) for v in (dt, 0.5 * dt, dt / 6.0))
-    k1, k2, k3, k4, y = np.empty((5, x0.size))
+    h, half, sixth = (np.full(x0.shape, v) for v in (dt, 0.5 * dt, dt / 6.0))
+    k1, k2, k3, k4, y = np.empty((5, *x0.shape))
     add, multiply = np.add, np.multiply
-    states = np.empty((steps + 1, x0.size))
+    states = np.empty((steps + 1, *x0.shape))
     states[0] = x0
-    first_violation: Optional[tuple[int, int]] = None
+    violations: list[Optional[tuple[int, int]]] = [None] * len(rows)
     start, block = 1, _CHECK_BLOCK
     # Steps past a bad one are discarded, so their overflow and
     # invalid-value warnings are meaningless.
@@ -214,9 +336,9 @@ def integrate(
                     add(k2, k4, k2)
                     multiply(k2, sixth, k1)
                 x = add(x, k1, states[k])
-            rows = states[start:stop]
+            checked = states[start:stop]
             # A nan fails the comparison with the minimum.
-            if 0.0 <= rows.min() and rows.max() < np.inf:
+            if 0.0 <= checked.min() and checked.max() < np.inf:
                 start = stop
                 continue
             if block > 1:
@@ -225,33 +347,37 @@ def integrate(
                 # floor is usually pushed below 0 again on the next step.
                 block = 1
                 continue
-            k, x = start, states[start]
-            if not np.all(np.isfinite(x)):
-                bad = int(np.flatnonzero(~np.isfinite(x))[0])
-                raise IntegrationError(
-                    f"non-finite value in component {bad} at step {k}; integration aborted",
-                    step=k,
-                )
-            bad = int(np.flatnonzero(x < 0.0)[0])
-            if positivity is PositivityPolicy.REJECT:
-                raise PositivityError(
-                    f"component {bad} reached {float(x[bad])} at step {k}; "
-                    "the dynamics preserve positivity, so the step size is too coarse",
-                    step=k,
-                    component=bad,
-                )
-            if first_violation is None:
-                first_violation = (k, bad)
-            np.maximum(x, CLAMP_FLOOR, out=x)
-            start = k + 1
-    return Trajectory(
-        times=times,
-        states=states,
-        sums=states.sum(axis=1),
-        scheme=scheme,
-        dt=dt,
-        first_violation=first_violation,
-    )
+            _check_step(states[start].reshape(len(rows), -1), start, positivity, rows, violations)
+            start += 1
+    return states, violations
+
+
+def _check_step(x, k, positivity, rows, violations):
+    """Check step ``k`` row by row: raise the first failing row's error, or clamp."""
+    finite = np.isfinite(x).all(axis=1)
+    negative = (x < 0.0).any(axis=1)
+    failing = ~finite | negative if positivity is PositivityPolicy.REJECT else ~finite
+    if failing.any():
+        r = min(np.flatnonzero(failing).tolist(), key=rows.__getitem__)
+        if not finite[r]:
+            bad = int(np.flatnonzero(~np.isfinite(x[r]))[0])
+            raise IntegrationError(
+                f"non-finite value in component {bad} at step {k}; integration aborted",
+                step=k,
+                row=rows[r],
+            )
+        bad = int(np.flatnonzero(x[r] < 0.0)[0])
+        raise PositivityError(
+            f"component {bad} reached {float(x[r, bad])} at step {k}; "
+            "the dynamics preserve positivity, so the step size is too coarse",
+            step=k,
+            component=bad,
+            row=rows[r],
+        )
+    for r in np.flatnonzero(negative).tolist():
+        if violations[r] is None:
+            violations[r] = (k, int(np.flatnonzero(x[r] < 0.0)[0]))
+        np.maximum(x[r], CLAMP_FLOOR, out=x[r])
 
 
 def sum_envelope(model: ModelSpec, s0: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

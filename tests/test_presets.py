@@ -23,6 +23,7 @@ from antdyn import (
     spurious_equilibria_scan,
     vector_field,
 )
+from antdyn import presets
 from antdyn.presets import PHASE_PRESETS, PRESETS, SPURIOUS_SPEED_TOL, PhaseGrid
 from antdyn.reporting import write_text_atomic
 from antdyn.stability import Equilibrium
@@ -151,6 +152,21 @@ def test_run_preset_comparison_ranks_all_variants(tmp_path):
     assert sorted(row["run"] for row in ranking) == sorted(labels)
     assert all(row["reached"] == "yes" for row in ranking)
     assert (out_dir / "figure.svg").read_text().count("polyline") >= 6
+
+
+@pytest.mark.parametrize("name", ["comparison-fig4", "eigenant-fig1"])
+def test_a_preset_integrates_its_runs_in_one_call(tmp_path, monkeypatch, name):
+    calls = []
+    integrate_rows = presets.integrate_rows
+
+    def spy(models, *args):
+        calls.append(tuple(models))
+        return integrate_rows(models, *args)
+
+    monkeypatch.setattr(presets, "integrate_rows", spy)
+    run_preset(name, out_root=tmp_path, steps=40)
+    assert calls == [tuple(model for _, model in PRESETS[name].runs)]
+    assert len(calls[0]) == (6 if name == "comparison-fig4" else 1)
 
 
 def test_run_preset_respects_out_env(tmp_path, monkeypatch):

@@ -4,9 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antdyn.presets import PhaseGrid
+from antdyn import reporting
+from antdyn.presets import PHASE_PRESETS, PRESETS, PhaseGrid, phase_grid
 from antdyn.reporting import _FMT_CELLS, _format_block, grid_csv
-from antdyn.simulate import CLAMP_FLOOR
+from antdyn.simulate import CLAMP_FLOOR, integrate, trajectory_to_csv
 
 
 def spelled(block) -> list[str]:
@@ -168,3 +169,36 @@ def test_grid_csv_is_the_node_loop(n1, n2, seed, scale):
     text = grid_csv(grid)
     assert text == old_grid_csv(grid)
     assert {line.rsplit(",", 1)[1] for line in text.splitlines()[1:]} <= {"0", "1"}
+
+
+def count_fallbacks(monkeypatch) -> list:
+    """Record every cell that the block formatter hands to ``"%.17g"``."""
+    cells = []
+    spell = reporting._spell_exactly
+
+    def counted(value, sep):
+        cells.append(float(value))
+        return spell(value, sep)
+
+    monkeypatch.setattr(reporting, "_spell_exactly", counted)
+    return cells
+
+
+def test_zeros_are_spelled_without_the_fallback(monkeypatch):
+    fallbacks = count_fallbacks(monkeypatch)
+    block = np.array([[0.0, -0.0, 1.0], [-0.0, 2.5, 0.0], [1e-300, 0.0, -3.0]])
+    assert _format_block(block) == "0,-0,1\n-0,2.5,0\n1e-300,0,-3\n"
+    # 1e-300 lies below the table's range
+    assert fallbacks == [1e-300]
+
+
+def test_preset_csvs_leave_the_fallback(monkeypatch):
+    fallbacks = count_fallbacks(monkeypatch)
+    for preset in PHASE_PRESETS.values():
+        grid_csv(phase_grid(preset.model, bounds=preset.bounds, resolution=preset.resolution))
+    assert fallbacks == []
+    # of the trajectories, only the t = 0 zeros went there, and they no longer do
+    preset = PRESETS["eigenant-fig1"]
+    model = preset.runs[0][1]
+    trajectory_to_csv(integrate(model, preset.x0, preset.dt, preset.steps))
+    assert fallbacks == []

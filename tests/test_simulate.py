@@ -17,6 +17,7 @@ from antdyn import (
     check_sum_bounds,
     g_eval,
     integrate,
+    integrate_rows,
     sum_envelope,
     trajectory_to_csv,
     vector_field,
@@ -303,6 +304,116 @@ def test_clamp_holds_a_component_pinned_at_the_floor(monkeypatch):
     monkeypatch.setattr(simulate, "rhs", counting_rhs)
     integrate(*args)
     assert len(calls) <= 500 + _CHECK_BLOCK
+
+
+VARIANTS = [(phi, g) for phi in PhiKind for g in GKind]
+
+
+def solo_outcome(model, x0, dt, steps, scheme, positivity):
+    """The trajectory of one model integrated alone, or the error it raises."""
+    try:
+        return integrate(model, x0, dt, steps, scheme, positivity)
+    except IntegrationError as err:
+        return err
+
+
+def error_facts(err):
+    return type(err), str(err), err.step, getattr(err, "component", None)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    variants=st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=7),
+    n=st.integers(1, 32),
+    scheme=st.sampled_from([Scheme.EULER, Scheme.RK4]),
+    positivity=st.sampled_from(list(PositivityPolicy)),
+    shared_x0=st.booleans(),
+    dt_fraction=st.floats(0.05, 3.0),
+    steps=st.integers(0, 150),
+    data=st.data(),
+)
+def test_integrate_rows_are_solo_runs(
+    variants, n, scheme, positivity, shared_x0, dt_fraction, steps, data
+):
+    rates = st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(0.2, 3.0))
+    lengths = st.lists(st.floats(1.0, 10.0), min_size=n, max_size=n)
+    models = []
+    for phi, g in variants:
+        alpha, beta, gamma = data.draw(rates)
+        models.append(
+            make_model(data.draw(lengths), alpha=alpha, beta=beta, gamma=gamma, phi=phi, g=g)
+        )
+    rows = len(models)
+    log_x0 = st.lists(st.floats(-3.0, 2.0), min_size=n, max_size=n)
+    x0 = 10.0 ** np.array(data.draw(log_x0) if shared_x0 else [data.draw(log_x0) for _ in models])
+    dt = dt_fraction * euler_bound(models[0])
+    solo = [
+        solo_outcome(model, x0 if shared_x0 else x0[i], dt, steps, scheme, positivity)
+        for i, model in enumerate(models)
+    ]
+    failed = [(out.step, i) for i, out in enumerate(solo) if isinstance(out, IntegrationError)]
+    if failed:
+        _, first = min(failed)
+        with pytest.raises(IntegrationError) as info:
+            integrate_rows(models, x0, dt, steps, scheme, positivity)
+        assert error_facts(info.value) == error_facts(solo[first])
+        assert info.value.row == first
+        return
+    got = integrate_rows(models, x0, dt, steps, scheme, positivity)
+    assert len(got) == rows
+    for traj, want in zip(got, solo):
+        assert np.array_equal(traj.states, want.states)
+        assert np.array_equal(traj.sums, want.sums)
+        assert np.array_equal(traj.times, want.times)
+        assert traj.first_violation == want.first_violation
+        assert (traj.scheme, traj.dt) == (want.scheme, want.dt)
+        assert traj.states.flags.c_contiguous
+
+
+def test_integrate_rows_one_model_is_integrate():
+    model = make_model([1, 2, 3], g="tanh")
+    (traj,) = integrate_rows([model], [0.3, 0.8, 0.4], 0.05, 100, Scheme.RK4)
+    want = integrate(model, [0.3, 0.8, 0.4], 0.05, 100, Scheme.RK4)
+    assert np.array_equal(traj.states, want.states)
+    with pytest.raises(PositivityError) as info:
+        integrate_rows([overshooting_model()], [[1.0, 1.0]], 1.0, 10)
+    assert info.value.row == 0
+    with pytest.raises(PositivityError) as solo:
+        integrate(overshooting_model(), [1.0, 1.0], 1.0, 10)
+    assert error_facts(info.value) == error_facts(solo.value)
+    assert solo.value.row == 0
+
+
+def test_integrate_rows_clamps_each_row_on_its_own():
+    # the overshooting row is clamped from step 1 on; the other never is
+    rows = [make_model([1, 2]), overshooting_model(), make_model([1, 2], g="signum")]
+    got = integrate_rows(rows, [1.0, 1.0], 1.0, 10, positivity=PositivityPolicy.CLAMP_EPSILON)
+    assert [traj.first_violation is not None for traj in got] == [False, True, False]
+    assert got[1].first_violation[0] == 1
+    for traj, model in zip(got, rows):
+        want = integrate(model, [1.0, 1.0], 1.0, 10, positivity=PositivityPolicy.CLAMP_EPSILON)
+        assert np.array_equal(traj.states, want.states)
+
+
+def test_integrate_rows_input_validation():
+    two, three = make_model([1, 2]), make_model([1, 2, 3], phi="max")
+    with pytest.raises(ValueError, match="at least one model"):
+        integrate_rows([], [0.5, 0.5], 0.1, 10)
+    with pytest.raises(ValueError, match=r"one number of paths, got \[2, 3\]"):
+        integrate_rows([two, three], [0.5, 0.5], 0.1, 10)
+    with pytest.raises(ValueError, match=r"shape \(3,\), which does not broadcast to \(2, 2\)"):
+        integrate_rows([two, two], [0.5, 0.5, 0.5], 0.1, 10)
+    with pytest.raises(ValueError, match=r"x0 has shape \(3, 2\)"):
+        integrate_rows([two, two], np.full((3, 2), 0.5), 0.1, 10)
+    with pytest.raises(DomainError, match=r"component 1 of x0 row 1 is -0\.25; must be") as info:
+        integrate_rows([two, two], [[0.5, 0.5], [0.5, -0.25]], 0.1, 10)
+    assert "np.float64" not in str(info.value)
+    with pytest.raises(DomainError, match=r"component 0 of x0 is nan;"):
+        integrate_rows([two, two], [np.nan, 0.5], 0.1, 10)
+    with pytest.raises(ValueError, match="not an integrator"):
+        integrate_rows([two, two], [0.5, 0.5], 0.1, 10, scheme=Scheme.EXACT)
+    with pytest.raises(ValueError, match="steps"):
+        integrate_rows([two, two], [0.5, 0.5], 0.1, -1)
 
 
 def test_sum_envelope_endpoints_and_limits():
