@@ -1,7 +1,10 @@
 """Minimal deterministic SVG figures: polyline charts and vector-field grids.
 
 No plotting dependency; the output is plain SVG markup with fixed
-geometry, so identical inputs give byte-identical files.
+geometry, so identical inputs give byte-identical files.  Every pixel
+coordinate is spelled exactly as ``"%.2f"`` spells it: polyline points
+by the vectorized kernel ``_fixed._format_fixed``, and quiver arrows,
+ticks and other one-off coordinates by f-strings.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+
+from ._fixed import _format_fixed
 
 __all__ = ["Series", "line_figure", "quiver_figure"]
 
@@ -141,6 +146,21 @@ def _document(parts: Sequence[str], width=WIDTH, height=HEIGHT) -> str:
     )
 
 
+def _check_span(axis: str, lo: float, hi: float, series, bounds) -> None:
+    """Raise unless ``hi - lo``, an axis span of the frame, maps to pixels."""
+    if not 0.0 < hi - lo < math.inf:
+        first = series[int(np.argmin(bounds[:, 0]))].label
+        last = series[int(np.argmax(bounds[:, 1]))].label
+        names = repr(first) if first == last else f"{first!r} and {last!r}"
+        raise ValueError(
+            f"series {names} span {axis} from {bounds[:, 0].min():.6g} to "
+            f"{bounds[:, 1].max():.6g}, which cannot be mapped to pixels"
+        )
+
+
+_POINT_SEP = np.frombuffer(b", ", np.uint8)
+
+
 def line_figure(
     series: Sequence[Series],
     title: str,
@@ -148,22 +168,41 @@ def line_figure(
     ylabel: str,
     caption: Optional[str] = None,
 ) -> str:
-    """Polyline chart with axes, grid and a legend column; each series needs len(x) == len(y)."""
+    """Polyline chart with axes, grid and a legend column.
+
+    Each series needs as many x values as y values, at least one, all
+    finite, and the union of the series' ranges must map to pixels;
+    otherwise ``ValueError`` names the series.  Every polyline
+    coordinate is spelled exactly as ``"%.2f"`` spells it, by the
+    vectorized kernel ``_fixed._format_fixed``.
+    """
     if not series:
         raise ValueError("need at least one series")
-    x_lo = min(float(np.min(s.x)) for s in series)
-    x_hi = max(float(np.max(s.x)) for s in series)
-    y_lo = min(float(np.min(s.y)) for s in series)
-    y_hi = max(float(np.max(s.y)) for s in series)
-    frame = _Frame((x_lo, x_hi), (y_lo, y_hi))
-    parts = _axes(frame, title, xlabel, ylabel)
-    for k, s in enumerate(series):
-        color = PALETTE[k % len(PALETTE)]
+    xy, bounds = [], []
+    for s in series:
         x, y = np.asarray(s.x, dtype=float), np.asarray(s.y, dtype=float)
         if len(x) != len(y):
             raise ValueError(f"series {s.label!r} has {len(x)} x values but {len(y)} y values")
-        xy = np.column_stack((frame.x(x), frame.y(y))).ravel().tolist()
-        points = " ".join(["%.2f,%.2f"] * len(x)) % tuple(xy)
+        if not len(x):
+            raise ValueError(f"series {s.label!r} is empty")
+        bounds.append((x.min(), x.max(), y.min(), y.max()))
+        if not np.isfinite(bounds[-1]).all():
+            raise ValueError(f"series {s.label!r} has a non-finite value")
+        xy.append((x, y))
+    bounds = np.array(bounds)
+    lo, hi = bounds.min(axis=0).tolist(), bounds.max(axis=0).tolist()
+    frame = _Frame((lo[0], hi[1]), (lo[2], hi[3]))
+    _check_span("x", frame.x_lo, frame.x_hi, series, bounds[:, 0:2])
+    _check_span("y", frame.y_lo, frame.y_hi, series, bounds[:, 2:4])
+    parts = _axes(frame, title, xlabel, ylabel)
+    for k, (s, (x, y)) in enumerate(zip(series, xy)):
+        color = PALETTE[k % len(PALETTE)]
+        cells = np.column_stack((frame.x(x), frame.y(y))).ravel()
+        # "," within a point, a space between points and a NUL, which
+        # spells nothing, after the last
+        sep = np.tile(_POINT_SEP, len(x))
+        sep[-1] = 0
+        points = _format_fixed(cells, sep).decode("ascii")
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )
@@ -197,9 +236,18 @@ def quiver_figure(
 ) -> str:
     """Direction-field chart: one fixed-length arrow per grid node.
 
+    ``u`` and ``v`` hold the field at node ``(x1[i], x2[j])`` in row
+    ``i``, column ``j``, so their shape must be ``(len(x1), len(x2))``.
     Arrows show direction only; nodes where the field vanishes get a dot.
-    ``markers`` are annotated points (equilibria).
+    ``markers`` are annotated points (equilibria).  Every coordinate is
+    spelled exactly as ``"%.2f"`` spells it, node by node.
     """
+    shape = (len(x1), len(x2))
+    if np.shape(u) != shape or np.shape(v) != shape:
+        raise ValueError(
+            f"u and v must have shape (len(x1), len(x2)) = {shape}, "
+            f"got {np.shape(u)} and {np.shape(v)}"
+        )
     frame = _Frame((float(x1[0]), float(x1[-1])), (float(x2[0]), float(x2[-1])))
     parts = _axes(frame, title, xlabel, ylabel)
     cell = min(

@@ -1,11 +1,15 @@
-"""The block formatter behind the trajectory and phase-grid CSVs."""
+"""The block formatter behind the CSVs, and the "%.2f" one behind the SVG figures."""
+
+import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antdyn import reporting
+from antdyn import _fixed, reporting
 from antdyn.presets import PHASE_PRESETS, PRESETS, PhaseGrid, phase_grid
+from antdyn._fixed import _FIXED_LIMIT, _format_fixed
 from antdyn.reporting import _FMT_CELLS, _format_block, grid_csv
 from antdyn.simulate import CLAMP_FLOOR, integrate, trajectory_to_csv
 
@@ -202,3 +206,88 @@ def test_preset_csvs_leave_the_fallback(monkeypatch):
     model = preset.runs[0][1]
     trajectory_to_csv(integrate(model, preset.x0, preset.dt, preset.steps))
     assert fallbacks == []
+
+
+def nudge(value: float, ulps: int) -> float:
+    """``value`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        value = float(np.nextafter(value, np.copysign(np.inf, ulps)))
+    return value
+
+
+FIXED_SPECIAL = [
+    0.0, -0.0, -0.001, -0.004999, -0.005, 0.005, 0.125, -0.125, 0.375, 9.995, 99.995,
+    np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e6, -1e6, float(np.nextafter(1e6, 0.0)), 999999.995, -999999.995, 1e7, 1e300,
+]
+FIXED_CELL = st.one_of(
+    # every 64-bit pattern: subnormals, both zeros, infinities and nans included
+    st.integers(0, 2**64 - 1).map(as_double),
+    # exact ties: odd multiples of 1/8 are exactly half a hundredth off a hundredth
+    st.integers(-8 * 10**6, 8 * 10**6).map(lambda k: (2 * k + 1) / 8),
+    # decimal ties (2k+1)/200, which no double holds exactly, and their neighbours
+    st.tuples(st.integers(-2 * 10**8, 2 * 10**8), st.integers(-3, 3)).map(
+        lambda p: nudge((2 * p[0] + 1) / 200, p[1])
+    ),
+    # values that round to a zero of either sign
+    st.floats(-0.0051, 0.0051),
+    # magnitudes at and past the vectorized limit
+    st.floats(-2 * _FIXED_LIMIT, 2 * _FIXED_LIMIT),
+    st.sampled_from(FIXED_SPECIAL),
+)
+
+
+def assert_spells_percent_2f(values, seps):
+    """The kernel gives ``"%.2f"``'s bytes, and hands it only cells it may not spell."""
+    values = np.asarray(values, dtype=float)
+    seps = np.asarray(seps, dtype=np.uint8)
+    fallbacks = []
+    spell = _fixed._spell_fixed_exactly
+
+    def counted(value, sep):
+        fallbacks.append(float(value))
+        return spell(value, sep)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_fixed, "_spell_fixed_exactly", counted)
+        got = _format_fixed(values, seps)
+    want = [b"%.2f" % v for v in values.tolist()]
+    wrong = [(w, g) for w, g in zip(want, re.split(rb"[, \n;]", got)) if w != g]
+    assert not wrong, f"{len(wrong)} of {len(want)} cells differ, e.g. {wrong[:5]}"
+    assert got == b"".join(b"%s%c" % p for p in zip(want, seps.tolist()))
+    beyond = values[~(np.abs(values) < _FIXED_LIMIT)]
+    assert np.array_equal(fallbacks, beyond, equal_nan=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(FIXED_CELL, st.sampled_from(b", \n;")), min_size=1, max_size=160)
+)
+def test_fixed_cells_are_percent_2f(cells):
+    values, seps = zip(*cells)
+    assert_spells_percent_2f(values, seps)
+
+
+def test_fixed_ties_and_pass_edges_are_percent_2f():
+    k = np.arange(-60_000, 60_000)
+    decimal_ties = (2 * k + 1) / 200
+    cells = np.concatenate(
+        [
+            (2 * k + 1) / 8,  # exact ties, both parities below them
+            decimal_ties,
+            np.nextafter(decimal_ties, np.inf),
+            np.nextafter(decimal_ties, -np.inf),
+            np.nextafter(k + 0.005, np.inf),
+            np.nextafter(k + 0.005, -np.inf),
+            FIXED_SPECIAL,
+        ]
+    )
+    # passes of _FMT_CELLS cells split it at many points
+    seps = np.resize(np.frombuffer(b", \n", np.uint8), cells.size)
+    assert_spells_percent_2f(cells, seps)
+    # exact ties round half-even, and a zero of either origin keeps its sign
+    spelled = _format_fixed(np.array([0.125, 0.375, -0.0, -0.001]), seps[:4])
+    assert spelled == b"0.12,0.38 -0.00\n-0.00,"
+    # a NUL separator spells nothing, as after the last point of a polyline
+    nul = np.array([ord(","), 0, 0], np.uint8)
+    assert _format_fixed(np.array([1.0, -2.5, np.nan]), nul) == b"1.00,-2.50nan"

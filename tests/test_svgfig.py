@@ -1,5 +1,6 @@
-"""SVG figure tests: polyline points against a per-point reference."""
+"""SVG figure tests: polyline points and quiver arrows against per-point references."""
 
+import math
 import re
 
 import numpy as np
@@ -7,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antdyn import svgfig
+from antdyn.presets import PHASE_PRESETS, phase_grid
+from antdyn.stability import find_equilibria
 from antdyn.svgfig import (
     HEIGHT,
     MARGIN_BOTTOM,
@@ -16,6 +20,7 @@ from antdyn.svgfig import (
     WIDTH,
     Series,
     line_figure,
+    quiver_figure,
 )
 
 POLYLINE = re.compile(r'<polyline [^>]*points="([^"]*)"/>')
@@ -119,3 +124,129 @@ def test_line_figure_names_a_series_of_mismatched_length():
     ]
     with pytest.raises(ValueError, match=r"^series 'short y' has 5 x values but 3 y values$"):
         line_figure(series, title="t", xlabel="x", ylabel="y")
+
+
+def _ramp(label, y, x=None):
+    y = np.asarray(y, dtype=float)
+    return Series(label, np.arange(float(y.size)) if x is None else np.asarray(x), y)
+
+
+CANNOT_DRAW = {
+    "empty": ([_ramp("a", [0.0, 1.0]), _ramp("none", [])], r"^series 'none' is empty$"),
+    "nan": ([_ramp("gap", [0.0, np.nan, 1.0])], r"^series 'gap' has a non-finite value$"),
+    "inf": (
+        [_ramp("a", [0.0, 1.0]), _ramp("far", [1.0, 1.0], x=[0.0, np.inf])],
+        r"^series 'far' has a non-finite value$",
+    ),
+    # the padded y span overflows though the data span is finite
+    "padded-overflow": (
+        [_ramp("wide", [-0.87e308, 0.87e308])],
+        r"^series 'wide' span y from -8.7e\+307 to 8.7e\+307, which cannot be mapped",
+    ),
+    # the x span of two series together overflows
+    "joint-overflow": (
+        [_ramp("left", [1.0], x=[-1e308]), _ramp("right", [1.0], x=[1e308])],
+        r"^series 'left' and 'right' span x from -1e\+308 to 1e\+308, which cannot be mapped",
+    ),
+    # a constant so large that adding the unit span leaves it unchanged
+    "flat-huge": (
+        [_ramp("flat", [1e17, 1e17])],
+        r"^series 'flat' span y from 1e\+17 to 1e\+17, which cannot be mapped to pixels$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CANNOT_DRAW))
+def test_line_figure_names_a_series_it_cannot_draw(case):
+    series, message = CANNOT_DRAW[case]
+    with pytest.raises(ValueError, match=message):
+        line_figure(series, title="t", xlabel="x", ylabel="y")
+
+
+def reference_quiver(x1, x2, u, v, markers, title, xlabel, ylabel, caption=None):
+    """The quiver figure drawn node by node, as the figures have always been drawn."""
+    frame = svgfig._Frame((float(x1[0]), float(x1[-1])), (float(x2[0]), float(x2[-1])))
+    parts = svgfig._axes(frame, title, xlabel, ylabel)
+    cell = min(
+        (frame.px_hi - frame.px_lo) / max(len(x1) - 1, 1),
+        (frame.py_lo - frame.py_hi) / max(len(x2) - 1, 1),
+    )
+    shaft = 0.38 * cell
+    for i, xv in enumerate(x1):
+        for j, yv in enumerate(x2):
+            du, dv = float(u[i, j]), float(v[i, j])
+            norm = math.hypot(du, dv)
+            px, py = frame.x(float(xv)), frame.y(float(yv))
+            if norm == 0.0:
+                parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1.6" fill="#888888"/>')
+                continue
+            ex, ey = du / norm, -dv / norm
+            tip_x, tip_y = px + shaft * ex, py + shaft * ey
+            parts.append(
+                f'<line x1="{px - shaft * ex:.2f}" y1="{py - shaft * ey:.2f}" '
+                f'x2="{tip_x:.2f}" y2="{tip_y:.2f}" stroke="#1f77b4" stroke-width="1.2"/>'
+            )
+            head = 0.32 * shaft
+            left = (-ey, ex)
+            for sgn in (1.0, -1.0):
+                bx = tip_x - head * (ex + 0.6 * sgn * left[0])
+                by = tip_y - head * (ey + 0.6 * sgn * left[1])
+                parts.append(
+                    f'<line x1="{tip_x:.2f}" y1="{tip_y:.2f}" x2="{bx:.2f}" y2="{by:.2f}" '
+                    'stroke="#1f77b4" stroke-width="1.2"/>'
+                )
+    for mx, my, label in markers:
+        px, py = frame.x(mx), frame.y(my)
+        parts.append(
+            f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4.5" fill="#d62728" stroke="black"/>'
+        )
+        parts.append(
+            f'<text x="{px + 8:.2f}" y="{py - 6:.2f}" font-size="12" fill="#000000">{label}</text>'
+        )
+    if caption:
+        parts.append(
+            f'<text x="{MARGIN_LEFT}" y="{HEIGHT - 8}" font-size="11" '
+            f'fill="#555555">{caption}</text>'
+        )
+    return svgfig._document(parts)
+
+
+@pytest.mark.parametrize("name", sorted(PHASE_PRESETS))
+def test_quiver_figure_is_the_node_loop(name):
+    preset = PHASE_PRESETS[name]
+    grid = phase_grid(preset.model, bounds=preset.bounds, resolution=preset.resolution)
+    markers = [
+        (float(eq.point[0]), float(eq.point[1]), f"mu_{eq.index + 1}")
+        for eq in find_equilibria(preset.model)
+    ]
+    assert markers
+    u, v = grid.u.copy(), grid.v.copy()
+    # zero-speed nodes get a dot: zeros of both signs, and a zero beside a tiny value
+    u[0, :4], v[0, :4] = [0.0, -0.0, 0.0, 5e-324], [0.0, 0.0, -0.0, 0.0]
+    u[-1, -1] = v[-1, -1] = 0.0
+    for field in [(grid.u, grid.v), (u, v)]:
+        args = (grid.x1, grid.x2, *field, markers)
+        labels = dict(title=name, xlabel="x_1", ylabel="x_2", caption=preset.description)
+        got = quiver_figure(*args, **labels)
+        assert got == reference_quiver(*args, **labels)
+    assert got.count('r="1.6"') == 4
+
+
+def test_quiver_figure_takes_the_norm_as_math_hypot():
+    # The arrow's tail lies so near 235.825 px that a norm one ulp off, as
+    # np.hypot gives here, prints 235.82.
+    node = np.zeros(1)
+    args = (node, node, np.array([[-8.634626152031256]]), np.ones((1, 1)), [])
+    got = quiver_figure(*args, title="t", xlabel="x", ylabel="y")
+    assert got == reference_quiver(*args, title="t", xlabel="x", ylabel="y")
+    assert '<line x1="235.83" y1="484.90" x2="-91.83" y2="446.95"' in got
+
+
+def test_quiver_figure_rejects_a_field_of_another_shape():
+    x = np.array([0.0, 1.0])
+    field = np.ones((3, 3))
+    shape = r"^u and v must have shape \(len\(x1\), len\(x2\)\) = \(2, 2\), "
+    with pytest.raises(ValueError, match=shape + r"got \(3, 3\) and \(3, 3\)$"):
+        quiver_figure(x, x, field, field, [], title="t", xlabel="x", ylabel="y")
+    with pytest.raises(ValueError, match=r"got \(2, 2\) and \(2,\)$"):
+        quiver_figure(x, x, np.ones((2, 2)), np.ones(2), [], title="t", xlabel="x", ylabel="y")
