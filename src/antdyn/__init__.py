@@ -64,6 +64,7 @@ from .simulate import (
     check_sum_bounds,
     integrate,
     integrate_rows,
+    iter_trajectory_csv,
     sum_envelope,
     trajectory_to_csv,
     write_trajectory_csv,
@@ -117,6 +118,7 @@ __all__ = [
     "get_preset",
     "integrate",
     "integrate_rows",
+    "iter_trajectory_csv",
     "jacobian",
     "load_config",
     "parse_config",

@@ -30,7 +30,7 @@ from .simulate import (
     PositivityPolicy,
     Scheme,
     integrate,
-    trajectory_to_csv,
+    iter_trajectory_csv,
     write_trajectory_csv,
 )
 from .stability import find_equilibria
@@ -119,7 +119,7 @@ def _cmd_simulate(args) -> int:
     source = traj.scheme.value if config.source_column else None
     target = args.output or (Path(config.trajectory) if config.trajectory else None)
     if target is None:
-        sys.stdout.write(trajectory_to_csv(traj, source=source))
+        sys.stdout.writelines(iter_trajectory_csv(traj, source))
     else:
         write_trajectory_csv(traj, target, source=source)
         print(f"wrote {target}")

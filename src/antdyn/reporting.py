@@ -15,7 +15,7 @@ import io
 import itertools
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -90,8 +90,10 @@ def compose_report(sections: Sequence[tuple[Optional[str], Sequence[str]]]) -> s
     return "\n\n".join(chunks) + "\n"
 
 
-# Cells per pass of the block formatter: keeps its temporaries near 0.5 MB.
-_FMT_CELLS = 4096
+# Cells per pass of the block formatter.  A pass allocates about 306 B a
+# cell at its peak (0.94 MB at 3,072 cells, by tracemalloc), two thirds of
+# it the 200 B gather index; 2,048-cell passes ran 5-8 % slower.
+_FMT_CELLS = 3072
 # Magnitudes the formatter spells itself; the rest go to "%.17g".  Their
 # decimal exponents, estimated from log10, lie in [_E_MIN, -_E_MIN).
 _FMT_RANGE = (1e-270, 1e270)
@@ -214,41 +216,55 @@ def _format_cells(values, sep) -> bytes:
     trailing = np.argmax(src[:, _SRC_ZERO - 1 : _SRC_DIGIT - 1 : -1] != ord("0"), axis=1)
     # a zero, spelled so far as the one of its stand-in, becomes "0" or "-0"
     src[zero, _SRC_DIGIT] = ord("0")
+    # free the scaling temporaries before the gather, which sets the peak
+    del mag, zero, ok, e, hi, hi_high, hi_low, lo, top, m_high, m_low, rest, whole, frac
+    del d, lead, high, low, chunks
     cols = layout.take(key[np.signbit(values).astype(np.intp), row] + (16 - trailing), axis=0)
     cols += np.arange(0, m * _SRC_WIDTH, _SRC_WIDTH)[:, None]
     out = src.ravel().take(cols)
+    del cols, src
     for i in np.flatnonzero(bad).tolist():
         text = _spell_exactly(values[i], sep[i])
         out[i] = np.frombuffer(text.ljust(_FMT_WIDTH, b"\0"), np.uint8)
     return out.tobytes().translate(None, b"\0")
 
 
-def _format_block(block) -> str:
-    """Render a 2-d float block as CSV rows: cells joined by ``,``, rows
-    ended by ``\\n``, each cell exactly as ``"%.17g"`` spells it.
+def _format_passes(columns, end="\n") -> Iterator[str]:
+    """Yield float columns as CSV rows, a pass of whole rows at a time.
 
-    The text is byte for byte ``"".join(",".join("%.17g" % v for v in
-    row) + "\\n" for row in block)``.  Each cell is scaled to 17 integer
-    digits in double-double arithmetic (Dekker's product against a table
-    of powers of ten built from exact integers), rounded, and spelled
-    through a 4-digit table and one layout table.  A cell that this
-    cannot decide with margin is spelled by ``"%.17g"`` itself, CPython's
-    correctly rounded conversion: non-finite values, nonzero magnitudes
-    outside [1e-270, 1e270), scaled values within 1e-6 of a rounding tie
-    (exact ties round half-even there), and cells whose decimal exponent
-    estimate was one off.  Zeros are spelled ``0`` and ``-0`` in the
-    vectorized path.  Works in passes of whole rows of at most
-    ``_FMT_CELLS`` cells.
+    ``columns`` are 1-d or 2-d float arrays with one row per CSV row,
+    laid side by side.  Cells are joined by ``,`` and each row is ended
+    by ``end``; each cell is spelled exactly as ``"%.17g"`` spells it.
+    Each cell is scaled to 17 integer digits in double-double arithmetic
+    (Dekker's product against a table of powers of ten built from exact
+    integers), rounded, and spelled through a 4-digit table and one
+    layout table.  A cell that this cannot decide with margin is spelled
+    by ``"%.17g"`` itself, CPython's correctly rounded conversion:
+    non-finite values, nonzero magnitudes outside [1e-270, 1e270),
+    scaled values within 1e-6 of a rounding tie (exact ties round
+    half-even there), and cells whose decimal exponent estimate was one
+    off.  Zeros are spelled ``0`` and ``-0`` in the vectorized path.
+    A pass holds at most ``_FMT_CELLS`` cells (or one row), so the
+    memory of a pass does not grow with the number of rows.
     """
-    block = np.asarray(block, dtype=float)
-    rows, width = block.shape
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    rows = len(columns[0])
+    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
     step = max(1, _FMT_CELLS // width)
     sep = np.tile(np.frombuffer(b"," * (width - 1) + b"\n", np.uint8), min(step, rows))
-    parts = []
     for start in range(0, rows, step):
-        part = block[start : start + step].ravel()
-        parts.append(_format_cells(part, sep[: part.size]))
-    return b"".join(parts).decode("ascii")
+        part = np.column_stack([c[start : start + step] for c in columns]).ravel()
+        text = _format_cells(part, sep[: part.size]).decode("ascii")
+        yield text if end == "\n" else text.replace("\n", end)
+
+
+def _format_block(block) -> str:
+    """Render a 2-d float block as CSV rows by :func:`_format_passes`.
+
+    The text is byte for byte ``"".join(",".join("%.17g" % v for v in
+    row) + "\\n" for row in block)``.
+    """
+    return "".join(_format_passes([block]))
 
 
 def grid_csv(grid: PhaseGrid) -> str:
@@ -415,6 +431,17 @@ def write_text_atomic(path, text: str) -> Path:
     file keeps its mode, and a new one gets 0o666 less the umask, not the
     0o600 of ``tempfile.mkstemp``.  A write that fails leaves no
     temporary file and raises ``OSError`` naming ``path``, not the
+    temporary file.  Trajectory CSVs stream through the same writer a
+    pass at a time, so their memory does not grow with the run.
+    """
+    return _write_atomic(path, (text,))
+
+
+def _write_atomic(path, chunks: Iterable[str]) -> Path:
+    """Write ``chunks`` in turn as :func:`write_text_atomic` writes its text.
+
+    The target is replaced only once every chunk is written; an error
+    from the chunk source leaves the old target as it was and no
     temporary file.
     """
     target = Path(path)
@@ -428,7 +455,7 @@ def write_text_atomic(path, text: str) -> Path:
                     os.fchmod(fd, os.stat(target).st_mode & 0o7777)
                 except FileNotFoundError:
                     pass
-                handle.write(text)
+                handle.writelines(chunks)
             os.replace(tmp_name, target)
         except BaseException:
             try:

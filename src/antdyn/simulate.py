@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .models import (
     require_rows,
     rhs,
 )
-from .reporting import _format_block, write_text_atomic
+from .reporting import _format_passes, _write_atomic
 
 __all__ = [
     "CLAMP_FLOOR",
@@ -50,6 +50,7 @@ __all__ = [
     "check_sum_bounds",
     "integrate",
     "integrate_rows",
+    "iter_trajectory_csv",
     "sum_envelope",
     "trajectory_to_csv",
     "write_trajectory_csv",
@@ -416,24 +417,39 @@ def check_sum_bounds(traj: Trajectory, model: ModelSpec) -> SumBoundsReport:
     )
 
 
-def trajectory_to_csv(traj: Trajectory, source: Optional[str] = None) -> str:
-    """Render a trajectory as CSV text.
+def iter_trajectory_csv(traj: Trajectory, source: Optional[str] = None) -> Iterator[str]:
+    """Yield the CSV text of a trajectory: the header, then one pass of rows at a time.
 
     Header is ``t,x_1,...,x_n,S``; each float is spelled exactly as
     ``"%.17g"`` spells it (17 significant digits, so doubles round-trip),
     by one vectorized formatter that hands every cell it cannot decide
     with margin to ``"%.17g"`` itself.  When ``source`` is given, a
-    trailing ``source`` column carries it on every row.
+    trailing ``source`` column carries it on every row.  A pass holds a
+    few thousand cells, so the memory of the text in flight does not
+    grow with the length of the run.
     """
     columns = ["t"] + [f"x_{i + 1}" for i in range(traj.n)] + ["S"]
     if source is not None:
         columns.append("source")
-    body = _format_block(np.column_stack([traj.times, traj.states, traj.sums]))
-    if source is not None:
-        body = body.replace("\n", f",{source}\n")
-    return ",".join(columns) + "\n" + body
+    yield ",".join(columns) + "\n"
+    end = "\n" if source is None else f",{source}\n"
+    yield from _format_passes([traj.times, traj.states, traj.sums], end)
+
+
+def trajectory_to_csv(traj: Trajectory, source: Optional[str] = None) -> str:
+    """Render a trajectory as CSV text: the passes of :func:`iter_trajectory_csv`, joined.
+
+    The whole text is held in memory; :func:`write_trajectory_csv`
+    streams the same bytes to a file instead.
+    """
+    return "".join(iter_trajectory_csv(traj, source))
 
 
 def write_trajectory_csv(traj: Trajectory, path, source: Optional[str] = None):
-    """Write :func:`trajectory_to_csv` output atomically; return the path as a ``Path``."""
-    return write_text_atomic(path, trajectory_to_csv(traj, source=source))
+    """Write :func:`trajectory_to_csv` output atomically; return the path as a ``Path``.
+
+    The CSV streams into the temporary file of
+    :func:`~antdyn.reporting.write_text_atomic` one pass at a time, so
+    its memory does not grow with the length of the run.
+    """
+    return _write_atomic(path, iter_trajectory_csv(traj, source))

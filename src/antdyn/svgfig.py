@@ -146,9 +146,20 @@ def _document(parts: Sequence[str], width=WIDTH, height=HEIGHT) -> str:
     )
 
 
+def _drawable(lo: float, hi: float) -> bool:
+    """Whether ``hi - lo``, an axis span of a frame, maps to pixels and ticks.
+
+    A tick step is at least a fifth of the span, and it must be no finer
+    than the spacing of the doubles at the span's ends, or the ticks
+    would not advance.
+    """
+    span = hi - lo
+    return 0.0 < span < math.inf and span / 5 > math.ulp(max(abs(lo), abs(hi)))
+
+
 def _check_span(axis: str, lo: float, hi: float, series, bounds) -> None:
-    """Raise unless ``hi - lo``, an axis span of the frame, maps to pixels."""
-    if not 0.0 < hi - lo < math.inf:
+    """Raise unless the axis span ``lo .. hi`` of the frame is :func:`_drawable`."""
+    if not _drawable(lo, hi):
         first = series[int(np.argmin(bounds[:, 0]))].label
         last = series[int(np.argmax(bounds[:, 1]))].label
         names = repr(first) if first == last else f"{first!r} and {last!r}"
@@ -239,8 +250,10 @@ def quiver_figure(
     ``u`` and ``v`` hold the field at node ``(x1[i], x2[j])`` in row
     ``i``, column ``j``, so their shape must be ``(len(x1), len(x2))``.
     Arrows show direction only; nodes where the field vanishes get a dot.
-    ``markers`` are annotated points (equilibria).  Every coordinate is
-    spelled exactly as ``"%.2f"`` spells it, node by node.
+    ``markers`` are annotated points (equilibria).  A non-finite field
+    value raises ``ValueError`` naming its node, and node coordinates
+    whose span cannot be drawn raise one naming the axis.  Every
+    coordinate is spelled exactly as ``"%.2f"`` spells it, node by node.
     """
     shape = (len(x1), len(x2))
     if np.shape(u) != shape or np.shape(v) != shape:
@@ -248,7 +261,21 @@ def quiver_figure(
             f"u and v must have shape (len(x1), len(x2)) = {shape}, "
             f"got {np.shape(u)} and {np.shape(v)}"
         )
+    bad = np.argwhere(~(np.isfinite(u) & np.isfinite(v)))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise ValueError(
+            f"field at node ({i}, {j}), x = ({float(x1[i]):.6g}, {float(x2[j]):.6g}), "
+            f"is not finite: (u, v) = ({float(u[i, j]):.6g}, {float(v[i, j]):.6g})"
+        )
     frame = _Frame((float(x1[0]), float(x1[-1])), (float(x2[0]), float(x2[-1])))
+    axes = (("x1", x1, frame.x_lo, frame.x_hi), ("x2", x2, frame.y_lo, frame.y_hi))
+    for name, nodes, lo, hi in axes:
+        if not _drawable(lo, hi):
+            raise ValueError(
+                f"{name} spans {float(nodes[0]):.6g} to {float(nodes[-1]):.6g}, "
+                "which cannot be mapped to pixels"
+            )
     parts = _axes(frame, title, xlabel, ylabel)
     cell = min(
         (frame.px_hi - frame.px_lo) / max(len(x1) - 1, 1),

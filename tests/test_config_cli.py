@@ -1,5 +1,7 @@
 """Run-file parsing and command-line interface tests."""
 
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -16,11 +18,13 @@ from antdyn import (
     OracleRangeError,
     PathSystem,
     RunConfig,
+    integrate,
     load_config,
     parse_config,
     render_config,
     sample_asymptotic,
     sample_exact,
+    trajectory_to_csv,
 )
 from antdyn.cli import main
 from antdyn.presets import PHASE_PRESETS
@@ -301,6 +305,20 @@ def test_cli_simulate_to_stdout(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "t,x_1,x_2,S"
     assert len(lines) == 62
+
+
+def test_cli_simulate_streams_to_a_stream_without_a_buffer(tmp_path):
+    # stdout as the benchmark redirects it: text only, no .buffer; the
+    # run's 12,004 cells take several passes of the CSV formatter
+    run = BASIC_RUN.replace("steps = 60", "steps = 3000")
+    for text, source in [(run, None), (run + "[outputs]\nsource_column = yes\n", "euler")]:
+        path = write_config(tmp_path, text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["simulate", str(path)]) == 0
+        config = load_config(path)
+        traj = integrate(config.model(), config.initial_state(), config.dt, config.steps)
+        assert out.getvalue() == trajectory_to_csv(traj, source=source)
 
 
 def test_cli_simulate_to_file_and_source_column(tmp_path, capsys, monkeypatch):

@@ -282,7 +282,7 @@ def test_fixed_ties_and_pass_edges_are_percent_2f():
             FIXED_SPECIAL,
         ]
     )
-    # passes of _FMT_CELLS cells split it at many points
+    # passes of _FIXED_CELLS cells split it at many points
     seps = np.resize(np.frombuffer(b", \n", np.uint8), cells.size)
     assert_spells_percent_2f(cells, seps)
     # exact ties round half-even, and a zero of either origin keeps its sign

@@ -1,5 +1,7 @@
 """Integrator, positivity policy, envelope and CSV tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from antdyn import (
     g_eval,
     integrate,
     integrate_rows,
+    iter_trajectory_csv,
     sum_envelope,
     trajectory_to_csv,
     vector_field,
@@ -26,6 +29,7 @@ from antdyn import (
 from antdyn import simulate
 from antdyn.closedform import sample_asymptotic, sample_exact
 from antdyn.models import GKind, PhiKind, rhs
+from antdyn.reporting import _FMT_CELLS, _format_tables
 from antdyn.simulate import _CHECK_BLOCK, CLAMP_FLOOR
 
 
@@ -535,3 +539,62 @@ def test_csv_is_deterministic_and_written_atomically(tmp_path):
     write_trajectory_csv(traj, target)
     assert target.read_text() == trajectory_to_csv(traj)
     assert not list(target.parent.glob("*.tmp*"))
+
+
+def many_pass_run():
+    """A run whose CSV takes several passes of the formatter (24,012 cells)."""
+    model = make_model(range(1, 11), gamma=10.0)
+    return integrate(model, np.arange(1, 11) * 0.1, 0.02, 2000)
+
+
+def test_streamed_csv_is_the_text_api(tmp_path):
+    traj = many_pass_run()
+    for source in (None, "euler"):
+        passes = list(iter_trajectory_csv(traj, source))
+        assert len(passes) > 3  # the header, then the passes
+        target = write_trajectory_csv(traj, tmp_path / f"{source}.csv", source=source)
+        assert target.read_bytes() == trajectory_to_csv(traj, source=source).encode()
+        assert "".join(passes) == trajectory_to_csv(traj, source=source)
+
+
+class FormatterFailed(Exception):
+    pass
+
+
+def test_a_failed_stream_keeps_the_old_file(tmp_path, monkeypatch):
+    traj = many_pass_run()
+    real = simulate._format_passes
+
+    def first_pass_then_fail(columns, end):
+        yield next(real(columns, end))
+        raise FormatterFailed
+
+    target = tmp_path / "traj.csv"
+    target.write_bytes(b"old contents\n")
+    monkeypatch.setattr(simulate, "_format_passes", first_pass_then_fail)
+    with pytest.raises(FormatterFailed):
+        write_trajectory_csv(traj, target)
+    assert target.read_bytes() == b"old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.csv"]
+
+
+def test_streamed_csv_memory_is_bounded_by_a_pass(tmp_path):
+    # 13 MB of CSV text; a pass of the formatter allocates about 306 B a cell
+    rng = np.random.default_rng(0)
+    states = rng.uniform(0.1, 2.0, (20_001, 32))
+    traj = Trajectory(
+        times=np.arange(20_001) * 0.01,
+        states=states,
+        sums=states.sum(axis=1),
+        scheme=Scheme.EULER,
+        dt=0.01,
+    )
+    _format_tables()  # built once per process, outside the bound
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(traj, tmp_path / "long.csv", source="euler")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * _FMT_CELLS * 320
+    assert (tmp_path / "long.csv").stat().st_size > 13_000_000

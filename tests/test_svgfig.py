@@ -153,6 +153,16 @@ CANNOT_DRAW = {
         [_ramp("flat", [1e17, 1e17])],
         r"^series 'flat' span y from 1e\+17 to 1e\+17, which cannot be mapped to pixels$",
     ),
+    # a positive span whose tick step, a fifth of it, underflows to zero
+    "subnormal": (
+        [_ramp("tiny", [1.0, 2.0], x=[0.0, 5e-324])],
+        r"^series 'tiny' span x from 0 to 4.94066e-324, which cannot be mapped to pixels$",
+    ),
+    # a tick step below the spacing of the doubles, which would not advance
+    "below-spacing": (
+        [_ramp("coarse", [1.0, 2.0], x=[1e16, 1e16 + 2])],
+        r"^series 'coarse' span x from 1e\+16 to 1e\+16, which cannot be mapped to pixels$",
+    ),
 }
 
 
@@ -250,3 +260,30 @@ def test_quiver_figure_rejects_a_field_of_another_shape():
         quiver_figure(x, x, field, field, [], title="t", xlabel="x", ylabel="y")
     with pytest.raises(ValueError, match=r"got \(2, 2\) and \(2,\)$"):
         quiver_figure(x, x, np.ones((2, 2)), np.ones(2), [], title="t", xlabel="x", ylabel="y")
+
+
+def test_quiver_figure_names_the_first_non_finite_node():
+    x = np.array([0.0, 1.0])
+    u, v = np.ones((2, 2)), np.ones((2, 2))
+    u[0, 0] = np.nan
+    v[1, 0] = np.inf
+    first = r"^field at node \(0, 0\), x = \(0, 0\), is not finite: \(u, v\) = \(nan, 1\)$"
+    with pytest.raises(ValueError, match=first):
+        quiver_figure(x, x, u, v, [], title="t", xlabel="x", ylabel="y")
+    u[0, 0] = 1.0
+    with pytest.raises(ValueError, match=r"^field at node \(1, 0\), x = \(1, 0\), .* \(1, inf\)$"):
+        quiver_figure(x, x, u, v, [], title="t", xlabel="x", ylabel="y")
+
+
+@pytest.mark.parametrize(
+    "x1, message",
+    [
+        ([0.0, 5e-324], r"^x1 spans 0 to 4.94066e-324, which cannot be mapped to pixels$"),
+        ([1e16, 1e16 + 2], r"^x1 spans 1e\+16 to 1e\+16, which cannot be mapped to pixels$"),
+        ([0.0, np.inf], r"^x1 spans 0 to inf, "),
+    ],
+)
+def test_quiver_figure_names_an_axis_it_cannot_draw(x1, message):
+    field = np.ones((2, 2))
+    with pytest.raises(ValueError, match=message):
+        quiver_figure(np.array(x1), np.array([0.0, 1.0]), field, field, [], "t", "x", "y")
