@@ -313,6 +313,14 @@ def rhs(model: ModelSpec | Sequence[ModelSpec]):
     A single state reduces into a 0-d buffer bound here, and a row block
     into a ``(B,)`` one, so ``f`` belongs to one caller at a time: bind it
     once per model, and do not call it reentrantly.
+
+    :func:`antdyn.simulate.integrate` steps a single run of at most 12
+    paths with the identity or signum response without this kernel, in
+    Python floats (:mod:`antdyn._scalar`).  That stepper repeats the
+    operations above per component in this order, sums the saturation
+    in numpy's pairwise order and spells ``np.sign`` with comparisons,
+    so its values are bit for bit this kernel's; tanh runs stay here,
+    because ``math.tanh`` and ``np.tanh`` round differently.
     """
     if not isinstance(model, ModelSpec):
         return _rhs_rows(model)

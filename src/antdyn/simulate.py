@@ -6,7 +6,9 @@ cross-checks against the closed-form evaluator.  Both step through the
 model's right-hand side (:func:`antdyn.models.rhs`) on buffers allocated
 once per run, writing every stage and state in place, and without
 per-step checks; the finiteness and sign checks run once per block of
-steps and still report the first offending step exactly.
+steps and still report the first offending step exactly.  A single run
+of a few paths with the identity or signum response steps in Python
+floats instead (:mod:`antdyn._scalar`), bit for bit as numpy would.
 
 :func:`integrate_rows` integrates several models of one ``n`` as the
 rows of one ``(B, n)`` block, through one stepping loop, and
@@ -37,6 +39,7 @@ from .models import (
     require_rows,
     rhs,
 )
+from ._scalar import scalar_stepper
 from .reporting import _format_passes, _write_atomic
 
 __all__ = [
@@ -198,12 +201,27 @@ def integrate(
         ``x_i = 0``, which is that component's limit.
 
     This is the one-row case of :func:`integrate_rows`, and it runs the
-    same stepping loop on a single state of shape ``(n,)``, through the
-    one-model :func:`rhs` kernel.  Each step runs in place on buffers
-    preallocated for the run (the stages, one work row and ``dt``,
-    ``dt / 2`` and ``dt / 6`` as arrays) and rounds exactly as
-    ``x + dt * f(x)`` (Euler) or
-    ``x + ((k2 + k3) * 2 + k1 + k4) * (dt / 6)`` (RK4) would.
+    same stepping loop on a single state of shape ``(n,)``, on one of two
+    paths that round alike:
+
+    - a run of at most ``SCALAR_PATHS`` (12) paths with the identity or
+      signum response steps in Python floats (:mod:`antdyn._scalar`).
+      numpy's per-call cost dominates a step of a few paths: a
+      Python-float step takes about a third of the time of a numpy one
+      at 2 paths, and less than it up to 12.  Each operation of
+      :func:`rhs` and of the scheme is done per component in the
+      kernel's order, and the saturation sum in numpy's pairwise order,
+      so every value is bit for bit the numpy path's.  Tanh runs stay
+      on numpy, because ``math.tanh`` and ``np.tanh`` round differently;
+    - every other run steps through the one-model :func:`rhs` kernel, in
+      place on buffers preallocated for the run (the stages, one work
+      row and ``dt``, ``dt / 2`` and ``dt / 6`` as arrays).
+
+    Either way a step rounds exactly as ``x + dt * f(x)`` (Euler) or
+    ``x + ((k2 + k3) * 2 + k1 + k4) * (dt / 6)`` (RK4) would.  A block
+    that fails the check below, or meets a zero saturation (where Python
+    raises and numpy divides to an infinity), hands the Python-float run
+    to the numpy loop from that block on.
 
     A non-finite component raises :class:`IntegrationError`.  Steps run
     in blocks of ``_CHECK_BLOCK``, each checked once with one minimum and
@@ -215,7 +233,8 @@ def integrate(
     """
     scheme, positivity, times = _run_setup(scheme, positivity, dt, steps)
     x0 = require_positive_state(x0, model.n)
-    states, violations = _step(rhs(model), x0, dt, steps, scheme, positivity, (0,))
+    advance = scalar_stepper(model, dt, scheme is Scheme.EULER)
+    states, violations = _step(rhs(model), x0, dt, steps, scheme, positivity, (0,), advance)
     return Trajectory(
         times=times,
         states=states,
@@ -298,13 +317,18 @@ def integrate_rows(
     )
 
 
-def _step(f, x0, dt, steps, scheme, positivity, rows):
+def _step(f, x0, dt, steps, scheme, positivity, rows, advance=None):
     """The stepping loop of both integrators.
 
     ``x0`` is one state of shape ``(n,)`` or a row block of shape
     ``(B, n)`` that ``f`` evaluates as such, and ``rows`` names each
     row's index in the caller's order.  Returns the states, of shape
     ``(steps + 1, *x0.shape)``, and each row's first violation.
+
+    ``advance``, if given, is a scalar stepper from
+    :mod:`antdyn._scalar`: it steps each block in its place until a
+    block fails the check or it declines one, and the numpy loop takes
+    the run from the start of that block.
     """
     euler = scheme is Scheme.EULER
     # operands and buffers made once per run: every step writes in place,
@@ -321,27 +345,33 @@ def _step(f, x0, dt, steps, scheme, positivity, rows):
     with np.errstate(all="ignore"):
         while start <= steps:
             stop = min(start + block, steps + 1)
-            x = states[start - 1]
-            for k in range(start, stop):
-                f(x, k1)
-                if euler:
-                    multiply(k1, h, k1)
-                else:
-                    # stages at x + (dt / 2) * k1, x + (dt / 2) * k2, x + dt * k3
-                    f(add(x, multiply(half, k1, y), y), k2)
-                    f(add(x, multiply(half, k2, y), y), k3)
-                    f(add(x, multiply(h, k3, y), y), k4)
-                    add(k2, k3, k2)
-                    add(k2, k2, k2)  # times 2, exactly
-                    add(k2, k1, k2)
-                    add(k2, k4, k2)
-                    multiply(k2, sixth, k1)
-                x = add(x, k1, states[k])
+            if advance is not None:
+                if not advance(states, start, stop):
+                    advance = None  # a zero saturation: numpy steps this block
+                    continue
+            else:
+                x = states[start - 1]
+                for k in range(start, stop):
+                    f(x, k1)
+                    if euler:
+                        multiply(k1, h, k1)
+                    else:
+                        # stages at x + (dt / 2) * k1, x + (dt / 2) * k2, x + dt * k3
+                        f(add(x, multiply(half, k1, y), y), k2)
+                        f(add(x, multiply(half, k2, y), y), k3)
+                        f(add(x, multiply(h, k3, y), y), k4)
+                        add(k2, k3, k2)
+                        add(k2, k2, k2)  # times 2, exactly
+                        add(k2, k1, k2)
+                        add(k2, k4, k2)
+                        multiply(k2, sixth, k1)
+                    x = add(x, k1, states[k])
             checked = states[start:stop]
             # A nan fails the comparison with the minimum.
             if 0.0 <= checked.min() and checked.max() < np.inf:
                 start = stop
                 continue
+            advance = None  # the numpy loop rounds the same; it takes the run on
             if block > 1:
                 # Integrate the block again one checked step at a time, and
                 # keep that pace: after a clamp, a component pinned at the
