@@ -1,12 +1,26 @@
 """Single runs of a few paths, stepped in Python floats.
 
-For a handful of paths, the numpy calls of the stepping loop in
-:mod:`antdyn.simulate` cost far more than their arithmetic.  Python
-floats are IEEE doubles too, and each operation below is the one the
-numpy kernel performs, on the same operands and in the same order, so
-every value rounds as it does there.  The one reduction whose order
-numpy chooses, the saturation sum, follows numpy's pairwise order
-(:func:`pairwise_sum`); a maximum is exact in any order.
+The rule for a single run, stated here once: :func:`antdyn.simulate.integrate`
+steps a run of at most ``SCALAR_PATHS`` (12) paths with the identity or
+signum response here, under either saturation and either scheme; every
+other run, every tanh run and every :func:`~antdyn.simulate.integrate_rows`
+block of two or more models steps through the numpy kernel
+(:func:`antdyn.models.rhs`).  For a handful of paths, the numpy calls of
+that loop cost far more than their arithmetic: a Python-float step takes
+about a third of the time of a numpy one at 2 paths, and Python's cost
+grows with n while numpy's barely does, so the two cross near 12 paths.
+Tanh stays on numpy because ``math.tanh`` and ``np.tanh`` round
+differently.
+
+Both paths give the same trajectory, bit for bit.  Python floats are
+IEEE doubles too, and each operation below is the one the numpy kernel
+performs, on the same operands and in the same order, so every value
+rounds as it does there.  ``np.sign`` is spelled with comparisons.  The
+one reduction whose order numpy chooses, the saturation sum, follows
+numpy's pairwise order (:func:`pairwise_sum`); a maximum is exact in any
+order.  A block that fails the integrator's finiteness and sign check,
+or meets a zero saturation (where Python raises and numpy divides to an
+infinity), hands the run to the numpy loop from that block on.
 
 This module lives apart from ``simulate`` for the reason ``_fixed``
 does: without cached bytecode, every fresh interpreter compiles the
@@ -21,46 +35,27 @@ from operator import add
 
 from .models import GKind, PhiKind
 
-# Most paths a run may have and still be stepped here.  Python's cost
-# grows with n and numpy's barely does; they cross near 12 paths.
+# Most paths a run may have and still be stepped here, by the rule above.
 SCALAR_PATHS = 12
 
 
 def pairwise_sum(x) -> float:
-    """Sum a list of floats bit for bit as ``np.add.reduce`` sums a contiguous array.
+    """Sum fewer than 16 floats bit for bit as ``np.add.reduce`` sums a contiguous array.
 
-    That is numpy's pairwise summation: left to right below 8 terms;
-    from 8 to 128 terms, eight accumulators, each adding every eighth
-    term, joined as a balanced tree, then the terms past the last full
-    eight left to right; above 128, two halves summed apart, the first
-    a multiple of 8 long.
+    That is numpy's pairwise summation, which adds fewer than 8 terms left
+    to right.  From 8 terms on it keeps eight accumulators, each adding
+    every eighth term, and joins them as a balanced tree before adding the
+    terms past the last full eight left to right; below 16 terms the
+    accumulators are the first eight terms themselves.
     """
-    n = len(x)
-    if n < 8:
+    if len(x) < 8:
         return reduce(add, x, 0.0)
-    if n < 16:
-        # the accumulators are the first eight terms: the branch below,
-        # spelled out for the runs that step here
-        tree = ((x[0] + x[1]) + (x[2] + x[3])) + ((x[4] + x[5]) + (x[6] + x[7]))
-        return reduce(add, x[8:], tree)
-    if n <= 128:
-        m = n - n % 8
-        r = x[:8]
-        for i in range(8, m, 8):
-            r = list(map(add, r, x[i : i + 8]))
-        tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, x[m:], tree)
-    half = n // 2
-    half -= half % 8
-    return pairwise_sum(x[:half]) + pairwise_sum(x[half:])
+    tree = ((x[0] + x[1]) + (x[2] + x[3])) + ((x[4] + x[5]) + (x[6] + x[7]))
+    return reduce(add, x[8:], tree)
 
 
 def scalar_stepper(model, dt: float, euler: bool):
-    """The Python-float stepper of a single run, or None where the run stays on numpy.
-
-    Runs of at most ``SCALAR_PATHS`` paths with the identity or signum
-    response are eligible, under either saturation and either scheme.
-    Tanh is not: ``math.tanh`` and ``np.tanh`` round differently.
+    """The Python-float stepper of a single run, or None if the module's rule keeps it on numpy.
 
     The stepper, ``advance(states, start, stop)``, steps on from
     ``states[start - 1]`` and writes steps ``start .. stop - 1`` into

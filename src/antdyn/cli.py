@@ -44,12 +44,7 @@ NUMERIC_ERRORS = (IntegrationError, OracleRangeError, FitError)
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; keep 2 for numerics
         self.print_usage(sys.stderr)
-        raise SystemExit(self._result(message))
-
-    @staticmethod
-    def _result(message) -> int:
-        print(f"error: {message}", file=sys.stderr)
-        return 1
+        self.exit(1, f"error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -205,8 +200,8 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError, DomainError and every input check
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # an output path that cannot be written
-        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # an output path, or stdout, that cannot be written
+        print(f"error: cannot write {exc.filename or '<stdout>'}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

@@ -34,7 +34,8 @@ an error quotes its message as ``[section] option: <message>``.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, Field, dataclass, field, fields
+from enum import Enum
 from functools import cached_property
 from typing import Optional
 
@@ -52,76 +53,7 @@ class ConfigError(ValueError):
     """Raised for unreadable, malformed, or semantically invalid run files."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated contents of a run file, with defaults filled in."""
-
-    lengths: tuple[float, ...]
-    alpha: float = 1.0
-    beta: float = 1.0
-    gamma: float = 1.0
-    response: str = "identity"
-    saturation: str = "sum"
-    x0: Optional[tuple[float, ...]] = None
-    dt: float = 0.02
-    steps: int = 2000
-    scheme: str = "euler"
-    positivity: str = "reject"
-    trajectory: Optional[str] = None
-    source_column: bool = False
-    window: Optional[tuple[float, float]] = None
-
-    @cached_property
-    def paths(self) -> PathSystem:
-        """The path system of ``lengths``, built once and shared by the methods below."""
-        return PathSystem.from_lengths(self.lengths)
-
-    def model(self) -> ModelSpec:
-        return ModelSpec(
-            alpha=self.alpha,
-            beta=self.beta,
-            gamma=self.gamma,
-            phi_kind=self.saturation,
-            g_kind=self.response,
-            paths=self.paths,
-        )
-
-    def initial_state(self) -> np.ndarray:
-        """Initial state in canonical (weight-sorted) component order."""
-        if self.x0 is None:
-            return np.ones(len(self.lengths))
-        return self.paths.to_canonical(np.asarray(self.x0))
-
-
-_KNOWN = {
-    "model": ("lengths", "alpha", "beta", "gamma", "response", "saturation"),
-    "run": ("x0", "dt", "steps", "scheme", "positivity"),
-    "outputs": ("trajectory", "source_column"),
-    "analysis": ("window",),
-}
-
 _BOOL = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
-
-
-class _Collector:
-    """Accumulates option values and problems while walking a parsed file."""
-
-    def __init__(self, parser: configparser.ConfigParser):
-        self.parser = parser
-        self.errors: list[str] = []
-        self.values: dict[str, object] = {}
-
-    def complain(self, section: str, option: str, message: str) -> None:
-        self.errors.append(f"[{section}] {option}: {message}")
-
-    def take(self, section, option, convert) -> None:
-        if not self.parser.has_option(section, option):
-            return
-        raw = self.parser.get(section, option).strip()
-        try:
-            self.values[option] = convert(raw)
-        except ValueError as exc:
-            self.complain(section, option, str(exc))
 
 
 def _float(raw: str) -> float:
@@ -155,7 +87,9 @@ def _pair(raw: str) -> tuple[float, float]:
     return values  # type: ignore[return-value]
 
 
-def _choice(allowed: tuple[str, ...]):
+def _choice(kind: type[Enum]):
+    allowed = tuple(k.value for k in kind)
+
     def convert(raw: str) -> str:
         if raw not in allowed:
             raise ValueError(f"expected one of {', '.join(allowed)}; got {raw!r}")
@@ -171,6 +105,61 @@ def _bool(raw: str) -> bool:
         raise ValueError(f"expected yes/no, got {raw!r}")
 
 
+def _option(section: str, parse, default=MISSING):
+    """A run-file option: its section, its parser, and its default (none: required)."""
+    return field(default=default, metadata={"section": section, "parse": parse})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Validated contents of a run file, with defaults filled in.
+
+    Fields come in run-file order, each with its section and parser.
+    """
+
+    lengths: tuple[float, ...] = _option("model", _float_list)
+    alpha: float = _option("model", _float, 1.0)
+    beta: float = _option("model", _float, 1.0)
+    gamma: float = _option("model", _float, 1.0)
+    response: str = _option("model", _choice(GKind), "identity")
+    saturation: str = _option("model", _choice(PhiKind), "sum")
+    x0: Optional[tuple[float, ...]] = _option("run", _float_list, None)
+    dt: float = _option("run", _float, 0.02)
+    steps: int = _option("run", _int, 2000)
+    scheme: str = _option("run", _choice(Scheme), "euler")
+    positivity: str = _option("run", _choice(PositivityPolicy), "reject")
+    trajectory: Optional[str] = _option("outputs", str, None)
+    source_column: bool = _option("outputs", _bool, False)
+    window: Optional[tuple[float, float]] = _option("analysis", _pair, None)
+
+    @cached_property
+    def paths(self) -> PathSystem:
+        """The path system of ``lengths``, built once and shared by the methods below."""
+        return PathSystem.from_lengths(self.lengths)
+
+    def model(self) -> ModelSpec:
+        return ModelSpec(
+            alpha=self.alpha,
+            beta=self.beta,
+            gamma=self.gamma,
+            phi_kind=self.saturation,
+            g_kind=self.response,
+            paths=self.paths,
+        )
+
+    def initial_state(self) -> np.ndarray:
+        """Initial state in canonical (weight-sorted) component order."""
+        if self.x0 is None:
+            return np.ones(len(self.lengths))
+        return self.paths.to_canonical(np.asarray(self.x0))
+
+
+# section -> {option: field}, both in run-file order
+_SECTIONS: dict[str, dict[str, Field]] = {}
+for _f in fields(RunConfig):
+    _SECTIONS.setdefault(_f.metadata["section"], {})[_f.name] = _f
+
+
 def parse_config(text: str, origin: str = "<config>") -> RunConfig:
     """Parse and validate run-file text; raise ConfigError listing every problem."""
     parser = configparser.ConfigParser(interpolation=None, strict=True)
@@ -179,40 +168,34 @@ def parse_config(text: str, origin: str = "<config>") -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
 
-    col = _Collector(parser)
+    errors = []
     for section in parser.sections():
-        if section not in _KNOWN:
-            col.errors.append(f"unknown section [{section}]")
+        if section not in _SECTIONS:
+            errors.append(f"unknown section [{section}]")
             continue
         for option in parser.options(section):
-            if option not in _KNOWN[section]:
-                col.errors.append(f"[{section}] unknown option {option!r}")
+            if option not in _SECTIONS[section]:
+                errors.append(f"[{section}] unknown option {option!r}")
 
-    if not parser.has_section("model"):
-        col.errors.append("missing required section [model]")
-    if parser.has_option("model", "lengths"):
-        col.take("model", "lengths", _float_list)
-    elif parser.has_section("model"):
-        col.errors.append("[model] lengths: required option is missing")
+    values = {}
+    for section, options in _SECTIONS.items():
+        for option, f in options.items():
+            if parser.has_option(section, option):
+                try:
+                    values[option] = f.metadata["parse"](parser.get(section, option).strip())
+                except ValueError as exc:
+                    errors.append(f"[{section}] {option}: {exc}")
+            elif f.default is MISSING:
+                errors.append(
+                    f"[{section}] {option}: required option is missing"
+                    if parser.has_section(section)
+                    else f"missing required section [{section}]"
+                )
 
-    col.take("model", "alpha", _float)
-    col.take("model", "beta", _float)
-    col.take("model", "gamma", _float)
-    col.take("model", "response", _choice(tuple(k.value for k in GKind)))
-    col.take("model", "saturation", _choice(tuple(k.value for k in PhiKind)))
-    col.take("run", "x0", _float_list)
-    col.take("run", "dt", _float)
-    col.take("run", "steps", _int)
-    col.take("run", "scheme", _choice(tuple(s.value for s in Scheme)))
-    col.take("run", "positivity", _choice(tuple(p.value for p in PositivityPolicy)))
-    col.take("outputs", "trajectory", str)
-    col.take("outputs", "source_column", _bool)
-    col.take("analysis", "window", _pair)
+    if errors:
+        raise ConfigError(f"{origin}:\n  " + "\n  ".join(errors))
 
-    if col.errors:
-        raise ConfigError(f"{origin}:\n  " + "\n  ".join(col.errors))
-
-    config = RunConfig(**col.values)  # type: ignore[arg-type]
+    config = RunConfig(**values)  # type: ignore[arg-type]
     semantic = _semantic_errors(config)
     if semantic:
         raise ConfigError(f"{origin}:\n  " + "\n  ".join(semantic))
@@ -266,19 +249,13 @@ def _fmt(value) -> str:
 
 def render_config(config: RunConfig) -> str:
     """Render a RunConfig back to run-file text; inverse of parse_config."""
-    by_option = {}
-    for f in fields(config):
-        by_option[f.name] = getattr(config, f.name)
     lines = []
-    for section, options in _KNOWN.items():
-        body = []
-        for option in options:
-            value = by_option[option]
-            if value is None:
-                continue
-            body.append(f"{option} = {_fmt(value)}")
+    for section, options in _SECTIONS.items():
+        body = [
+            f"{option} = {_fmt(value)}"
+            for option in options
+            if (value := getattr(config, option)) is not None
+        ]
         if body:
-            lines.append(f"[{section}]")
-            lines.extend(body)
-            lines.append("")
+            lines += [f"[{section}]", *body, ""]
     return "\n".join(lines)

@@ -314,13 +314,8 @@ def rhs(model: ModelSpec | Sequence[ModelSpec]):
     into a ``(B,)`` one, so ``f`` belongs to one caller at a time: bind it
     once per model, and do not call it reentrantly.
 
-    :func:`antdyn.simulate.integrate` steps a single run of at most 12
-    paths with the identity or signum response without this kernel, in
-    Python floats (:mod:`antdyn._scalar`).  That stepper repeats the
-    operations above per component in this order, sums the saturation
-    in numpy's pairwise order and spells ``np.sign`` with comparisons,
-    so its values are bit for bit this kernel's; tanh runs stay here,
-    because ``math.tanh`` and ``np.tanh`` round differently.
+    Some single runs step without this kernel, in Python floats, bit for
+    bit as it would, by the rule that :mod:`antdyn._scalar` states.
     """
     if not isinstance(model, ModelSpec):
         return _rhs_rows(model)

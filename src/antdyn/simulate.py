@@ -6,9 +6,9 @@ cross-checks against the closed-form evaluator.  Both step through the
 model's right-hand side (:func:`antdyn.models.rhs`) on buffers allocated
 once per run, writing every stage and state in place, and without
 per-step checks; the finiteness and sign checks run once per block of
-steps and still report the first offending step exactly.  A single run
-of a few paths with the identity or signum response steps in Python
-floats instead (:mod:`antdyn._scalar`), bit for bit as numpy would.
+steps and still report the first offending step exactly.  Some single
+runs step in Python floats instead, bit for bit as numpy would, by the
+rule that :mod:`antdyn._scalar` states.
 
 :func:`integrate_rows` integrates several models of one ``n`` as the
 rows of one ``(B, n)`` block, through one stepping loop, and
@@ -23,6 +23,7 @@ with a different source tag.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence
@@ -151,7 +152,9 @@ class SumBoundsReport:
 
 
 def require_steps(steps: int) -> int:
-    """Check a step count: nonnegative."""
+    """Check a step count: an integer (numpy's too), nonnegative."""
+    if not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     return steps
@@ -201,27 +204,13 @@ def integrate(
         ``x_i = 0``, which is that component's limit.
 
     This is the one-row case of :func:`integrate_rows`, and it runs the
-    same stepping loop on a single state of shape ``(n,)``, on one of two
-    paths that round alike:
-
-    - a run of at most ``SCALAR_PATHS`` (12) paths with the identity or
-      signum response steps in Python floats (:mod:`antdyn._scalar`).
-      numpy's per-call cost dominates a step of a few paths: a
-      Python-float step takes about a third of the time of a numpy one
-      at 2 paths, and less than it up to 12.  Each operation of
-      :func:`rhs` and of the scheme is done per component in the
-      kernel's order, and the saturation sum in numpy's pairwise order,
-      so every value is bit for bit the numpy path's.  Tanh runs stay
-      on numpy, because ``math.tanh`` and ``np.tanh`` round differently;
-    - every other run steps through the one-model :func:`rhs` kernel, in
-      place on buffers preallocated for the run (the stages, one work
-      row and ``dt``, ``dt / 2`` and ``dt / 6`` as arrays).
-
-    Either way a step rounds exactly as ``x + dt * f(x)`` (Euler) or
-    ``x + ((k2 + k3) * 2 + k1 + k4) * (dt / 6)`` (RK4) would.  A block
-    that fails the check below, or meets a zero saturation (where Python
-    raises and numpy divides to an infinity), hands the Python-float run
-    to the numpy loop from that block on.
+    same stepping loop on a single state of shape ``(n,)``: through the
+    one-model :func:`rhs` kernel, in place on buffers preallocated for
+    the run (the stages, one work row and ``dt``, ``dt / 2`` and
+    ``dt / 6`` as arrays), or in Python floats for the runs that
+    :mod:`antdyn._scalar` names, with the same result.  Either way a step
+    rounds exactly as ``x + dt * f(x)`` (Euler) or
+    ``x + ((k2 + k3) * 2 + k1 + k4) * (dt / 6)`` (RK4) would.
 
     A non-finite component raises :class:`IntegrationError`.  Steps run
     in blocks of ``_CHECK_BLOCK``, each checked once with one minimum and
@@ -235,14 +224,7 @@ def integrate(
     x0 = require_positive_state(x0, model.n)
     advance = scalar_stepper(model, dt, scheme is Scheme.EULER)
     states, violations = _step(rhs(model), x0, dt, steps, scheme, positivity, (0,), advance)
-    return Trajectory(
-        times=times,
-        states=states,
-        sums=states.sum(axis=1),
-        scheme=scheme,
-        dt=dt,
-        first_violation=violations[0],
-    )
+    return _trajectories(states[None], violations, times, scheme, dt)[0]
 
 
 def integrate_rows(
@@ -301,19 +283,18 @@ def integrate_rows(
     states, violations = _step(
         rhs([models[i] for i in order]), block[order], dt, steps, scheme, positivity, order
     )
+    place = np.argsort(order).tolist()  # each caller row's place in the block
     # one contiguous (steps + 1, n) block per row, as integrate makes it
-    per_row = states.transpose(1, 0, 2).copy()
-    sums = per_row.sum(axis=2)
+    per_row = states.transpose(1, 0, 2)[place]
+    return _trajectories(per_row, [violations[p] for p in place], times, scheme, dt)
+
+
+def _trajectories(states, violations, times, scheme, dt) -> tuple[Trajectory, ...]:
+    """One Trajectory per row of ``states``, a C-contiguous ``(B, steps + 1, n)`` block."""
+    sums = states.sum(axis=2)
     return tuple(
-        Trajectory(
-            times=times,
-            states=per_row[p],
-            sums=sums[p],
-            scheme=scheme,
-            dt=dt,
-            first_violation=violations[p],
-        )
-        for p in np.argsort(order).tolist()  # each caller row's place in the block
+        Trajectory(times=times, states=x, sums=s, scheme=scheme, dt=dt, first_violation=v)
+        for x, s, v in zip(states, sums, violations)
     )
 
 

@@ -138,11 +138,17 @@ def _axes(frame: _Frame, title: str, xlabel: str, ylabel: str) -> list[str]:
     return parts
 
 
-def _document(parts: Sequence[str], width=WIDTH, height=HEIGHT) -> str:
+def _document(parts: list[str], caption: Optional[str] = None) -> str:
+    """The SVG document of ``parts``, with the caption, if any, below the frame."""
+    if caption:
+        parts.append(
+            f'<text x="{MARGIN_LEFT}" y="{HEIGHT - 8}" font-size="11" '
+            f'fill="#555555">{caption}</text>'
+        )
     body = "\n".join(parts)
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n{body}\n</svg>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">\n{body}\n</svg>\n'
     )
 
 
@@ -226,12 +232,7 @@ def line_figure(
         parts.append(
             f'<text x="{lx + 28}" y="{ly}" font-size="12" fill="#222222">{s.label}</text>'
         )
-    if caption:
-        parts.append(
-            f'<text x="{MARGIN_LEFT}" y="{HEIGHT - 8}" font-size="11" '
-            f'fill="#555555">{caption}</text>'
-        )
-    return _document(parts)
+    return _document(parts, caption)
 
 
 def quiver_figure(
@@ -313,9 +314,4 @@ def quiver_figure(
         parts.append(
             f'<text x="{px + 8:.2f}" y="{py - 6:.2f}" font-size="12" fill="#000000">{label}</text>'
         )
-    if caption:
-        parts.append(
-            f'<text x="{MARGIN_LEFT}" y="{HEIGHT - 8}" font-size="11" '
-            f'fill="#555555">{caption}</text>'
-        )
-    return _document(parts)
+    return _document(parts, caption)

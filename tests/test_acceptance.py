@@ -14,8 +14,6 @@ import pytest
 from antdyn import (
     FFunction,
     GKind,
-    ModelSpec,
-    PathSystem,
     PhiKind,
     Scheme,
     StabilityLabel,
@@ -31,22 +29,13 @@ from antdyn import (
 )
 from antdyn.presets import PRESETS
 
+from helpers import make_model
+
 
 def verdict(capsys, number, passed, detail):
     with capsys.disabled():
         print(f"criterion {number}: {'PASS' if passed else 'FAIL'} - {detail}")
     assert passed, f"criterion {number}: {detail}"
-
-
-def make_model(lengths, alpha, beta, gamma, phi="sum", g="identity"):
-    return ModelSpec(
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        phi_kind=phi,
-        g_kind=g,
-        paths=PathSystem.from_lengths(lengths),
-    )
 
 
 def ten_paths_biased_start():

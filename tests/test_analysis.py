@@ -12,8 +12,6 @@ import antdyn.analysis
 from antdyn import (
     FitError,
     IntegrationError,
-    ModelSpec,
-    PathSystem,
     PositivityPolicy,
     Scheme,
     Trajectory,
@@ -30,16 +28,7 @@ from antdyn import (
 from antdyn.analysis import MIN_FIT_SAMPLES, DecayFit
 from antdyn.models import TIE_RTOL
 
-
-def make_model(lengths, alpha=1.0, beta=1.0, gamma=1.0, phi="sum", g="identity"):
-    return ModelSpec(
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        phi_kind=phi,
-        g_kind=g,
-        paths=PathSystem.from_lengths(lengths),
-    )
+from helpers import make_model
 
 
 def make_trajectory(times, states, dt=None, scheme=Scheme.EULER):

@@ -23,9 +23,7 @@ import antdyn.closedform
 from antdyn import (
     DomainError,
     FFunction,
-    ModelSpec,
     OracleRangeError,
-    PathSystem,
     Scheme,
     asymptotic_state,
     exact_state,
@@ -41,16 +39,7 @@ from antdyn import (
 from antdyn.closedform import CORRECTION_LIMIT, MAX_LOG_ARG, NEWTON_BUDGET
 from antdyn.models import TIE_RTOL
 
-
-def make_model(lengths, alpha=1.0, beta=1.0, gamma=1.0, phi="sum", g="identity"):
-    return ModelSpec(
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        phi_kind=phi,
-        g_kind=g,
-        paths=PathSystem.from_lengths(lengths),
-    )
+from helpers import make_model
 
 
 def test_f_building_blocks():
@@ -310,6 +299,12 @@ def test_sample_grids_share_the_trajectory_container():
             sample_exact(model, x0, dt, 4)
     with pytest.raises(ValueError, match="^steps must be nonnegative, got -1$"):
         sample_asymptotic(model, x0, 0.25, np.int64(-1))
+    # a step count is an integer, a numpy one too, never a float, even a whole one
+    for producer in (sample_exact, sample_asymptotic, integrate):
+        assert producer(model, x0, 0.25, np.int64(3)).steps == 3
+        for steps in (2.5, 3.0):
+            with pytest.raises(ValueError, match=f"^steps must be an integer, got {steps}$"):
+                producer(model, x0, 0.25, steps)
 
 
 @st.composite

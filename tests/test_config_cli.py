@@ -1,6 +1,7 @@
 """Run-file parsing and command-line interface tests."""
 
 import contextlib
+import errno
 import io
 import os
 import re
@@ -156,6 +157,38 @@ window = 5, 2
     assert "window" in message
 
 
+def test_aggregated_error_text_lists_problems_in_file_then_field_order():
+    text = """\
+[misc]
+foo = 1
+
+[model]
+alpha = many
+omega = 3
+
+[run]
+steps = 2.5
+"""
+    with pytest.raises(ConfigError) as info:
+        parse_config(text, origin="bad.ini")
+    assert str(info.value) == (
+        "bad.ini:\n"
+        "  unknown section [misc]\n"
+        "  [model] unknown option 'omega'\n"
+        "  [model] lengths: required option is missing\n"
+        "  [model] alpha: expected a number, got 'many'\n"
+        "  [run] steps: expected an integer, got '2.5'"
+    )
+    with pytest.raises(ConfigError) as info:
+        parse_config("[run]\ndt = x\nscheme = magic\n", origin="bad.ini")
+    assert str(info.value) == (
+        "bad.ini:\n"
+        "  missing required section [model]\n"
+        "  [run] dt: expected a number, got 'x'\n"
+        "  [run] scheme: expected one of euler, rk4, exact, asymptotic; got 'magic'"
+    )
+
+
 def test_structural_errors():
     with pytest.raises(ConfigError, match="missing required section"):
         parse_config("[run]\ndt = 0.1\n")
@@ -267,6 +300,30 @@ def test_load_config_missing_file(tmp_path):
     target = tmp_path / "run.ini"
     target.write_text(MINIMAL)
     assert load_config(target) == parse_config(MINIMAL, origin=str(target))
+
+
+def test_render_config_text_of_a_full_and_a_sparse_config():
+    assert render_config(parse_config(FULL)) == FULL.replace("1, 2, 4", "1.0, 2.0, 4.0")
+    sparse = RunConfig(lengths=(1.0, 2.0), trajectory="t.csv", source_column=True)
+    assert render_config(sparse) == (
+        "[model]\n"
+        "lengths = 1.0, 2.0\n"
+        "alpha = 1.0\n"
+        "beta = 1.0\n"
+        "gamma = 1.0\n"
+        "response = identity\n"
+        "saturation = sum\n"
+        "\n"
+        "[run]\n"
+        "dt = 0.02\n"
+        "steps = 2000\n"
+        "scheme = euler\n"
+        "positivity = reject\n"
+        "\n"
+        "[outputs]\n"
+        "trajectory = t.csv\n"
+        "source_column = yes\n"
+    )
 
 
 def test_render_config_formats():
@@ -593,6 +650,19 @@ def assert_unwritable(err: str, target: Path, root: Path):
     assert err.startswith(f"error: cannot write {target}: ")
     assert ".tmp" not in err and "Traceback" not in err
     assert not list(root.rglob("*.tmp"))
+
+
+def test_cli_names_stdout_when_it_cannot_be_written(tmp_path, capsys, monkeypatch):
+    # stdout as a pipe whose reader has gone, as in `antdyn presets | head -c 0`
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    path = write_config(tmp_path, BASIC_RUN)
+    for argv in (["simulate", str(path)], ["presets"], ["equilibria", str(path)]):
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: cannot write <stdout>: Broken pipe\n"
 
 
 def test_cli_simulate_onto_a_directory_exits_1(tmp_path, capsys):

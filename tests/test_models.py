@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from antdyn import (
     DomainError,
     GKind,
-    ModelSpec,
     NondifferentiablePointError,
     PathSystem,
     PhiKind,
@@ -26,16 +25,7 @@ from antdyn import (
 )
 from antdyn.models import TIE_RTOL, require_admissible, require_positive_state, rhs
 
-
-def make_model(lengths, alpha=1.0, beta=1.0, gamma=1.0, phi="sum", g="identity"):
-    return ModelSpec(
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        phi_kind=phi,
-        g_kind=g,
-        paths=PathSystem.from_lengths(lengths),
-    )
+from helpers import make_model
 
 
 def test_path_system_sorts_weights_nonincreasing():

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from antdyn import (
     DomainError,
     IntegrationError,
-    ModelSpec,
-    PathSystem,
     PositivityError,
     PositivityPolicy,
     Scheme,
@@ -33,16 +31,7 @@ from antdyn.models import GKind, PhiKind, rhs
 from antdyn.reporting import _FMT_CELLS, _format_tables
 from antdyn.simulate import _CHECK_BLOCK, CLAMP_FLOOR
 
-
-def make_model(lengths, alpha=1.0, beta=1.0, gamma=1.0, phi="sum", g="identity"):
-    return ModelSpec(
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        phi_kind=phi,
-        g_kind=g,
-        paths=PathSystem.from_lengths(lengths),
-    )
+from helpers import make_model
 
 
 def test_euler_matches_hand_rolled_loop():

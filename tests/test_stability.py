@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 
 from antdyn import (
     GKind,
-    ModelSpec,
     NondifferentiablePointError,
-    PathSystem,
     StabilityLabel,
     UnsupportedDerivativeError,
     classify,
@@ -27,16 +25,7 @@ from antdyn import (
 )
 from antdyn.models import g_eval, g_prime, phi_eval, phi_grad
 
-
-def make_model(lengths, alpha=1.0, beta=1.0, gamma=1.0, phi="sum", g="identity"):
-    return ModelSpec(
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        phi_kind=phi,
-        g_kind=g,
-        paths=PathSystem.from_lengths(lengths),
-    )
+from helpers import make_model
 
 
 def fd_jacobian(model, x, h=1e-6):
