@@ -296,49 +296,42 @@ def rate_report(
     of a step or two, are reported with NaN rates rather than aborting
     the report.
     """
-    paths = model.paths
+    paths, n, tied = model.paths, model.n, model.paths.tied
     scaled = model.gamma * traj.times
     # window once for every fit: one time vector and one contiguous row per component
-    if window is None:
-        window = default_fit_window(scaled)
-        mask = window_mask(scaled, window)
-    else:
-        mask = window_mask(scaled, window)
-        if not mask.any():
-            lo, hi = window
-            raise ValueError(
-                f"window = {float(lo)!r}, {float(hi)!r} selects no sample of the run, "
-                f"whose gain-scaled horizon is {scaled[-1]:.12g}"
-            )
+    given = window is not None
+    window = window if given else default_fit_window(scaled)
+    mask = window_mask(scaled, window)
+    if given and not mask.any():
+        lo, hi = window
+        raise ValueError(
+            f"window = {float(lo)!r}, {float(hi)!r} selects no sample of the run, "
+            f"whose gain-scaled horizon is {scaled[-1]:.12g}"
+        )
     t = scaled[mask]
     windowed = traj.states[mask]
-    n, tied = model.n, paths.tied
-    scale = model.mu[0]
-    sum_rate_theory = None
+    x0, scale = traj.states[0], model.mu[0]
+    sigma1 = float(np.sum(x0[:tied])) / (model.beta * paths.d_distinct[0])
+    # the theory of every row: the n components, then the tied-set sum and the state sum
+    sum_rate = None
     if paths.d_distinct.size > 1:
-        sum_rate_theory = model.alpha * (1.0 - paths.d_distinct[1] / paths.d_distinct[0])
-    # one row per component, then the tied-set sum and the state sum
+        sum_rate = model.alpha * (1.0 - paths.d_distinct[1] / paths.d_distinct[0])
+    rate_theory = [0.0] * tied + (model.alpha * (1.0 - paths.d[tied:] / paths.d[0])).tolist()
+    rate_theory += [sum_rate] * 2
+    limit_theory = (x0[:tied] / (model.alpha * sigma1)).tolist() + [0.0] * (n - tied) + [scale] * 2
     rows = np.empty((n + 2, t.size))
     rows[:n] = windowed.T
-    # an index array, not a slice: a slice sums each row pairwise, which rounds
-    # differently once 8 paths tie
-    rows[n] = windowed[:, np.arange(tied)].sum(axis=1)
+    rows[n] = paths.tied_sum(windowed)
     rows[n + 1] = traj.sums[mask]
-    limits = [None] * tied + [0.0] * (n - tied)
-    if sum_rate_theory is not None:
-        # the sums are centered on the theoretical limit: the decay-rate
-        # statement is about the distance from the true limit
-        limits += [scale, scale]
-    fits = fit_decay_rates(t, rows[: len(limits)], limits)
+    # the sums are centered on the theoretical limit, since the decay-rate statement is
+    # about the distance from the true limit; when every path ties they have no rate
+    fitted = n if sum_rate is None else n + 2
+    fits = fit_decay_rates(t, rows[:fitted], [None] * tied + limit_theory[tied:fitted])
     tail_means = _tail_means(rows)[0].tolist()
-    x0 = traj.states[0]
-    sigma1 = float(np.sum(x0[:tied])) / (model.beta * paths.d_distinct[0])
 
     components = []
     for i, fit in enumerate(fits[:n]):
         is_tied = i < tied
-        theoretical_rate = 0.0 if is_tied else model.alpha * (1.0 - paths.d[i] / paths.d[0])
-        theoretical_limit = x0[i] / (model.alpha * sigma1) if is_tied else 0.0
         if isinstance(fit, DecayFit):
             fitted_rate, fitted_limit = fit.rate, fit.limit
             r_squared, n_samples = fit.r_squared, fit.n_samples
@@ -350,53 +343,47 @@ def rate_report(
                 fitted_limit = tail_means[i]
         rel = None
         if not is_tied and np.isfinite(fitted_rate):
-            rel = abs(fitted_rate - theoretical_rate) / theoretical_rate
+            rel = abs(fitted_rate - rate_theory[i]) / rate_theory[i]
         components.append(
             ComponentRate(
                 index=i,
                 d_value=float(paths.d[i]),
                 tied=is_tied,
                 fitted_rate=fitted_rate,
-                theoretical_rate=theoretical_rate,
+                theoretical_rate=rate_theory[i],
                 fitted_limit=fitted_limit,
-                theoretical_limit=float(theoretical_limit),
+                theoretical_limit=limit_theory[i],
                 relative_rate_error=rel,
                 r_squared=r_squared,
                 n_samples=n_samples,
             )
         )
 
-    def _series(label: str, row: int) -> Optional[SeriesRate]:
-        if not t.size:  # the default window can fall between the two samples of one step
-            return None
-        if sum_rate_theory is None:
-            return SeriesRate(
+    series = []
+    for label, row in (("tied-sum", n), ("total-sum", n + 1)):
+        fit = fits[row] if row < fitted else None
+        # no entry for a window with no sample (the default can fall between the two
+        # samples of one step) or a fit that ran out of samples
+        if not t.size or isinstance(fit, FitError):
+            series.append(None)
+            continue
+        rate = rate_theory[row]
+        series.append(
+            SeriesRate(
                 label=label,
-                fitted_rate=float("nan"),
-                theoretical_rate=None,
+                fitted_rate=float("nan") if fit is None else fit.rate,
+                theoretical_rate=rate,
                 fitted_limit=tail_means[row],
-                theoretical_limit=scale,
-                relative_rate_error=None,
-                r_squared=float("nan"),
+                theoretical_limit=limit_theory[row],
+                relative_rate_error=None if fit is None else abs(fit.rate - rate) / rate,
+                r_squared=float("nan") if fit is None else fit.r_squared,
             )
-        fit = fits[row]
-        if isinstance(fit, FitError):
-            return None
-        rel = abs(fit.rate - sum_rate_theory) / sum_rate_theory
-        return SeriesRate(
-            label=label,
-            fitted_rate=fit.rate,
-            theoretical_rate=sum_rate_theory,
-            fitted_limit=tail_means[row],
-            theoretical_limit=scale,
-            relative_rate_error=rel,
-            r_squared=fit.r_squared,
         )
 
     return RateReport(
         components=tuple(components),
-        tied_sum=_series("tied-sum", n),
-        total_sum=_series("total-sum", n + 1),
+        tied_sum=series[0],
+        total_sum=series[1],
         gamma=model.gamma,
         window=(float(window[0]), float(window[1])),
     )

@@ -69,10 +69,10 @@ class OracleRangeError(ValueError):
     """Requested time is outside the closed-form evaluator's guard."""
 
 
-def logsumexp(a, axis=-1):
-    """``log(sum(exp(a)))`` along ``axis``, shifted by the maximum so no exp overflows."""
-    top = np.maximum.reduce(a, axis=axis, keepdims=True)
-    return np.log(np.add.reduce(np.exp(a - top), axis=axis)) + top.squeeze(axis)
+def logsumexp(a):
+    """``log(sum(exp(a)))`` along the last axis, shifted by the maximum so no exp overflows."""
+    top = np.maximum.reduce(a, axis=-1, keepdims=True)
+    return np.log(np.add.reduce(np.exp(a - top), axis=-1)) + top.squeeze(-1)
 
 
 def require_closed_form(g_kind, phi_kind) -> None:

@@ -162,7 +162,9 @@ for _f in fields(RunConfig):
 
 def parse_config(text: str, origin: str = "<config>") -> RunConfig:
     """Parse and validate run-file text; raise ConfigError listing every problem."""
-    parser = configparser.ConfigParser(interpolation=None, strict=True)
+    # a default section that no run file names, so a [DEFAULT] section is reported as
+    # unknown instead of having its options copied into every other section
+    parser = configparser.ConfigParser(interpolation=None, strict=True, default_section="\0")
     try:
         parser.read_string(text, source=origin)
     except configparser.Error as exc:
@@ -206,24 +208,25 @@ def _semantic_errors(config: RunConfig) -> list[str]:
     """Run every value through the check the run makes, each failure under its option."""
     errors = []
 
-    def check(section, option, rule, *args):
+    def check(option, rule, *args):
         try:
             rule(*args)
         except ValueError as exc:
+            section = RunConfig.__dataclass_fields__[option].metadata["section"]
             errors.append(f"[{section}] {option}: {exc}")
 
-    check("model", "lengths", lambda: config.paths)
+    check("lengths", lambda: config.paths)
     for name in ("alpha", "beta", "gamma"):
-        check("model", name, require_positive, name, getattr(config, name))
+        check(name, require_positive, name, getattr(config, name))
     if config.x0 is not None:
-        check("run", "x0", require_positive_state, config.x0, len(config.lengths))
-    check("run", "dt", require_positive, "dt", config.dt)
-    check("run", "steps", require_steps, config.steps)
+        check("x0", require_positive_state, config.x0, len(config.lengths))
+    check("dt", require_positive, "dt", config.dt)
+    check("steps", require_steps, config.steps)
     if config.scheme in ("exact", "asymptotic"):
-        check("run", "scheme", require_closed_form, config.response, config.saturation)
+        check("scheme", require_closed_form, config.response, config.saturation)
     if config.window is not None:
         # lo < hi here; whether the window selects a sample is rate_report's check
-        check("analysis", "window", window_mask, np.empty(0), config.window)
+        check("window", window_mask, np.empty(0), config.window)
     return errors
 
 

@@ -139,6 +139,12 @@ class PathSystem:
         """Size of the tied-leading set: canonical indices ``0 .. tied - 1``."""
         return int(np.searchsorted(self.group, 1))
 
+    def tied_sum(self, states: np.ndarray) -> np.ndarray:
+        """The sum of the tied-leading components of each row of a ``(m, n)`` block."""
+        # an index array, not a slice: a slice sums each row pairwise, which rounds
+        # differently once 8 paths tie
+        return states[:, np.arange(self.tied)].sum(axis=1)
+
     def to_canonical(self, values) -> np.ndarray:
         """Reorder a user-order vector into canonical (sorted-d) order."""
         arr = np.asarray(values, dtype=float)
@@ -291,74 +297,108 @@ def rhs(model: ModelSpec | Sequence[ModelSpec]):
 
     The saturation, the response and the constants are bound once, here,
     so ``f`` does no checking and no coercion: it expects a float array
-    of shape ``(n,)`` or ``(..., n)`` in canonical order and writes
-    ``gamma * g(-alpha + beta * phi(x) * d) * x`` into ``out`` (a fresh
-    array when ``out`` is None), which it returns.  ``out`` must have the
-    shape of ``x`` and must not alias it.  A batch of states is one
-    reduction per row along the last axis, and each row equals the result
-    for that row alone.  Outside the domain it computes whatever the
-    floats give (a zero sum gives ``inf``), so the integrators evaluate
-    stage points unchecked and check each step once it is complete.
+    in canonical order and writes ``gamma * g(-alpha + beta * phi(x) * d) * x``
+    into ``out`` (a fresh array when ``out`` is None), which it returns.
+    ``out`` must have the shape of ``x`` and must not alias it.  Outside
+    the domain it computes whatever the floats give (a zero sum gives
+    ``inf``), so the integrators evaluate stage points unchecked and check
+    each step once it is complete.
 
-    ``model`` may also be a sequence of models that share one ``n``.
-    Then ``f`` takes states of shape ``(B, n)``, row ``i`` belonging to
-    ``model[i]``, and binds per-row ``alpha`` and ``gamma`` rows, a
-    ``beta`` column and the ``(B, n)`` weight block.  Each run of
-    consecutive rows that share a saturation reduces in one call on its
-    slice, and each run that shares a non-identity response responds in
-    one, so models sorted by (saturation, response) make the fewest
-    calls.  Every row rounds exactly as ``rhs(model[i])`` on that row
-    alone.
+    ``model`` is one model or a sequence of models that share one ``n``
+    (a row block), and ``f`` has two paths:
 
-    A single state reduces into a 0-d buffer bound here, and a row block
-    into a ``(B,)`` one, so ``f`` belongs to one caller at a time: bind it
-    once per model, and do not call it reentrantly.
+    - *One state* of one model, shape ``(n,)``: its saturation reduces
+      into a 0-d buffer bound here and turns into a Python float, and the
+      rest runs in place on ``(n,)`` arrays.  This is the integrators'
+      path, the cheapest for one state.
+    - *A block:* states of shape ``(..., n)`` of one model, or ``(B, n)``
+      with row ``i`` belonging to ``model[i]``.  The parameters are bound
+      to broadcast over the block (floats and the ``(n,)`` weights for
+      one model; ``(B, n)`` ``alpha``, ``gamma`` and weights and a ``(B,)``
+      ``beta`` for a row block).  Each run of consecutive rows that share
+      a saturation reduces in one call on its slice, and each run that
+      shares a non-identity response responds in one, so models sorted by
+      (saturation, response) make the fewest calls.
+
+    Either way every state rounds exactly as ``rhs(m)`` on that state
+    alone, ``m`` being its model.  A single state and a row block reduce
+    into buffers bound here, so ``f`` belongs to one caller at a time:
+    bind it once per model, and do not call it reentrantly.
 
     Some single runs step without this kernel, in Python floats, bit for
     bit as it would, by the rule that :mod:`antdyn._scalar` states.
     """
-    if not isinstance(model, ModelSpec):
-        return _rhs_rows(model)
-    reduce = _SATURATION[model.phi_kind]
-    response = _RESPONSE[model.g_kind]
-    alpha, beta, gamma, d = model.alpha, model.beta, model.gamma, model.paths.d
-    # numpy combines two short arrays faster than an array and a float, but
-    # broadcasting a row over a batch is slower than a float
-    alpha_row, gamma_row = np.full(model.n, alpha), np.full(model.n, gamma)
-    total = np.empty(())
+    if isinstance(model, ModelSpec):
+        models, buffer = (model,), None
+        alpha, beta, gamma, d = model.alpha, model.beta, model.gamma, model.paths.d
+    else:
+        models = require_rows(model)
+        n = models[0].n
+        alpha, gamma = (
+            np.repeat([getattr(m, name) for m in models], n).reshape(-1, n)
+            for name in ("alpha", "gamma")
+        )
+        beta = np.array([m.beta for m in models])
+        d = np.stack([m.paths.d for m in models])
+        buffer = np.empty(len(models))  # bound once: a row block's states are always (B, n)
+    reductions = _runs([m.phi_kind for m in models], _SATURATION)
+    responses = _runs([m.g_kind for m in models], _RESPONSE)
     # bound ufuncs with a positional out: the cheapest call numpy offers
-    multiply, subtract = np.multiply, np.subtract
+    multiply, reciprocal, subtract = np.multiply, np.reciprocal, np.subtract
+
+    def block(x: np.ndarray, out=None) -> np.ndarray:
+        total = np.empty(x.shape[:-1]) if buffer is None else buffer
+        for rows, reduce in reductions:
+            reduce(x[rows], -1, None, total[rows])
+        # beta * (1 / s) per state, rounded as the single-state path rounds it
+        reciprocal(total, total)
+        multiply(total, beta, total)
+        out = multiply(total[..., None], d, out)
+        subtract(out, alpha, out)
+        for rows, response in responses:
+            part = out[rows]
+            response(part, part)
+        multiply(out, gamma, out)
+        return multiply(out, x, out)
+
+    if not isinstance(model, ModelSpec):
+        return block
+    reduce, response = _SATURATION[model.phi_kind], _RESPONSE[model.g_kind]
+    # numpy combines two short arrays faster than an array and a float
+    alpha_row, gamma_row = np.full(model.n, alpha), np.full(model.n, gamma)
+    single = np.empty(())
 
     def f(x: np.ndarray, out=None) -> np.ndarray:
-        if x.ndim == 1:
-            if out is None:
-                out = np.empty(x.size)
-            s = float(reduce(x, -1, None, total))
-            try:
-                out.fill(beta * (1.0 / s))
-            except ZeroDivisionError:  # numpy's 1 / 0, where Python raises
-                out.fill(beta * math.copysign(math.inf, s))
-            multiply(out, d, out)
-            a, c = alpha_row, gamma_row
-        else:  # a batch: one value per row, as a column that broadcasts
-            out = multiply(beta * (1.0 / reduce(x, -1)[..., None]), d, out)
-            a, c = alpha, gamma
-        subtract(out, a, out)
+        if x.ndim != 1:
+            return block(x, out)
+        if out is None:
+            out = np.empty(x.size)
+        s = float(reduce(x, -1, None, single))
+        try:
+            out.fill(beta * (1.0 / s))
+        except ZeroDivisionError:  # numpy's 1 / 0, where Python raises
+            out.fill(beta * math.copysign(math.inf, s))
+        multiply(out, d, out)
+        subtract(out, alpha_row, out)
         if response is not None:
             response(out, out)
-        multiply(out, c, out)
+        multiply(out, gamma_row, out)
         return multiply(out, x, out)
 
     return f
 
 
 def _runs(kinds, table):
-    """``(slice, function)`` for each run of equal consecutive kinds, skipping identity."""
+    """``(rows, function)`` for each run of equal consecutive kinds, skipping identity.
+
+    ``rows`` is a slice, or ``...`` when one run covers every row.
+    """
     runs, start = [], 0
     for kind, group in itertools.groupby(kinds):
         stop = start + len(list(group))
         if table[kind] is not None:
-            runs.append((slice(start, stop), table[kind]))
+            rows = ... if stop - start == len(kinds) else slice(start, stop)
+            runs.append((rows, table[kind]))
         start = stop
     return runs
 
@@ -372,42 +412,6 @@ def require_rows(models) -> tuple[ModelSpec, ...]:
     if min(sizes) != max(sizes):
         raise ValueError(f"the models of a row block must share one number of paths, got {sizes}")
     return models
-
-
-def _rhs_rows(models):
-    """The row-block kernel of :func:`rhs`, one model per row."""
-    models = require_rows(models)
-    rows, n = len(models), models[0].n
-    alpha, gamma = (
-        np.repeat([getattr(m, name) for m in models], n).reshape(rows, n)
-        for name in ("alpha", "gamma")
-    )
-    beta = np.array([m.beta for m in models])
-    d = np.stack([m.paths.d for m in models])
-    one = np.ones(rows)
-    total = np.empty(rows)
-    column = total[:, None]
-    reductions = [
-        (sl, reduce, total[sl]) for sl, reduce in _runs([m.phi_kind for m in models], _SATURATION)
-    ]
-    responses = _runs([m.g_kind for m in models], _RESPONSE)
-    divide, multiply, subtract = np.divide, np.multiply, np.subtract
-
-    def f(x: np.ndarray, out=None) -> np.ndarray:
-        for sl, reduce, part in reductions:
-            reduce(x[sl], -1, None, part)
-        # beta * (1 / s) per row, rounded as the one-row kernel rounds it
-        divide(one, total, total)
-        multiply(total, beta, total)
-        out = multiply(column, d, out)
-        subtract(out, alpha, out)
-        for sl, response in responses:
-            part = out[sl]
-            response(part, part)
-        multiply(out, gamma, out)
-        return multiply(out, x, out)
-
-    return f
 
 
 def vector_field(model: ModelSpec, x) -> np.ndarray:

@@ -297,11 +297,8 @@ def _figure_for(preset: ExperimentPreset, trajectories: dict) -> str:
     series = [
         Series(label=f"x_{i + 1}", x=traj.times, y=traj.states[:, i]) for i in range(traj.n)
     ]
-    tied = model.paths.tied
-    if tied > 1:
-        # an index array, not a slice, so the sum rounds as rate_report's tied-sum series
-        y = traj.states[:, np.arange(tied)].sum(axis=1)
-        series.append(Series(label="tied sum", x=traj.times, y=y))
+    if model.paths.tied > 1:
+        series.append(Series(label="tied sum", x=traj.times, y=model.paths.tied_sum(traj.states)))
     return line_figure(
         series,
         title=preset.name,

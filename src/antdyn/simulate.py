@@ -205,7 +205,7 @@ def integrate(
 
     This is the one-row case of :func:`integrate_rows`, and it runs the
     same stepping loop on a single state of shape ``(n,)``: through the
-    one-model :func:`rhs` kernel, in place on buffers preallocated for
+    single-state path of :func:`rhs`, in place on buffers preallocated for
     the run (the stages, one work row and ``dt``, ``dt / 2`` and
     ``dt / 6`` as arrays), or in Python floats for the runs that
     :mod:`antdyn._scalar` names, with the same result.  Either way a step

@@ -105,20 +105,18 @@ def jacobian(model: ModelSpec, x) -> np.ndarray:
     Raises
     ------
     UnsupportedDerivativeError
-        For the signum response (distributional derivative).
+        For the signum response (distributional derivative), also at a
+        tied maximum of phi=max.
     NondifferentiablePointError
         For phi=max at a tied maximum.
     """
     arr = require_admissible(x)
-    if model.g_kind is GKind.SIGNUM:
-        raise UnsupportedDerivativeError(
-            "signum has no pointwise derivative; its linearization is distributional"
-        )
     saturation = phi_eval(model.phi_kind, arr)
-    grad = phi_grad(model.phi_kind, arr)
     a = -model.alpha + model.beta * saturation * model.paths.d
+    slope = g_prime(model.g_kind, a)  # signum refuses here, before a kink of phi=max can
+    grad = phi_grad(model.phi_kind, arr)
     diag = np.diag(g_eval(model.g_kind, a))
-    rank_one = (g_prime(model.g_kind, a) * model.beta * model.paths.d * arr)[:, None] * grad[None, :]
+    rank_one = (slope * model.beta * model.paths.d * arr)[:, None] * grad[None, :]
     return model.gamma * (diag + rank_one)
 
 

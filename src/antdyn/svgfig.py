@@ -26,6 +26,8 @@ PALETTE = [
 
 WIDTH = 880
 HEIGHT = 540
+# an axis gets at most this many intervals between its ticks
+TICK_INTERVALS = 5
 MARGIN_LEFT = 72
 MARGIN_RIGHT = 180
 MARGIN_TOP = 48
@@ -39,16 +41,16 @@ class Series:
     y: np.ndarray
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     # 1-2-5 ladder
     span = hi - lo
     if span <= 0:
         return [lo]
-    raw = span / max(target - 1, 1)
+    raw = span / TICK_INTERVALS
     magnitude = 10.0 ** math.floor(math.log10(raw))
     for factor in (1.0, 2.0, 5.0, 10.0):
         step = factor * magnitude
-        if span / step <= target - 1:
+        if span / step <= TICK_INTERVALS:
             break
     first = math.ceil(lo / step) * step
     ticks = []
@@ -70,9 +72,7 @@ class _Frame:
     array alike, with the same operations in the same order.
     """
 
-    def __init__(self, x_range, y_range, width=WIDTH, height=HEIGHT):
-        self.width = width
-        self.height = height
+    def __init__(self, x_range, y_range):
         x_lo, x_hi = x_range
         y_lo, y_hi = y_range
         if x_hi <= x_lo:
@@ -83,8 +83,8 @@ class _Frame:
         self.x_lo, self.x_hi = x_lo, x_hi
         self.y_lo, self.y_hi = y_lo - pad, y_hi + pad
         self.px_lo = MARGIN_LEFT
-        self.px_hi = width - MARGIN_RIGHT
-        self.py_lo = height - MARGIN_BOTTOM
+        self.px_hi = WIDTH - MARGIN_RIGHT
+        self.py_lo = HEIGHT - MARGIN_BOTTOM
         self.py_hi = MARGIN_TOP
 
     def x(self, v):

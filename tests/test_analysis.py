@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -340,6 +341,32 @@ def test_rate_report_all_tied_has_no_sum_rate():
     assert report.total_sum.theoretical_rate is None
     assert np.isnan(report.total_sum.fitted_rate)
     assert report.total_sum.theoretical_limit == pytest.approx(0.5)
+
+
+def test_rate_report_of_a_one_step_run_fits_nothing():
+    # the default window falls between the two samples of one step
+    nan = "nan"
+
+    def fields(entry):
+        return [nan if isinstance(v, float) and math.isnan(v) else v for v in astuple(entry)]
+
+    model = make_model([1, 1, 2], alpha=0.5, gamma=2.0)
+    report = rate_report(model, integrate(model, [0.2, 0.3, 0.4], 0.1, 1))
+    assert [fields(c) for c in report.components] == [
+        [0, 1.0, True, nan, 0.0, nan, 0.8, None, nan, 0],
+        [1, 1.0, True, nan, 0.0, nan, 1.2, None, nan, 0],
+        [2, 0.5, False, nan, 0.25, nan, 0.0, None, nan, 0],
+    ]
+    assert (report.tied_sum, report.total_sum) == (None, None)
+    assert (report.gamma, report.window) == (2.0, (0.1, 0.196))
+    all_tied = make_model([2, 2], alpha=0.5, gamma=2.0)
+    report = rate_report(all_tied, integrate(all_tied, [0.4, 0.9], 0.1, 1))
+    assert [fields(c) for c in report.components] == [
+        [0, 0.5, True, nan, 0.0, nan, 0.3076923076923077, None, nan, 0],
+        [1, 0.5, True, nan, 0.0, nan, 0.6923076923076923, None, nan, 0],
+    ]
+    assert (report.tied_sum, report.total_sum) == (None, None)
+    assert (report.gamma, report.window) == (2.0, (0.1, 0.196))
 
 
 def assert_report_is_its_fits(model, traj, window=None):

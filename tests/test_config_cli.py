@@ -187,6 +187,16 @@ steps = 2.5
         "  [run] dt: expected a number, got 'x'\n"
         "  [run] scheme: expected one of euler, rk4, exact, asymptotic; got 'magic'"
     )
+    # a run file has no defaults: configparser would copy these options into every section
+    text = "[DEFAULT]\nalpha = 2\n[model]\nlengths = 1, 2\n[run]\ndt = 0.1\n"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text, origin="bad.ini")
+    assert str(info.value) == "bad.ini:\n  unknown section [DEFAULT]"
+    with pytest.raises(ConfigError) as info:
+        parse_config("[DEFAULT]\nfoo = 2\n", origin="bad.ini")
+    assert str(info.value) == (
+        "bad.ini:\n  unknown section [DEFAULT]\n  missing required section [model]"
+    )
 
 
 def test_structural_errors():
@@ -275,6 +285,9 @@ x0 = 0.5, 0.25, -1
 dt = -0.5
 steps = -3
 scheme = exact
+
+[analysis]
+window = 5, 2
 """
     with pytest.raises(ConfigError) as info:
         parse_config(text, origin="bad.ini")
@@ -289,6 +302,7 @@ scheme = exact
         "  [run] steps: steps must be nonnegative, got -3",
         "  [run] scheme: the closed form and its expansion exist for the identity response "
         "with phi=sum only, got g=tanh phi=sum",
+        "  [analysis] window: window must satisfy lo < hi, got (5.0, 2.0)",
     ]
     with pytest.raises(ConfigError, match=r"\[analysis\] unknown option 'threshold'"):
         parse_config(MINIMAL + "[analysis]\nthreshold = 0.05\n")

@@ -266,6 +266,24 @@ def test_rhs_on_rows_equals_rhs_on_each_row():
                 for index in np.ndindex(rows.shape[:-1]):
                     assert np.array_equal(batch[index], f(rows[index])), (n, phi, g, index)
 
+    # a row block, one model per row: a block of one kind (one run over all
+    # its rows) and a mixed one, each row bitwise what its own model gives
+    kinds = [(phi, g) for phi in ("sum", "max") for g in ("identity", "tanh", "signum")]
+    for n in range(1, 65):
+        x = rng.uniform(0.01, 2.0, size=(12, n))
+        for block_kinds in ([kinds[n % 6]] * 12, kinds[::-1] + kinds):
+            models = [
+                make_model(rng.uniform(1.0, 10.0, n), *rng.uniform(0.2, 2.0, 3), phi=phi, g=g)
+                for phi, g in block_kinds
+            ]
+            f = rhs(models)
+            block = f(x)
+            for i, model in enumerate(models):
+                assert np.array_equal(block[i], rhs(model)(x[i])), (n, block_kinds[i], i)
+            out = np.empty_like(x)
+            assert f(x, out) is out
+            assert np.array_equal(out, block)
+
 
 def float_reference(model, x):
     """The right-hand side in numpy's scalar arithmetic, at any point of any sign."""

@@ -164,6 +164,9 @@ def test_jacobian_unsupported_points():
         jacobian(make_model([1, 2], g="signum"), np.array([0.5, 0.5]))
     with pytest.raises(NondifferentiablePointError):
         jacobian(make_model([1, 2], phi="max"), np.array([0.7, 0.7]))
+    # the response's refusal comes first, even where phi=max has a kink
+    with pytest.raises(UnsupportedDerivativeError, match="^signum has no pointwise derivative"):
+        jacobian(make_model([1, 2], phi="max", g="signum"), np.array([0.7, 0.7]))
 
 
 # -- spectra and labels -------------------------------------------------
