@@ -80,63 +80,10 @@ from .stability import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "DomainError",
-    "FFunction",
-    "FitError",
-    "GKind",
-    "IntegrationError",
-    "ModelSpec",
-    "NondifferentiablePointError",
-    "OracleRangeError",
-    "PathSystem",
-    "PhiKind",
-    "PositivityError",
-    "PositivityPolicy",
-    "RunConfig",
-    "Scheme",
-    "StabilityLabel",
-    "Trajectory",
-    "UnsupportedDerivativeError",
-    "VerificationStatus",
-    "asymptotic_state",
-    "check_sum_bounds",
-    "classify",
-    "compare_variants",
-    "default_fit_window",
-    "equilibrium_report",
-    "exact_state",
-    "f_eval",
-    "f_inverse",
-    "f_prime",
-    "find_equilibria",
-    "fit_decay_rate",
-    "fit_decay_rates",
-    "g_eval",
-    "g_prime",
-    "get_preset",
-    "integrate",
-    "integrate_rows",
-    "iter_trajectory_csv",
-    "jacobian",
-    "load_config",
-    "parse_config",
-    "phase_grid",
-    "phi_eval",
-    "phi_grad",
-    "preset_names",
-    "rate_report",
-    "render_config",
-    "run_preset",
-    "sample_asymptotic",
-    "sample_exact",
-    "sigma_coefficients",
-    "spectrum_at_equilibrium",
-    "spurious_equilibria_scan",
-    "sum_envelope",
-    "trajectory_to_csv",
-    "vector_field",
-    "verify_convergence",
-    "write_trajectory_csv",
-]
+# The public names are the ones imported above, stated there once; the
+# submodules that the imports bind (module objects, as ``models`` is) are left out.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, type(models))
+)

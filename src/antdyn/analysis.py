@@ -211,10 +211,12 @@ def _raise_lstsq_error(err, flag):
 
 
 def window_mask(times: np.ndarray, window) -> np.ndarray:
-    """The samples of ``times`` inside the inclusive ``window = (lo, hi)``."""
-    lo, hi = window
+    """The samples of ``times`` inside the inclusive ``window = (lo, hi)`` of finite bounds."""
+    lo, hi = float(window[0]), float(window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"window must be finite, got ({lo!r}, {hi!r})")
     if not lo < hi:
-        raise ValueError(f"window must satisfy lo < hi, got ({float(lo)!r}, {float(hi)!r})")
+        raise ValueError(f"window must satisfy lo < hi, got ({lo!r}, {hi!r})")
     return (times >= lo) & (times <= hi)
 
 
@@ -289,12 +291,12 @@ def rate_report(
     samples inside ``window``, an inclusive interval of gain-scaled time:
     the n components, then the tied-set sum and the state sum (these two
     only when some path is not tied; otherwise they have no rate).  A
-    given window with ``lo >= hi`` or one that selects no sample raises
-    ``ValueError``; the default, ``default_fit_window``, lies inside the
-    horizon and is taken as is.  Fits that run out of usable samples
-    inside the window, for instance on a chattering signum run or a run
-    of a step or two, are reported with NaN rates rather than aborting
-    the report.
+    given window with a bound that is not finite, with ``lo >= hi`` or
+    one that selects no sample raises ``ValueError``; the default,
+    ``default_fit_window``, lies inside the horizon and is taken as is.
+    Fits that run out of usable samples inside the window, for instance
+    on a chattering signum run or a run of a step or two, are reported
+    with NaN rates rather than aborting the report.
     """
     paths, n, tied = model.paths, model.n, model.paths.tied
     scaled = model.gamma * traj.times

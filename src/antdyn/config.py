@@ -26,8 +26,10 @@ A run file has up to four sections.  Only ``[model]`` is required::
 
 ``parse_config`` collects every problem it can find and raises one
 ``ConfigError`` listing all of them, so a bad file is fixed in one pass.
-Each value goes through the library check that the run itself makes, and
-an error quotes its message as ``[section] option: <message>``.
+This module states no rule of its own: it parses each value as the
+number, list or choice its option takes, then runs it through the
+library check that the run itself makes (finiteness included), and an
+error quotes that check's message as ``[section] option: <message>``.
 ``render_config(load)`` and ``parse_config(render)`` round-trip exactly.
 """
 
@@ -58,12 +60,9 @@ _BOOL = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0":
 
 def _float(raw: str) -> float:
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise ValueError(f"expected a number, got {raw!r}")
-    if not np.isfinite(value):
-        raise ValueError(f"expected a finite number, got {raw!r}")
-    return value
 
 
 def _int(raw: str) -> int:
@@ -235,7 +234,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, origin=str(path))
 

@@ -389,7 +389,7 @@ def run_preset(name: str, out_root=None, steps: Optional[int] = None) -> tuple[P
             raise ValueError(f"preset {name!r} has no step schedule to override")
         preamble, sections, paths = _run_phase_preset(preset, out_dir)
     else:
-        steps = preset.steps if steps is None else int(steps)
+        steps = preset.steps if steps is None else steps
         preamble, sections, paths = _run_trajectory_preset(preset, out_dir, steps)
     head = render_kv([("preset", preset.name), ("description", preset.description), *preamble])
     report = write_text_atomic(out_dir / "report.txt", compose_report([(None, head), *sections]))

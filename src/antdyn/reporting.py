@@ -11,8 +11,8 @@ byte-identical files.
 from __future__ import annotations
 
 import functools
-import io
 import itertools
+import operator
 import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
@@ -287,21 +287,25 @@ def grid_csv(grid: PhaseGrid) -> str:
     return "x_1,x_2,dx_1,dx_2,speed,tie\n" + _format_block(cells)
 
 
+# The six rate columns of a component or series entry, in table order.
+_RATE_COLUMNS = (
+    "fitted_rate",
+    "theoretical_rate",
+    "relative_rate_error",
+    "fitted_limit",
+    "theoretical_limit",
+    "r_squared",
+)
+_rate_cells = operator.attrgetter(*_RATE_COLUMNS)
+
+
 def rates_csv(report: RateReport) -> str:
     """Per-path fitted and theoretical rates as CSV, 17 significant digits."""
-    buf = io.StringIO()
-    buf.write(
-        "path,d,tied,fitted_rate,theoretical_rate,relative_rate_error,"
-        "fitted_limit,theoretical_limit,r_squared\n"
-    )
+    lines = [",".join(("path", "d", "tied", *_RATE_COLUMNS)) + "\n"]
     for c in report.components:
-        rel = "" if c.relative_rate_error is None else f"{c.relative_rate_error:.17g}"
-        buf.write(
-            f"{c.index + 1},{c.d_value:.17g},{int(c.tied)},{c.fitted_rate:.17g},"
-            f"{c.theoretical_rate:.17g},{rel},{c.fitted_limit:.17g},"
-            f"{c.theoretical_limit:.17g},{c.r_squared:.17g}\n"
-        )
-    return buf.getvalue()
+        cells = ("" if v is None else f"{v:.17g}" for v in _rate_cells(c))
+        lines.append(f"{c.index + 1},{c.d_value:.17g},{int(c.tied)},{','.join(cells)}\n")
+    return "".join(lines)
 
 
 def model_lines(model: ModelSpec) -> list[str]:
@@ -351,47 +355,13 @@ def verification_lines(check: ConvergenceReport) -> list[str]:
 
 def rates_table(report: RateReport) -> list[str]:
     """Report table of fitted against theoretical rates, with the fit window."""
-    headers = (
-        "path",
-        "d",
-        "tied",
-        "fitted_rate",
-        "theoretical_rate",
-        "rel_error",
-        "fitted_limit",
-        "theoretical_limit",
-        "r_squared",
-    )
-    rows = [
-        (
-            c.index + 1,
-            c.d_value,
-            c.tied,
-            c.fitted_rate,
-            c.theoretical_rate,
-            c.relative_rate_error,
-            c.fitted_limit,
-            c.theoretical_limit,
-            c.r_squared,
-        )
-        for c in report.components
-    ]
+    # the table's header shortens the relative error's name
+    names = ("rel_error" if name == "relative_rate_error" else name for name in _RATE_COLUMNS)
+    rows = [(c.index + 1, c.d_value, c.tied, *_rate_cells(c)) for c in report.components]
     for series in (report.tied_sum, report.total_sum):
         if series is not None:
-            rows.append(
-                (
-                    series.label,
-                    "",
-                    "",
-                    series.fitted_rate,
-                    series.theoretical_rate,
-                    series.relative_rate_error,
-                    series.fitted_limit,
-                    series.theoretical_limit,
-                    series.r_squared,
-                )
-            )
-    lines = render_table(headers, rows)
+            rows.append((series.label, "", "", *_rate_cells(series)))
+    lines = render_table(("path", "d", "tied", *names), rows)
     lines.append(f"fit_window_scaled = {report.window[0]:.12g} .. {report.window[1]:.12g}")
     return lines
 

@@ -152,8 +152,8 @@ class SumBoundsReport:
 
 
 def require_steps(steps: int) -> int:
-    """Check a step count: an integer (numpy's too), nonnegative."""
-    if not isinstance(steps, numbers.Integral):
+    """Check a step count: an integer (numpy's too, but not a bool), nonnegative."""
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
         raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")

@@ -23,7 +23,6 @@ import numpy as np
 from .models import (
     GKind,
     ModelSpec,
-    UnsupportedDerivativeError,
     g_eval,
     g_prime,
     phi_eval,
@@ -128,12 +127,9 @@ def spectrum_at_equilibrium(model: ModelSpec, eq: Equilibrium) -> np.ndarray:
     for j != k and, in slot k,
     ``gamma * g'(0) * beta d_k mu_k * (grad phi)_k`` with
     ``(grad phi)_k = -1 / mu_k**2``, which evaluates to
-    ``-gamma g'(0) alpha`` for both shipped saturations.
+    ``-gamma g'(0) alpha`` for both shipped saturations.  For the signum
+    response ``g_prime`` raises ``UnsupportedDerivativeError``.
     """
-    if model.g_kind is GKind.SIGNUM:
-        raise UnsupportedDerivativeError(
-            "signum response has no Jacobian; spectra are undefined at its equilibria"
-        )
     d = model.paths.d
     k = eq.index
     eigs = model.gamma * g_eval(model.g_kind, model.alpha * (d / d[k] - 1.0))

@@ -86,6 +86,11 @@ def test_fit_window_selects_samples():
         rate_report(make_model([1, 2]), traj, window=(np.float64(5.0), np.float64(5.0)))
     with pytest.raises(ValueError, match="^window = 100.0, 200.0 selects no sample"):
         rate_report(make_model([1, 2]), traj, window=(np.float64(100.0), np.float64(200.0)))
+    # so are bounds that are not finite
+    for window, shown in [((0.0, math.inf), "(0.0, inf)"), ((math.nan, 15.0), "(nan, 15.0)")]:
+        message = re.escape(f"window must be finite, got {shown}") + "$"
+        with pytest.raises(ValueError, match=message):
+            rate_report(make_model([1, 2]), traj, window=window)
 
 
 def test_fit_truncates_at_dead_samples():

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,24 @@ def test_semantic_errors():
         (
             MINIMAL + "[analysis]\nwindow = 5, 2\n",
             "[analysis] window: window must satisfy lo < hi, got (5.0, 2.0)",
+        ),
+        # a number that is not finite is refused by the same checks
+        (
+            "[model]\nlengths = 1, nan\n",
+            "[model] lengths: length 1 is nan; lengths must be finite and positive",
+        ),
+        (
+            "[model]\nlengths = 1, 2\nalpha = nan\n",
+            "[model] alpha: alpha must be finite and positive, got nan",
+        ),
+        (
+            MINIMAL + "[run]\nx0 = 1, inf, 1\n",
+            "[run] x0: component 1 of x0 is inf; must be strictly positive",
+        ),
+        (MINIMAL + "[run]\ndt = -inf\n", "[run] dt: dt must be finite and positive, got -inf"),
+        (
+            MINIMAL + "[analysis]\nwindow = 0, inf\n",
+            "[analysis] window: window must be finite, got (0.0, inf)",
         ),
     ]
     for text, message in cases:
@@ -659,6 +678,18 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     assert "antdyn presets" in help_text and "--list" not in help_text
 
 
+def test_cli_names_a_run_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(b"\xff\xfe[model]\nlengths = 1, 2\n")
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot read config {path}: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte\n"
+    )
+
+
 def assert_unwritable(err: str, target: Path, root: Path):
     """The error names the path asked for, and no temporary file is left."""
     assert err.startswith(f"error: cannot write {target}: ")
@@ -778,6 +809,18 @@ def test_module_entry_point():
     proc = run_child("-m", "antdyn", "presets")
     assert proc.returncode == 0
     assert "comparison-fig4" in proc.stdout
+
+
+def test_public_names_are_the_package_globals_that_are_not_modules():
+    names = antdyn.__all__
+    assert names == sorted(set(names))
+    public = {
+        name
+        for name, value in vars(antdyn).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(names) == public
+    assert len(names) == 58
 
 
 def test_cli_import_loads_no_scipy():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,17 @@ def test_rewritten_artifacts_keep_their_mode(tmp_path):
 def test_run_preset_rejects_steps_for_phase(tmp_path):
     with pytest.raises(ValueError, match="no step schedule"):
         run_preset("phase-maxant", out_root=tmp_path, steps=100)
+
+
+def test_run_preset_refuses_a_step_count_that_is_not_an_integer(tmp_path):
+    # the step count reaches require_steps as given, so nothing is written
+    for steps in (2.5, True):
+        message = re.escape(f"steps must be an integer, got {steps}") + "$"
+        with pytest.raises(ValueError, match=message):
+            run_preset("eigenant-fig1", out_root=tmp_path, steps=steps)
+    assert not any(tmp_path.iterdir())
+    report = run_preset("eigenant-fig1", out_root=tmp_path, steps=np.int64(3))[-1]
+    assert "\nsteps = 3\n" in report.read_text()
 
 
 def test_phase_preset_bundle(tmp_path):

@@ -1,4 +1,5 @@
-"""The block formatter behind the CSVs, and the "%.2f" one behind the SVG figures."""
+"""The rate renderers, the block formatter behind the CSVs, and the "%.2f" one behind the SVG
+figures."""
 
 import re
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from antdyn import _fixed, reporting
 from antdyn.presets import PHASE_PRESETS, PRESETS, PhaseGrid, phase_grid
 from antdyn._fixed import _FIXED_LIMIT, _format_fixed
-from antdyn.reporting import _FMT_CELLS, _format_block, grid_csv
+from antdyn.analysis import ComponentRate, RateReport, SeriesRate
+from antdyn.reporting import _FMT_CELLS, _format_block, grid_csv, rates_csv, rates_table
 from antdyn.simulate import CLAMP_FLOOR, integrate, trajectory_to_csv
 
 
@@ -291,3 +293,47 @@ def test_fixed_ties_and_pass_edges_are_percent_2f():
     # a NUL separator spells nothing, as after the last point of a polyline
     nul = np.array([ord(","), 0, 0], np.uint8)
     assert _format_fixed(np.array([1.0, -2.5, np.nan]), nul) == b"1.00,-2.50nan"
+
+
+NAN = float("nan")
+# A tied path, a fitted path, a path whose fit failed (FitError: NaN rate, no relative
+# error) and both sum series
+RATES = RateReport(
+    components=(
+        ComponentRate(0, 1.0, True, NAN, 0.0, 0.7500000000000002, 0.75, None, NAN, 0),
+        ComponentRate(1, 0.5, False, 0.49999999, 0.5, 1.0000000000000001e-9, 0.0, 2e-08, 1.0, 240),
+        ComponentRate(2, 0.25, False, NAN, 0.75, NAN, 0.0, None, NAN, 0),
+    ),
+    tied_sum=SeriesRate("tied-sum", 0.5000001, 0.5, 0.75, 0.75, 2.0000000000575113e-07, 0.999),
+    total_sum=SeriesRate("total-sum", 0.51, 0.5, 1.5, 1.5, 0.02, 0.98),
+    gamma=2.0,
+    window=(10.0, 19.6),
+)
+
+
+def test_rates_csv_text():
+    assert rates_csv(RATES) == (
+        "path,d,tied,fitted_rate,theoretical_rate,relative_rate_error,"
+        "fitted_limit,theoretical_limit,r_squared\n"
+        "1,1,1,nan,0,,0.75000000000000022,0.75,nan\n"
+        "2,0.5,0,0.49999999000000001,0.5,2e-08,1.0000000000000001e-09,0,1\n"
+        "3,0.25,0,nan,0.75,,nan,0,nan\n"
+    )
+
+
+def test_rates_table_text():
+    assert rates_table(RATES) == [
+        "path      | d    | tied | fitted_rate | theoretical_rate | rel_error         "
+        "| fitted_limit | theoretical_limit | r_squared",
+        "1         | 1    | yes  | nan         | 0                | n/a               "
+        "| 0.75         | 0.75              | nan",
+        "2         | 0.5  | no   | 0.49999999  | 0.5              | 2e-08             "
+        "| 1e-09        | 0                 | 1",
+        "3         | 0.25 | no   | nan         | 0.75             | n/a               "
+        "| nan          | 0                 | nan",
+        "tied-sum  |      |      | 0.5000001   | 0.5              | 2.00000000006e-07 "
+        "| 0.75         | 0.75              | 0.999",
+        "total-sum |      |      | 0.51        | 0.5              | 0.02              "
+        "| 1.5          | 1.5               | 0.98",
+        "fit_window_scaled = 10 .. 19.6",
+    ]

@@ -1,6 +1,7 @@
 """Integrator, positivity policy, envelope and CSV tests."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -590,3 +591,75 @@ def test_streamed_csv_memory_is_bounded_by_a_pass(tmp_path):
         tracemalloc.stop()
     assert peak < 3 * _FMT_CELLS * 320
     assert (tmp_path / "long.csv").stat().st_size > 13_000_000
+
+
+def order_rises(traj):
+    """One-step rises of ``ln(x_{i+1} / x_i)`` over adjacent canonical pairs, and the
+    allowance ``1e-12 (|ln ratio| + 1)`` of each; steps touching a zero component are left out."""
+    states = traj.states
+    live = np.all(states > 0.0, axis=1)
+    kept = live[:-1] & live[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log(states[:, 1:] / states[:, :-1])
+    before = log_ratio[:-1][kept]
+    return log_ratio[1:][kept] - before, 1e-12 * (np.abs(before) + 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    # exact ties among them, whose ratios an Euler step keeps up to rounding
+    lengths=st.lists(
+        st.one_of(st.floats(1.0, 10.0), st.sampled_from([1.0, 2.0])), min_size=2, max_size=32
+    ),
+    rates=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
+    log_x0=st.lists(st.floats(-4.0, 0.0), min_size=32, max_size=32),
+    share=st.floats(0.01, 0.5),
+)
+def test_euler_never_raises_a_longer_path_against_a_shorter_one(
+    variant, lengths, rates, log_x0, share
+):
+    # a_i - a_j = beta phi(x) (d_i - d_j) and g is nondecreasing, so an Euler step
+    # multiplies x_{i+1} / x_i by at most 1 when d_{i+1} <= d_i: the selection behind
+    # the convergence to the shortest paths, and the one whole-run check of tanh-sum
+    phi, g = variant
+    alpha, beta, gamma = rates
+    model = make_model(lengths, alpha=alpha, beta=beta, gamma=gamma, phi=phi, g=g)
+    # dt at 1-50 % of 1 / (gamma sup(-g)), the bound the benchmark draws from
+    traj = integrate(model, 10.0 ** np.array(log_x0[: model.n]), share * euler_bound(model), 400)
+    rise, allowance = order_rises(traj)
+    assert np.all(rise <= allowance)
+
+
+def test_the_order_check_fails_on_weights_in_reverse_order():
+    model = make_model(np.linspace(1.0, 4.0, 6), alpha=0.5, beta=0.8, gamma=0.7, g="tanh")
+    reverse = replace(model, paths=replace(model.paths, d=model.paths.d[::-1].copy()))
+    traj = integrate(reverse, np.full(6, 0.3), 0.2 * euler_bound(reverse), 400)
+    rise, allowance = order_rises(traj)
+    assert not np.all(rise <= allowance)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scheme=st.sampled_from([Scheme.EULER, Scheme.RK4]),
+    # up to SCALAR_PATHS paths the run steps in Python floats, beyond in numpy
+    n=st.one_of(st.integers(1, SCALAR_PATHS), st.integers(SCALAR_PATHS + 1, 32)),
+    rates=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
+    share=st.floats(0.01, 0.5),
+    data=st.data(),
+)
+def test_identity_sum_weighted_mass_relaxes_as_the_scheme_predicts(scheme, n, rates, share, data):
+    # W = sum_i x_i / (beta d_i) is linear in the state and obeys dW/dtau = 1 - alpha W,
+    # so the iterates follow W_k = 1/alpha + (W_0 - 1/alpha) R(-alpha h)^k with h = gamma dt
+    # and R the scheme's stability polynomial
+    lengths = data.draw(st.lists(st.floats(1.0, 10.0), min_size=n, max_size=n))
+    x0 = 10.0 ** np.array(data.draw(st.lists(st.floats(-4.0, 0.0), min_size=n, max_size=n)))
+    alpha, beta, gamma = rates
+    model = make_model(lengths, alpha=alpha, beta=beta, gamma=gamma)
+    dt = share * euler_bound(model)
+    traj = integrate(model, x0, dt, 400, scheme=scheme)
+    w = (traj.states / (model.beta * model.paths.d)).sum(axis=1)
+    z = -alpha * gamma * dt
+    r = 1.0 + z if scheme is Scheme.EULER else 1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+    predicted = 1.0 / alpha + (w[0] - 1.0 / alpha) * r ** np.arange(traj.steps + 1)
+    assert np.all(np.abs(w - predicted) <= 1e-12 * np.maximum(np.abs(w), 1.0 / alpha))
