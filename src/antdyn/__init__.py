@@ -33,7 +33,7 @@ from .closedform import (
     sample_exact,
     sigma_coefficients,
 )
-from .config import ConfigError, RunConfig, load_config, parse_config, render_config
+from .config import ConfigError, RunConfig, load_config, parse_config
 from .models import (
     DomainError,
     GKind,

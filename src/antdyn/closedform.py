@@ -91,17 +91,15 @@ class FFunction:
 
     Attributes
     ----------
-    coefficients : ndarray
-        ``c_i = x_i(0) / (beta d_i)``, canonical order.
     exponents : ndarray
         ``r_i = beta d_i``, nonincreasing.
     log_coefficients, log_slopes : ndarray
-        ``log c_i`` and ``log c_i + log r_i``, the terms of ``log F`` and ``log F'`` at u = 0.
+        ``log c_i`` and ``log c_i + log r_i``, the terms of ``log F`` and ``log F'`` at u = 0,
+        where ``c_i = x_i(0) / (beta d_i)`` in canonical order.
     log_f0, x0
         ``log F(0)``, and the checked initial state F was built from.
     """
 
-    coefficients: np.ndarray
     exponents: np.ndarray
     log_coefficients: np.ndarray
     log_slopes: np.ndarray
@@ -114,14 +112,9 @@ class FFunction:
         require_closed_form(model.g_kind, model.phi_kind)
         x0 = require_positive_state(x0, model.n)
         exponents = model.beta * model.paths.d
-        coefficients = x0 / exponents
-        logs = np.log(coefficients)
+        logs = np.log(x0 / exponents)
         log_f0 = float(logsumexp(logs))
-        return cls(coefficients, exponents, logs, logs + np.log(exponents), log_f0, x0)
-
-    @property
-    def f0(self) -> float:
-        return float(np.sum(self.coefficients))
+        return cls(exponents, logs, logs + np.log(exponents), log_f0, x0)
 
 
 def _terms(u) -> np.ndarray:
@@ -183,7 +176,6 @@ class ClosedFormState:
 
     x: np.ndarray
     total: float
-    t: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +226,7 @@ def exact_state(F: FFunction, model: ModelSpec, x0, t: float) -> ClosedFormState
     t = _one_time(F.x0, x0, "F", t)
     x, u = _exact_grid(F, model, np.array([t]))
     total = np.exp(f_prime(F, u) - model.alpha * (model.gamma * t))
-    return ClosedFormState(x=x[0], total=float(total[0]), t=t)
+    return ClosedFormState(x=x[0], total=float(total[0]))
 
 
 def _one_time(built_from: np.ndarray, x0, what: str, t) -> float:
@@ -258,7 +250,6 @@ class AsymptoticState:
 
     x: np.ndarray
     total: float
-    t: float
     correction_ratio: float
     leading_valid: bool
 
@@ -282,7 +273,7 @@ def asymptotic_state(
     t = _one_time(sigma.x0, x0, "sigma", t)
     x, total, ratio = _asymptotic_grid(sigma, model, np.array([t]))
     ratio = float(ratio[0])
-    return AsymptoticState(x[0], float(total[0]), t, ratio, ratio <= CORRECTION_LIMIT)
+    return AsymptoticState(x[0], float(total[0]), ratio, ratio <= CORRECTION_LIMIT)
 
 
 def _asymptotic_grid(sigma: SigmaCoefficients, model: ModelSpec, times):

@@ -1,4 +1,4 @@
-"""INI-style run configuration: parse, validate, render.
+"""INI-style run configuration: parse and validate.
 
 A run file has up to four sections.  Only ``[model]`` is required::
 
@@ -30,7 +30,8 @@ This module states no rule of its own: it parses each value as the
 number, list or choice its option takes, then runs it through the
 library check that the run itself makes (finiteness included), and an
 error quotes that check's message as ``[section] option: <message>``.
-``render_config(load)`` and ``parse_config(render)`` round-trip exactly.
+A list option takes numbers separated by commas, and every item between
+two commas must be one: ``1,,2`` is refused, not read as two numbers.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .closedform import require_closed_form
 from .models import GKind, ModelSpec, PathSystem, PhiKind, require_positive, require_positive_state
 from .simulate import PositivityPolicy, Scheme, require_steps
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "render_config"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
 
 
 class ConfigError(ValueError):
@@ -73,9 +74,11 @@ def _int(raw: str) -> int:
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
+    if not raw:
         raise ValueError("expected a comma-separated list of numbers")
+    parts = [p.strip() for p in raw.split(",")]
+    if "" in parts:
+        raise ValueError(f"expected a comma-separated list of numbers, got {raw!r}")
     return tuple(_float(p) for p in parts)
 
 
@@ -238,26 +241,3 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, origin=str(path))
 
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ", ".join(_fmt(v) for v in value)
-    return str(value)
-
-
-def render_config(config: RunConfig) -> str:
-    """Render a RunConfig back to run-file text; inverse of parse_config."""
-    lines = []
-    for section, options in _SECTIONS.items():
-        body = [
-            f"{option} = {_fmt(value)}"
-            for option in options
-            if (value := getattr(config, option)) is not None
-        ]
-        if body:
-            lines += [f"[{section}]", *body, ""]
-    return "\n".join(lines)

@@ -152,15 +152,6 @@ class PathSystem:
             raise ValueError(f"expected {self.n} values, got shape {arr.shape}")
         return arr[self.order]
 
-    def to_user(self, values) -> np.ndarray:
-        """Reorder a canonical-order vector back to user order."""
-        arr = np.asarray(values, dtype=float)
-        if arr.shape != (self.n,):
-            raise ValueError(f"expected {self.n} values, got shape {arr.shape}")
-        out = np.empty_like(arr)
-        out[self.order] = arr
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:

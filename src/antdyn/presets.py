@@ -76,13 +76,11 @@ class ExperimentPreset:
 
 @dataclass(frozen=True, eq=False)
 class PhasePreset:
-    """A fixed two-path direction-field experiment."""
+    """A fixed two-path direction-field experiment on :func:`phase_grid`'s default grid."""
 
     name: str
     description: str
     model: ModelSpec
-    bounds: tuple[float, float] = (0.01, 1.5)
-    resolution: int = 21
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,15 +343,15 @@ def _run_trajectory_preset(preset: ExperimentPreset, out_dir: Path, steps: int):
 
 def _run_phase_preset(preset: PhasePreset, out_dir: Path):
     """Sample and scan the field and write its grid and figure, as the runner above."""
-    grid = phase_grid(preset.model, bounds=preset.bounds, resolution=preset.resolution)
+    grid = phase_grid(preset.model)
     equilibria = find_equilibria(preset.model)
     clean, offending = spurious_equilibria_scan(grid, equilibria)
     paths = write_phase_artifacts(
         grid, equilibria, out_dir, title=preset.name, caption=preset.description
     )
     preamble = [
-        ("bounds", f"{preset.bounds[0]:.12g} .. {preset.bounds[1]:.12g}"),
-        ("resolution", preset.resolution),
+        ("bounds", f"{grid.x1[0]:.12g} .. {grid.x1[-1]:.12g}"),
+        ("resolution", grid.x1.size),
     ]
     sections = [
         ("model", model_lines(preset.model)),

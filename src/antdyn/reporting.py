@@ -258,33 +258,22 @@ def _format_passes(columns, end="\n") -> Iterator[str]:
         yield text if end == "\n" else text.replace("\n", end)
 
 
-def _format_block(block) -> str:
-    """Render a 2-d float block as CSV rows by :func:`_format_passes`.
-
-    The text is byte for byte ``"".join(",".join("%.17g" % v for v in
-    row) + "\\n" for row in block)``.
-    """
-    return "".join(_format_passes([block]))
-
-
 def grid_csv(grid: PhaseGrid) -> str:
     """Phase-grid CSV: one row per node, ``x_1,x_2,dx_1,dx_2,speed,tie``.
 
     Nodes run ``x_1`` outer.  Each float is spelled exactly as ``"%.17g"``
     spells it, and ``tie`` is 0 or 1, as ``int`` spells it, by
-    :func:`_format_block`.
+    :func:`_format_passes`.
     """
-    cells = np.column_stack(
-        [
-            np.repeat(grid.x1, grid.x2.size),
-            np.tile(grid.x2, grid.x1.size),
-            grid.u.ravel(),
-            grid.v.ravel(),
-            grid.speed.ravel(),
-            grid.tie.ravel(),
-        ]
-    )
-    return "x_1,x_2,dx_1,dx_2,speed,tie\n" + _format_block(cells)
+    columns = [
+        np.repeat(grid.x1, grid.x2.size),
+        np.tile(grid.x2, grid.x1.size),
+        grid.u.ravel(),
+        grid.v.ravel(),
+        grid.speed.ravel(),
+        grid.tie.ravel(),
+    ]
+    return "x_1,x_2,dx_1,dx_2,speed,tie\n" + "".join(_format_passes(columns))
 
 
 # The six rate columns of a component or series entry, in table order.

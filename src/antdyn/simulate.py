@@ -147,7 +147,6 @@ class SumBoundsReport:
 
     allowance: float
     max_violation: float
-    worst_index: int
     within: bool
 
 
@@ -418,12 +417,10 @@ def check_sum_bounds(traj: Trajectory, model: ModelSpec) -> SumBoundsReport:
     below = (lower - allowance) - traj.sums
     above = traj.sums - (upper + allowance)
     excess = np.maximum(np.maximum(below, above), 0.0)
-    worst = int(np.argmax(excess))
-    max_violation = float(excess[worst])
+    max_violation = float(excess.max())
     return SumBoundsReport(
         allowance=float(allowance),
         max_violation=max_violation,
-        worst_index=worst,
         within=max_violation == 0.0,
     )
 

@@ -68,7 +68,6 @@ class EquilibriumReport:
     equilibria: tuple[Equilibrium, ...]
     spectra: tuple[np.ndarray, ...]
     labels: tuple[StabilityLabel, ...]
-    tol: float
     notes: tuple[str, ...]
 
 
@@ -180,6 +179,5 @@ def equilibrium_report(model: ModelSpec) -> EquilibriumReport:
         equilibria=tuple(equilibria),
         spectra=spectra,
         labels=labels,
-        tol=CLASSIFY_TOL,
         notes=tuple(notes),
     )

@@ -44,8 +44,6 @@ class Series:
 def _nice_ticks(lo: float, hi: float) -> list[float]:
     # 1-2-5 ladder
     span = hi - lo
-    if span <= 0:
-        return [lo]
     raw = span / TICK_INTERVALS
     magnitude = 10.0 ** math.floor(math.log10(raw))
     for factor in (1.0, 2.0, 5.0, 10.0):
@@ -63,6 +61,10 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
 
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
+
+
+# every text node is spelled through this: XML text content must not hold a bare & or <
+_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 class _Frame:
@@ -124,16 +126,17 @@ def _axes(frame: _Frame, title: str, xlabel: str, ylabel: str) -> list[str]:
     mid_x = 0.5 * (frame.px_lo + frame.px_hi)
     parts.append(
         f'<text x="{mid_x:.2f}" y="26" font-size="15" text-anchor="middle" '
-        f'fill="#000000">{title}</text>'
+        f'fill="#000000">{title.translate(_TEXT)}</text>'
     )
     parts.append(
         f'<text x="{mid_x:.2f}" y="{frame.py_lo + 40}" font-size="13" '
-        f'text-anchor="middle" fill="#000000">{xlabel}</text>'
+        f'text-anchor="middle" fill="#000000">{xlabel.translate(_TEXT)}</text>'
     )
     mid_y = 0.5 * (frame.py_lo + frame.py_hi)
     parts.append(
         f'<text x="20" y="{mid_y:.2f}" font-size="13" text-anchor="middle" '
-        f'fill="#000000" transform="rotate(-90 20 {mid_y:.2f})">{ylabel}</text>'
+        f'fill="#000000" transform="rotate(-90 20 {mid_y:.2f})">'
+        f"{ylabel.translate(_TEXT)}</text>"
     )
     return parts
 
@@ -143,7 +146,7 @@ def _document(parts: list[str], caption: Optional[str] = None) -> str:
     if caption:
         parts.append(
             f'<text x="{MARGIN_LEFT}" y="{HEIGHT - 8}" font-size="11" '
-            f'fill="#555555">{caption}</text>'
+            f'fill="#555555">{caption.translate(_TEXT)}</text>'
         )
     body = "\n".join(parts)
     return (
@@ -230,7 +233,8 @@ def line_figure(
             f'stroke="{color}" stroke-width="2.5"/>'
         )
         parts.append(
-            f'<text x="{lx + 28}" y="{ly}" font-size="12" fill="#222222">{s.label}</text>'
+            f'<text x="{lx + 28}" y="{ly}" font-size="12" fill="#222222">'
+            f"{s.label.translate(_TEXT)}</text>"
         )
     return _document(parts, caption)
 
@@ -312,6 +316,7 @@ def quiver_figure(
             f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4.5" fill="#d62728" stroke="black"/>'
         )
         parts.append(
-            f'<text x="{px + 8:.2f}" y="{py - 6:.2f}" font-size="12" fill="#000000">{label}</text>'
+            f'<text x="{px + 8:.2f}" y="{py - 6:.2f}" font-size="12" fill="#000000">'
+            f"{label.translate(_TEXT)}</text>"
         )
     return _document(parts, caption)

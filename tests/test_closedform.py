@@ -46,10 +46,11 @@ def test_f_building_blocks():
     model = make_model([1, 2, 4], beta=1.5)
     x0 = np.array([0.3, 0.7, 0.2])
     F = FFunction.from_model(model, x0)
+    coefficients = x0 / (1.5 * model.paths.d)
     assert np.allclose(F.exponents, 1.5 * model.paths.d)
-    assert np.allclose(F.coefficients, x0 / (1.5 * model.paths.d))
-    assert F.f0 == pytest.approx(F.coefficients.sum(), rel=1e-15)
-    assert F.log_f0 == pytest.approx(math.log(F.f0), rel=1e-14)
+    assert np.allclose(np.exp(F.log_coefficients), coefficients)
+    assert np.allclose(np.exp(F.log_slopes), coefficients * 1.5 * model.paths.d)
+    assert F.log_f0 == pytest.approx(math.log(coefficients.sum()), rel=1e-14)
 
 
 def test_f_function_rejects_other_variants_and_bad_states():
@@ -67,10 +68,11 @@ def test_f_eval_and_prime_match_direct_sums():
     for _ in range(20):
         x0 = rng.uniform(0.1, 2.0, 3)
         F = FFunction.from_model(model, x0)
+        coefficients = x0 / (0.8 * model.paths.d)
         for u in (0.0, 0.3, 2.0, 17.5):
-            direct = float(np.sum(F.coefficients * np.exp(F.exponents * u)))
+            direct = float(np.sum(coefficients * np.exp(F.exponents * u)))
             direct_prime = float(
-                np.sum(F.coefficients * F.exponents * np.exp(F.exponents * u))
+                np.sum(coefficients * F.exponents * np.exp(F.exponents * u))
             )
             assert math.exp(f_eval(F, u)) == pytest.approx(direct, rel=1e-13)
             assert math.exp(f_prime(F, u)) == pytest.approx(direct_prime, rel=1e-13)
@@ -101,17 +103,18 @@ def test_f_inverse_round_trip_far_into_the_tail():
 
 def test_f_inverse_accepts_linear_values_and_snaps_near_f0():
     F = FFunction.from_model(make_model([1, 2, 3]), [0.4, 0.6, 0.8])
+    f0 = 0.4 / 1.0 + 0.6 / 0.5 + 0.8 / (1.0 / 3.0)  # sum of x_i(0) / (beta d_i)
     # targets are logs: log y for y = 1.5 F(0), F(0), and just below F(0)
-    u = f_inverse(F, math.log(F.f0 * 1.5))
-    assert math.exp(f_eval(F, u)) == pytest.approx(F.f0 * 1.5, rel=1e-11)
+    u = f_inverse(F, math.log(f0 * 1.5))
+    assert math.exp(f_eval(F, u)) == pytest.approx(f0 * 1.5, rel=1e-11)
     assert f_inverse(F, F.log_f0) == pytest.approx(0.0, abs=1e-9)
     assert f_inverse(F, F.log_f0 + math.log1p(-1e-13)) == 0.0
     with pytest.raises(DomainError, match="below F"):
-        f_inverse(F, math.log(F.f0 * 0.5))
+        f_inverse(F, math.log(f0 * 0.5))
     with pytest.raises(DomainError):
         f_inverse(F, -math.inf)  # y = 0
     with pytest.raises(DomainError, match="finite"):
-        f_inverse(F, [math.log(F.f0 * 2.0), math.nan])
+        f_inverse(F, [math.log(f0 * 2.0), math.nan])
 
 
 def test_exact_state_single_path_linear_ode():
@@ -336,8 +339,9 @@ def test_closed_form_properties(run):
 
     F = FFunction.from_model(model, x0)
     at = model.alpha * (model.gamma * traj.times)
-    expected = np.exp(-at) * F.f0 - np.expm1(-at) / model.alpha
-    weighted = traj.states @ (1.0 / (model.beta * model.paths.d))
+    weights = 1.0 / (model.beta * model.paths.d)
+    expected = np.exp(-at) * (x0 @ weights) - np.expm1(-at) / model.alpha
+    weighted = traj.states @ weights
     np.testing.assert_allclose(weighted, expected, rtol=1e-9)
 
     for k, t in enumerate(traj.times):

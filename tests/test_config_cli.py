@@ -19,11 +19,9 @@ from antdyn import (
     ConfigError,
     OracleRangeError,
     PathSystem,
-    RunConfig,
     integrate,
     load_config,
     parse_config,
-    render_config,
     sample_asymptotic,
     sample_exact,
     trajectory_to_csv,
@@ -76,16 +74,12 @@ def test_parse_minimal_fills_defaults():
     assert config.window is None
 
 
-def test_parse_full_and_render_round_trip():
+def test_parse_full():
     config = parse_config(FULL)
     assert config.response == "tanh" and config.saturation == "max"
     assert config.x0 == (0.3, 0.4, 0.5)
     assert config.window == (1.0, 9.5)
     assert config.source_column is True
-    assert parse_config(render_config(config)) == config
-    # a sparse config survives the round trip too
-    sparse = parse_config(MINIMAL)
-    assert parse_config(render_config(sparse)) == sparse
 
 
 def test_model_and_initial_state_construction():
@@ -115,8 +109,8 @@ def test_run_builds_its_path_system_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     assert model.paths is config.paths
     assert np.allclose(x0, [0.3, 0.4, 0.5])
-    # the cached system is no field: equality and the round trip ignore it
-    assert parse_config(render_config(config)) == config
+    # the cached system is no field: equality ignores it
+    assert config == parse_config(FULL)
 
 
 def test_errors_are_aggregated():
@@ -230,6 +224,35 @@ def test_value_errors():
         parse_config(MINIMAL + "[outputs]\nsource_column = maybe\n")
 
 
+def test_list_items_between_commas_must_be_numbers(tmp_path, capsys):
+    cases = [
+        ("[model]\nlengths = 1,,2\n", "[model] lengths", "'1,,2'"),
+        (MINIMAL + "[run]\nx0 = 0.5, , 0.25,\n", "[run] x0", "'0.5, , 0.25,'"),
+        (MINIMAL + "[analysis]\nwindow = 1, , 2\n", "[analysis] window", "'1, , 2'"),
+    ]
+    for text, option, raw in cases:
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, origin="bad.ini")
+        assert str(info.value) == (
+            f"bad.ini:\n  {option}: expected a comma-separated list of numbers, got {raw}"
+        )
+    # an empty value keeps its message
+    with pytest.raises(ConfigError) as info:
+        parse_config("[model]\nlengths =\n", origin="bad.ini")
+    assert str(info.value) == (
+        "bad.ini:\n  [model] lengths: expected a comma-separated list of numbers"
+    )
+    # the CLI refuses the file, which it used to run as a model of two paths
+    path = tmp_path / "run.ini"
+    path.write_text("[model]\nlengths = 1,,2\n")
+    assert main(["simulate", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: {path}:\n  [model] lengths: expected a comma-separated list of numbers, "
+        "got '1,,2'\n",
+    )
+
+
 def test_semantic_errors():
     # each failure quotes the model layer's own message after its option
     cases = [
@@ -333,39 +356,6 @@ def test_load_config_missing_file(tmp_path):
     target = tmp_path / "run.ini"
     target.write_text(MINIMAL)
     assert load_config(target) == parse_config(MINIMAL, origin=str(target))
-
-
-def test_render_config_text_of_a_full_and_a_sparse_config():
-    assert render_config(parse_config(FULL)) == FULL.replace("1, 2, 4", "1.0, 2.0, 4.0")
-    sparse = RunConfig(lengths=(1.0, 2.0), trajectory="t.csv", source_column=True)
-    assert render_config(sparse) == (
-        "[model]\n"
-        "lengths = 1.0, 2.0\n"
-        "alpha = 1.0\n"
-        "beta = 1.0\n"
-        "gamma = 1.0\n"
-        "response = identity\n"
-        "saturation = sum\n"
-        "\n"
-        "[run]\n"
-        "dt = 0.02\n"
-        "steps = 2000\n"
-        "scheme = euler\n"
-        "positivity = reject\n"
-        "\n"
-        "[outputs]\n"
-        "trajectory = t.csv\n"
-        "source_column = yes\n"
-    )
-
-
-def test_render_config_formats():
-    config = RunConfig(lengths=(1.0, 2.0), trajectory="t.csv", source_column=True)
-    text = render_config(config)
-    assert "lengths = 1.0, 2.0" in text
-    assert "source_column = yes" in text
-    assert "x0" not in text
-    assert "window" not in text
 
 
 # -- command line -------------------------------------------------------
@@ -652,9 +642,7 @@ def test_cli_phase_matches_phase_preset(tmp_path, capsys):
         f"alpha = {model.alpha!r}\nbeta = {model.beta!r}\ngamma = {model.gamma!r}\n"
         f"response = {model.g_kind.value}\nsaturation = {model.phi_kind.value}\n",
     )
-    lo, hi = preset.bounds
-    argv = ["--out", str(tmp_path), "--bounds", repr(lo), repr(hi)]
-    assert main(["phase", str(path), *argv, "--resolution", str(preset.resolution)]) == 0
+    assert main(["phase", str(path), "--out", str(tmp_path)]) == 0
     assert main(["reproduce", preset.name, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     from_cli = (tmp_path / f"phase-{model.label}" / "field-grid.csv").read_bytes()
@@ -820,7 +808,7 @@ def test_public_names_are_the_package_globals_that_are_not_modules():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(names) == public
-    assert len(names) == 58
+    assert len(names) == 57
 
 
 def test_cli_import_loads_no_scipy():

@@ -43,7 +43,9 @@ def test_path_system_round_trip_permutation():
         lengths = rng.uniform(0.2, 5.0, n)
         ps = PathSystem.from_lengths(lengths)
         values = rng.normal(size=n)
-        assert np.array_equal(ps.to_user(ps.to_canonical(values)), values)
+        back = np.empty(n)
+        back[ps.order] = ps.to_canonical(values)
+        assert np.array_equal(back, values)
         # canonical order carries the sorted weights
         assert np.all(np.diff(ps.d) <= 0)
         assert np.allclose(ps.to_canonical(1.0 / lengths), ps.d)
@@ -126,7 +128,7 @@ def test_reorder_rejects_wrong_size():
     with pytest.raises(ValueError):
         ps.to_canonical([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        ps.to_user([1.0])
+        ps.to_canonical([1.0])
 
 
 def test_model_spec_coerces_and_validates():

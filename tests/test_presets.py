@@ -416,7 +416,7 @@ def test_spurious_scan_edge_corner_and_plateau_minima():
 
 def test_both_phase_presets_scan_clean():
     for name, preset in PHASE_PRESETS.items():
-        grid = phase_grid(preset.model, bounds=preset.bounds, resolution=preset.resolution)
+        grid = phase_grid(preset.model)
         clean, offending = spurious_equilibria_scan(grid, find_equilibria(preset.model))
         assert clean, f"{name}: {offending}"
 

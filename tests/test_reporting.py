@@ -12,8 +12,13 @@ from antdyn import _fixed, reporting
 from antdyn.presets import PHASE_PRESETS, PRESETS, PhaseGrid, phase_grid
 from antdyn._fixed import _FIXED_LIMIT, _format_fixed
 from antdyn.analysis import ComponentRate, RateReport, SeriesRate
-from antdyn.reporting import _FMT_CELLS, _format_block, grid_csv, rates_csv, rates_table
+from antdyn.reporting import _FMT_CELLS, _format_passes, grid_csv, rates_csv, rates_table
 from antdyn.simulate import CLAMP_FLOOR, integrate, trajectory_to_csv
+
+
+def format_block(block) -> str:
+    """A 2-d float block as CSV rows, one row per block row, by the pass kernel."""
+    return "".join(_format_passes([block]))
 
 
 def spelled(block) -> list[str]:
@@ -31,7 +36,7 @@ def cells_of(text: str, shape) -> list[str]:
 
 def assert_formats(block):
     block = np.asarray(block, dtype=float)
-    got = cells_of(_format_block(block), block.shape)
+    got = cells_of(format_block(block), block.shape)
     want = spelled(block)
     wrong = [(w, g) for w, g in zip(want, got) if w != g]
     assert not wrong, f"{len(wrong)} of {len(want)} cells differ, e.g. {wrong[:5]}"
@@ -134,8 +139,8 @@ def test_block_edges_and_known_hard_cells():
         *SPECIAL,
     ]
     assert_formats(np.array(hard)[:, None])
-    assert _format_block(np.array([[916695891000000.125, 2.5]])) == "916695891000000.12,2.5\n"
-    assert _format_block(np.array([[9.9999999999999996e-270]])) == "9.9999999999999996e-270\n"
+    assert format_block(np.array([[916695891000000.125, 2.5]])) == "916695891000000.12,2.5\n"
+    assert format_block(np.array([[9.9999999999999996e-270]])) == "9.9999999999999996e-270\n"
     # shapes around the pass size
     for shape in [(1, 1), (1, _FMT_CELLS + 1), (_FMT_CELLS + 1, 1), (3, _FMT_CELLS // 3 + 1)]:
         assert_formats(np.random.default_rng(sum(shape)).standard_normal(shape))
@@ -193,7 +198,7 @@ def count_fallbacks(monkeypatch) -> list:
 def test_zeros_are_spelled_without_the_fallback(monkeypatch):
     fallbacks = count_fallbacks(monkeypatch)
     block = np.array([[0.0, -0.0, 1.0], [-0.0, 2.5, 0.0], [1e-300, 0.0, -3.0]])
-    assert _format_block(block) == "0,-0,1\n-0,2.5,0\n1e-300,0,-3\n"
+    assert format_block(block) == "0,-0,1\n-0,2.5,0\n1e-300,0,-3\n"
     # 1e-300 lies below the table's range
     assert fallbacks == [1e-300]
 
@@ -201,7 +206,7 @@ def test_zeros_are_spelled_without_the_fallback(monkeypatch):
 def test_preset_csvs_leave_the_fallback(monkeypatch):
     fallbacks = count_fallbacks(monkeypatch)
     for preset in PHASE_PRESETS.values():
-        grid_csv(phase_grid(preset.model, bounds=preset.bounds, resolution=preset.resolution))
+        grid_csv(phase_grid(preset.model))
     assert fallbacks == []
     # of the trajectories, only the t = 0 zeros went there, and they no longer do
     preset = PRESETS["eigenant-fig1"]

@@ -2,6 +2,7 @@
 
 import math
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antdyn import svgfig
-from antdyn.presets import PHASE_PRESETS, phase_grid
+from antdyn.presets import PHASE_PRESETS, phase_grid, preset_names, run_preset
 from antdyn.stability import find_equilibria
 from antdyn.svgfig import (
     HEIGHT,
@@ -224,7 +225,7 @@ def reference_quiver(x1, x2, u, v, markers, title, xlabel, ylabel, caption=None)
 @pytest.mark.parametrize("name", sorted(PHASE_PRESETS))
 def test_quiver_figure_is_the_node_loop(name):
     preset = PHASE_PRESETS[name]
-    grid = phase_grid(preset.model, bounds=preset.bounds, resolution=preset.resolution)
+    grid = phase_grid(preset.model)
     markers = [
         (float(eq.point[0]), float(eq.point[1]), f"mu_{eq.index + 1}")
         for eq in find_equilibria(preset.model)
@@ -287,3 +288,29 @@ def test_quiver_figure_names_an_axis_it_cannot_draw(x1, message):
     field = np.ones((2, 2))
     with pytest.raises(ValueError, match=message):
         quiver_figure(np.array(x1), np.array([0.0, 1.0]), field, field, [], "t", "x", "y")
+
+
+def text_nodes(svg: str) -> list[str]:
+    """The content of every ``<text>`` node, parsed as XML."""
+    return [node.text for node in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+
+
+def test_preset_figures_are_well_formed_xml(tmp_path):
+    for name in preset_names():
+        run_preset(name, out_root=tmp_path)
+    figures = sorted(tmp_path.glob("*/figure.svg"))
+    assert len(figures) == 8
+    for path in figures:
+        assert text_nodes(path.read_text())
+
+
+def test_text_with_markup_characters_reads_back_unchanged():
+    # one string per text site, each holding all three characters that XML text escapes
+    title, xlabel, ylabel, caption, label = (f"{site} R&D <a> & b>c" for site in "TXYCL")
+    x = np.arange(3.0)
+    line = line_figure([Series(label, x, x)], title, xlabel, ylabel, caption)
+    assert {title, xlabel, ylabel, caption, label} <= set(text_nodes(line))
+    quiver = quiver_figure(
+        x, x, np.ones((3, 3)), np.ones((3, 3)), [(1.0, 1.0, label)], title, xlabel, ylabel, caption
+    )
+    assert {title, xlabel, ylabel, caption, label} <= set(text_nodes(quiver))
