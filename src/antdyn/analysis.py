@@ -21,7 +21,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import lstsq as _lstsq
 
 from .models import GKind, ModelSpec, PhiKind
-from .simulate import SumBoundsReport, Trajectory, check_sum_bounds
+from .simulate import SumBoundsReport, Trajectory, check_sum_bounds, require_paths
 
 __all__ = [
     "ComponentRate",
@@ -298,6 +298,7 @@ def rate_report(
     on a chattering signum run or a run of a step or two, are reported
     with NaN rates rather than aborting the report.
     """
+    require_paths(traj, model)
     paths, n, tied = model.paths, model.n, model.paths.tied
     scaled = model.gamma * traj.times
     # window once for every fit: one time vector and one contiguous row per component
@@ -326,66 +327,39 @@ def rate_report(
     rows[n] = paths.tied_sum(windowed)
     rows[n + 1] = traj.sums[mask]
     # the sums are centered on the theoretical limit, since the decay-rate statement is
-    # about the distance from the true limit; when every path ties they have no rate
+    # about the distance from the true limit; when every path ties they are not fitted
     fitted = n if sum_rate is None else n + 2
     fits = fit_decay_rates(t, rows[:fitted], [None] * tied + limit_theory[tied:fitted])
+    fits += [None] * (n + 2 - fitted)
     tail_means = _tail_means(rows)[0].tolist()
 
-    components = []
-    for i, fit in enumerate(fits[:n]):
-        is_tied = i < tied
-        if isinstance(fit, DecayFit):
-            fitted_rate, fitted_limit = fit.rate, fit.limit
-            r_squared, n_samples = fit.r_squared, fit.n_samples
-        else:
-            # no measurable decay; a tied component still has a limit to report
-            fitted_rate = fitted_limit = r_squared = float("nan")
-            n_samples = 0
-            if is_tied and t.size:
-                fitted_limit = tail_means[i]
-        rel = None
-        if not is_tied and np.isfinite(fitted_rate):
-            rel = abs(fitted_rate - rate_theory[i]) / rate_theory[i]
-        components.append(
-            ComponentRate(
-                index=i,
-                d_value=float(paths.d[i]),
-                tied=is_tied,
-                fitted_rate=fitted_rate,
-                theoretical_rate=rate_theory[i],
-                fitted_limit=fitted_limit,
-                theoretical_limit=limit_theory[i],
-                relative_rate_error=rel,
-                r_squared=r_squared,
-                n_samples=n_samples,
-            )
-        )
-
-    series = []
-    for label, row in (("tied-sum", n), ("total-sum", n + 1)):
-        fit = fits[row] if row < fitted else None
-        # no entry for a window with no sample (the default can fall between the two
-        # samples of one step) or a fit that ran out of samples
-        if not t.size or isinstance(fit, FitError):
-            series.append(None)
+    entries = []
+    for i, fit in enumerate(fits):
+        if i >= n and (not t.size or isinstance(fit, FitError)):
+            # no sum entry for a window with no sample (the default can fall between the
+            # two samples of one step) or a fit that ran out of samples
+            entries.append(None)
             continue
-        rate = rate_theory[row]
-        series.append(
-            SeriesRate(
-                label=label,
-                fitted_rate=float("nan") if fit is None else fit.rate,
-                theoretical_rate=rate,
-                fitted_limit=tail_means[row],
-                theoretical_limit=limit_theory[row],
-                relative_rate_error=None if fit is None else abs(fit.rate - rate) / rate,
-                r_squared=float("nan") if fit is None else fit.r_squared,
-            )
-        )
+        ok = isinstance(fit, DecayFit)
+        fitted_rate, r_squared = (fit.rate, fit.r_squared) if ok else (math.nan, math.nan)
+        if ok and i < n:
+            fitted_limit = fit.limit
+        else:
+            # no fitted limit: a sum or a tied component still reports its tail mean
+            fitted_limit = tail_means[i] if t.size and (i < tied or i >= n) else math.nan
+        rate = rate_theory[i]
+        rel = abs(fitted_rate - rate) / rate if i >= tied and math.isfinite(fitted_rate) else None
+        values = (fitted_rate, rate, fitted_limit, limit_theory[i], rel, r_squared)
+        if i < n:
+            n_samples = fit.n_samples if ok else 0
+            entries.append(ComponentRate(i, float(paths.d[i]), i < tied, *values, n_samples))
+        else:
+            entries.append(SeriesRate(("tied-sum", "total-sum")[i - n], *values))
 
     return RateReport(
-        components=tuple(components),
-        tied_sum=series[0],
-        total_sum=series[1],
+        components=tuple(entries[:n]),
+        tied_sum=entries[n],
+        total_sum=entries[n + 1],
         gamma=model.gamma,
         window=(float(window[0]), float(window[1])),
     )
@@ -422,6 +396,7 @@ def verify_convergence(traj: Trajectory, model: ModelSpec) -> ConvergenceReport:
     has a single sample and so shows no movement at all, the verdict is
     inconclusive rather than a verdict on an unfinished transient.
     """
+    require_paths(traj, model)
     scale = model.mu[0]
     sum_tolerance = SUM_TOLERANCE_FACTOR * scale
     tail = max(2, int(math.ceil(0.1 * traj.sums.size)))
@@ -496,13 +471,18 @@ def compare_variants(runs: Sequence[tuple[str, ModelSpec, Trajectory]]) -> Varia
     infinity.  Ranking is on gain-scaled time, the scale in which runs
     with different gains are comparable; ties share a rank.
 
-    All runs must share the time grid, the initial state and the weight
-    vector (the models themselves may differ).
+    All runs must share the time grid, the initial state, the number of
+    paths and the weight vector (the models themselves may differ), and
+    each trajectory must have its model's number of paths.
     """
     if not runs:
         raise ValueError("need at least one run to rank")
-    _, model0, traj0 = runs[0]
+    label0, model0, traj0 = runs[0]
+    require_paths(traj0, model0)
     for label, model, traj in runs[1:]:
+        if traj.n != traj0.n:
+            raise ValueError(f"run {label!r} has {traj.n} paths, run {label0!r} has {traj0.n}")
+        require_paths(traj, model)
         if not np.array_equal(traj.times, traj0.times):
             raise ValueError(f"run {label!r} has a different time grid")
         if not np.allclose(traj.states[0], traj0.states[0], rtol=1e-12, atol=0.0):
@@ -510,33 +490,18 @@ def compare_variants(runs: Sequence[tuple[str, ModelSpec, Trajectory]]) -> Varia
         if not np.allclose(model.paths.d, model0.paths.d, rtol=1e-12, atol=0.0):
             raise ValueError(f"run {label!r} has different preference weights")
 
-    raw = []
+    crossings = []
     for label, model, traj in runs:
         limit = model.mu[0]
         inside = np.abs(traj.states[:, 0] - limit) < RANK_THRESHOLD * limit
-        if np.any(inside):
-            k = int(np.argmax(inside))
-            tau_time = float(traj.times[k])
-            tau_scaled = model.gamma * tau_time
-            reached = True
-        else:
-            tau_time = tau_scaled = float("inf")
-            reached = False
-        raw.append((label, tau_scaled, tau_time, limit, reached))
-
-    order = sorted(range(len(raw)), key=lambda i: (raw[i][1], i))
-    entries = []
-    for position in order:
-        label, tau_scaled, tau_time, limit, reached = raw[position]
-        rank = 1 + sum(1 for other in raw if other[1] < tau_scaled)
-        entries.append(
-            RankEntry(
-                label=label,
-                rank=rank,
-                tau_scaled=tau_scaled,
-                tau_time=tau_time,
-                limit=limit,
-                reached=reached,
-            )
-        )
-    return VariantRanking(entries=tuple(entries), threshold=RANK_THRESHOLD)
+        reached = bool(inside.any())
+        tau_time = float(traj.times[inside.argmax()]) if reached else math.inf
+        crossings.append((label, model.gamma * tau_time, tau_time, limit, reached))
+    # stable: tied runs keep the caller's order, and each ranks after the strictly earlier runs
+    crossings.sort(key=lambda crossing: crossing[1])
+    taus = [crossing[1] for crossing in crossings]
+    entries = tuple(
+        RankEntry(label, 1 + taus.index(tau_scaled), tau_scaled, *rest)
+        for label, tau_scaled, *rest in crossings
+    )
+    return VariantRanking(entries=entries, threshold=RANK_THRESHOLD)

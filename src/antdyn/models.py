@@ -197,20 +197,24 @@ def require_positive(name: str, value) -> float:
 
 
 def require_admissible(x) -> np.ndarray:
-    """Check that a state lies in the admissible domain.
+    """Check that a 1-D state lies in the admissible domain.
 
-    Components must be nonnegative with at least one strictly positive
-    entry.  Raises :class:`DomainError` naming the offending component.
+    Components must be finite and nonnegative with at least one strictly
+    positive entry.  A state that is not 1-D raises ``ValueError`` naming
+    its shape; an inadmissible one raises :class:`DomainError` naming the
+    first offending component.
     """
     arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"a state must be 1-D, got shape {arr.shape}")
     # nan fails both comparisons; an empty state reads as identically zero
     top = arr.max(initial=-math.inf)
     if not (0.0 <= arr.min(initial=math.inf) and top < math.inf):
-        for i, value in enumerate(arr):
-            if not np.isfinite(value):
-                raise DomainError(f"component {i} is {float(value)}")
-            if value < 0.0:
-                raise DomainError(f"component {i} is negative ({float(value)})")
+        i = int(np.argmin(np.isfinite(arr) & (arr >= 0.0)))
+        value = float(arr[i])
+        if not math.isfinite(value):
+            raise DomainError(f"component {i} is {value}")
+        raise DomainError(f"component {i} is negative ({value})")
     if not top > 0.0:
         raise DomainError("state is identically zero; at least one component must be positive")
     return arr
@@ -234,7 +238,7 @@ _RESPONSE = {GKind.IDENTITY: None, GKind.TANH: np.tanh, GKind.SIGNUM: np.sign}
 
 
 def phi_eval(phi_kind: PhiKind, x) -> float:
-    """Evaluate the saturation function phi at a state.
+    """Evaluate the saturation function phi at a 1-D state.
 
     ``sum`` gives ``1 / sum(x)``, ``max`` gives ``1 / max(x)``.
     """
@@ -242,7 +246,7 @@ def phi_eval(phi_kind: PhiKind, x) -> float:
 
 
 def phi_grad(phi_kind: PhiKind, x) -> np.ndarray:
-    """Gradient of phi at a state.
+    """Gradient of phi at a 1-D state.
 
     For ``max`` the maximizer must be unique; at an exact tie the function
     has a kink and :class:`NondifferentiablePointError` is raised.
@@ -406,14 +410,14 @@ def require_rows(models) -> tuple[ModelSpec, ...]:
 
 
 def vector_field(model: ModelSpec, x) -> np.ndarray:
-    """Right-hand side of the path-choice dynamics at an admissible state.
+    """Right-hand side of the path-choice dynamics at an admissible 1-D state.
 
     Parameters
     ----------
     model : ModelSpec
     x : array_like
-        Admissible state (see :func:`require_admissible`) in canonical
-        (sorted-d) order.
+        Admissible 1-D state (see :func:`require_admissible`) of ``n``
+        components in canonical (sorted-d) order.
 
     Returns
     -------

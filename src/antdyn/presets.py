@@ -15,6 +15,7 @@ x(0) = (0.1, 0.2, ..., 1.0), and 2000 Euler steps of 0.02.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -194,12 +195,15 @@ def phase_grid(
     is ``(0.01, 1.5 * beta * d_1 / alpha)``.  Both bounds must be finite
     and the low bound strictly positive: both axes share it, so a zero low
     bound would put the origin, where the saturation is undefined, on the
-    grid.  The whole grid is one call of the :func:`rhs` kernel, and a
-    field that is not finite at some node (bounds so small that the
-    saturation overflows) raises ``ValueError`` naming that node.
+    grid.  ``resolution``, the number of nodes on each axis, is an
+    integer of at least 2.  The whole grid is one call of the :func:`rhs`
+    kernel, and a field that is not finite at some node (bounds so small
+    that the saturation overflows) raises ``ValueError`` naming that node.
     """
     if model.n != 2:
         raise ValueError(f"phase grids are for two-path models, got n={model.n}")
+    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if bounds is None:
@@ -277,32 +281,25 @@ def write_phase_artifacts(grid: PhaseGrid, equilibria, out_dir, title: str, capt
     return csv_path, svg_path
 
 
-def _figure_for(preset: ExperimentPreset, trajectories: dict) -> str:
-    if len(preset.runs) > 1:
-        series = []
-        for label, model in preset.runs:
-            traj = trajectories[label]
-            series.append(Series(label=label, x=model.gamma * traj.times, y=traj.states[:, 0]))
-        return line_figure(
-            series,
-            title=preset.name,
-            xlabel="gain-scaled time",
-            ylabel="shortest-path concentration x_1",
-            caption=preset.description,
-        )
-    label, model = preset.runs[0]
-    traj = trajectories[label]
-    series = [
-        Series(label=f"x_{i + 1}", x=traj.times, y=traj.states[:, i]) for i in range(traj.n)
-    ]
-    if model.paths.tied > 1:
-        series.append(Series(label="tied sum", x=traj.times, y=model.paths.tied_sum(traj.states)))
+def _figure_for(preset: ExperimentPreset, runs) -> str:
+    if len(runs) > 1:
+        series = [
+            Series(label=label, x=model.gamma * traj.times, y=traj.states[:, 0])
+            for label, model, traj in runs
+        ]
+        xlabel, ylabel = "gain-scaled time", "shortest-path concentration x_1"
+    else:
+        ((_, model, traj),) = runs
+        series = [
+            Series(label=f"x_{i + 1}", x=traj.times, y=traj.states[:, i]) for i in range(traj.n)
+        ]
+        if model.paths.tied > 1:
+            series.append(
+                Series(label="tied sum", x=traj.times, y=model.paths.tied_sum(traj.states))
+            )
+        xlabel, ylabel = "time", "concentration"
     return line_figure(
-        series,
-        title=preset.name,
-        xlabel="time",
-        ylabel="concentration",
-        caption=preset.description,
+        series, title=preset.name, xlabel=xlabel, ylabel=ylabel, caption=preset.description
     )
 
 
@@ -312,11 +309,10 @@ def _run_trajectory_preset(preset: ExperimentPreset, out_dir: Path, steps: int):
     Returns the report's preamble pairs, its sections and the written paths.
     """
     labels, models = zip(*preset.runs)
-    trajectories = dict(zip(labels, integrate_rows(models, preset.x0, preset.dt, steps)))
+    runs = list(zip(labels, models, integrate_rows(models, preset.x0, preset.dt, steps)))
     sections = []
     paths = []
-    for label, model in preset.runs:
-        traj = trajectories[label]
+    for label, model, traj in runs:
         rates = rate_report(model, traj)
         paths.append(write_trajectory_csv(traj, out_dir / f"trajectory-{label}.csv"))
         paths.append(write_text_atomic(out_dir / f"rates-{label}.csv", rates_csv(rates)))
@@ -326,12 +322,9 @@ def _run_trajectory_preset(preset: ExperimentPreset, out_dir: Path, steps: int):
             (f"rates:{label}", rates_table(rates)),
             (f"equilibria:{label}", equilibria_lines(model)),
         ]
-    if len(preset.runs) > 1:
-        ranking = compare_variants(
-            [(label, model, trajectories[label]) for label, model in preset.runs]
-        )
-        sections.append(("ranking", ranking_lines(ranking)))
-    paths.append(write_text_atomic(out_dir / "figure.svg", _figure_for(preset, trajectories)))
+    if len(runs) > 1:
+        sections.append(("ranking", ranking_lines(compare_variants(runs))))
+    paths.append(write_text_atomic(out_dir / "figure.svg", _figure_for(preset, runs)))
     preamble = [
         ("dt", preset.dt),
         ("steps", steps),

@@ -64,15 +64,10 @@ def render_kv(pairs: Iterable[tuple[str, object]]) -> list[str]:
 
 def render_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> list[str]:
     """Pipe-separated table with aligned columns."""
-    rendered = [[fmt_value(cell) for cell in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in rendered:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [" | ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    for row in rendered:
-        lines.append(" | ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return lines
+    table = [list(headers), *([fmt_value(cell) for cell in row] for row in rows)]
+    # a row shorter than the header leaves its last columns empty
+    widths = [max(map(len, column)) for column in itertools.zip_longest(*table, fillvalue="")]
+    return [" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
 
 
 def compose_report(sections: Sequence[tuple[Optional[str], Sequence[str]]]) -> str:

@@ -141,6 +141,12 @@ class Trajectory:
         return self.first_violation is not None
 
 
+def require_paths(traj: Trajectory, model: ModelSpec) -> None:
+    """Check that a trajectory has one column per path of the model it is judged against."""
+    if traj.n != model.n:
+        raise ValueError(f"trajectory has {traj.n} paths, model has {model.n}")
+
+
 @dataclass(frozen=True)
 class SumBoundsReport:
     """Result of the sum-envelope check."""
@@ -410,6 +416,7 @@ def check_sum_bounds(traj: Trajectory, model: ModelSpec) -> SumBoundsReport:
     ``10 * dt * gamma * beta * d_1``, the documented slack for the Euler
     discretization error.
     """
+    require_paths(traj, model)
     if model.phi_kind is not PhiKind.SUM or model.g_kind is not GKind.IDENTITY:
         raise ValueError("sum envelope applies to the identity response with phi=sum only")
     allowance = ENVELOPE_ALLOWANCE_STEPS * traj.dt * model.gamma * model.beta * model.paths.d[0]

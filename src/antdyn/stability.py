@@ -90,7 +90,7 @@ def find_equilibria(model: ModelSpec) -> list[Equilibrium]:
 
 
 def jacobian(model: ModelSpec, x) -> np.ndarray:
-    """Derivative of the vector field at an admissible state.
+    """Derivative of the vector field at an admissible 1-D state.
 
     With ``a_i(x) = -alpha + beta phi(x) d_i`` the field is
     ``gamma g(a_i) x_i`` and the derivative is

@@ -17,6 +17,7 @@ from antdyn import (
     Scheme,
     Trajectory,
     VerificationStatus,
+    check_sum_bounds,
     compare_variants,
     default_fit_window,
     fit_decay_rate,
@@ -645,6 +646,36 @@ def test_ranking_ties_share_rank_and_stragglers_rank_last():
     assert laggard.label == "z"
     assert not laggard.reached
     assert laggard.tau_scaled == float("inf")
+
+
+def test_ranking_keeps_the_callers_order_among_tied_runs():
+    times = np.arange(0, 501) * 0.01
+    model, traj = crossing_run(gamma=1.0, crossing_time=2.0, times=times)
+    ranking = compare_variants([("y", model, traj), ("x", model, traj)])
+    assert [(e.label, e.rank) for e in ranking.entries] == [("y", 1), ("x", 1)]
+
+
+def test_a_trajectory_is_judged_only_against_a_model_of_its_paths():
+    times = np.arange(0, 201) * 0.05
+    two = make_trajectory(times, np.column_stack([np.full(201, 1.0), np.full(201, 1e-9)]))
+    for lengths in ([1, 2, 3], [1, 1, 2]):
+        three = make_model(lengths)
+        for call in (
+            lambda: verify_convergence(two, three),
+            lambda: check_sum_bounds(two, three),
+            lambda: rate_report(three, two),
+            lambda: compare_variants([("a", three, two)]),
+            lambda: compare_variants([("a", make_model([1, 2]), two), ("b", three, two)]),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == "trajectory has 2 paths, model has 3"
+    # a run whose path count differs from the first run's is named
+    model3 = make_model([1, 2, 3])
+    traj3 = make_trajectory(times, np.full((201, 3), 0.5))
+    with pytest.raises(ValueError) as info:
+        compare_variants([("a", make_model([1, 2]), two), ("b", model3, traj3)])
+    assert str(info.value) == "run 'b' has 3 paths, run 'a' has 2"
 
 
 def test_ranking_rejects_incomparable_runs():

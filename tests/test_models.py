@@ -24,6 +24,7 @@ from antdyn import (
     vector_field,
 )
 from antdyn.models import TIE_RTOL, require_admissible, require_positive_state, rhs
+from antdyn.stability import jacobian
 
 from helpers import make_model
 
@@ -159,6 +160,24 @@ def test_require_admissible():
         require_positive_state([1.0, 0.0, np.nan], 3)
     with pytest.raises(DomainError, match="identically zero"):
         require_admissible([0.0, 0.0])
+
+
+def test_a_state_that_is_not_1d_is_refused_with_its_shape():
+    model = make_model([1, 2])
+    cases = [
+        (lambda: phi_eval("sum", -1.0), "()"),
+        (lambda: phi_eval("sum", 2.0), "()"),
+        (lambda: phi_eval("sum", [[1.0, -1.0], [1.0, 1.0]]), "(2, 2)"),
+        (lambda: phi_grad("max", [[1.0, 2.0]]), "(1, 2)"),
+        (lambda: vector_field(model, [[1.0, -1.0]]), "(1, 2)"),
+        (lambda: jacobian(model, np.array([[1.0, 2.0]])), "(1, 2)"),
+        (lambda: require_admissible(np.ones((2, 1, 2))), "(2, 1, 2)"),
+    ]
+    for call, shape in cases:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert info.type is ValueError
+        assert str(info.value) == f"a state must be 1-D, got shape {shape}"
 
 
 def test_phi_eval_matches_direct_formulas():

@@ -295,6 +295,16 @@ def test_phase_grid_input_validation():
         phase_grid(three)
 
 
+def test_phase_grid_resolution_must_be_an_integer():
+    model = PHASE_PRESETS["phase-eigenant"].model
+    for resolution in (2.5, 21.0, True, "21"):
+        with pytest.raises(ValueError) as info:
+            phase_grid(model, resolution=resolution)
+        assert str(info.value) == f"resolution must be an integer, got {resolution!r}"
+    # numpy's integers are integers
+    assert phase_grid(model, resolution=np.int64(3)).x1.size == 3
+
+
 def test_spurious_scan_flags_false_equilibria():
     axis = np.linspace(0.1, 0.9, 9)
     speed = np.ones((9, 9))
