@@ -20,7 +20,7 @@ import numpy as np
 # would (ROADMAP item 1's closed-form slope removes it)
 from numpy.linalg._umath_linalg import lstsq as _lstsq
 
-from .models import GKind, ModelSpec, PhiKind
+from .models import GKind, ModelSpec, PhiKind, require_interval
 from .simulate import SumBoundsReport, Trajectory, check_sum_bounds, require_paths
 
 __all__ = [
@@ -212,11 +212,7 @@ def _raise_lstsq_error(err, flag):
 
 def window_mask(times: np.ndarray, window) -> np.ndarray:
     """The samples of ``times`` inside the inclusive ``window = (lo, hi)`` of finite bounds."""
-    lo, hi = float(window[0]), float(window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"window must be finite, got ({lo!r}, {hi!r})")
-    if not lo < hi:
-        raise ValueError(f"window must satisfy lo < hi, got ({lo!r}, {hi!r})")
+    lo, hi = require_interval("window", window)
     return (times >= lo) & (times <= hi)
 
 

@@ -168,8 +168,7 @@ def _cmd_reproduce(args) -> int:
 def _cmd_phase(args) -> int:
     config = load_config(args.config)
     model = config.model()
-    bounds = tuple(args.bounds) if args.bounds else None
-    grid = phase_grid(model, bounds=bounds, resolution=args.resolution)
+    grid = phase_grid(model, bounds=args.bounds, resolution=args.resolution)
     out_dir = resolve_out_root(args.out) / f"phase-{model.label}"
     csv_path, svg_path = write_phase_artifacts(
         grid, find_equilibria(model), out_dir, title=f"phase-{model.label}"

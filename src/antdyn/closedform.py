@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import DomainError, GKind, ModelSpec, PhiKind, require_positive_state
+from .models import DomainError, GKind, ModelSpec, PhiKind, require_positive, require_positive_state
 from .simulate import Scheme, Trajectory, sample_times
 
 __all__ = [
@@ -304,6 +304,7 @@ def _asymptotic_grid(sigma: SigmaCoefficients, model: ModelSpec, times):
 
 
 def _sample(model: ModelSpec, x0, dt: float, steps: int, scheme: Scheme) -> Trajectory:
+    dt = require_positive("dt", dt)
     times = sample_times(dt, steps)
     valid = None
     if scheme is Scheme.EXACT:
@@ -311,10 +312,7 @@ def _sample(model: ModelSpec, x0, dt: float, steps: int, scheme: Scheme) -> Traj
     else:
         states, _, ratio = _asymptotic_grid(sigma_coefficients(model, x0), model, times)
         valid = ratio <= CORRECTION_LIMIT
-    return Trajectory(
-        times=times, states=states, sums=states.sum(axis=1), scheme=scheme, dt=float(dt),
-        leading_valid=valid,
-    )
+    return Trajectory(states=states, scheme=scheme, dt=dt, leading_valid=valid)
 
 
 def sample_exact(model: ModelSpec, x0, dt: float, steps: int) -> Trajectory:

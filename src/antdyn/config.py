@@ -44,9 +44,9 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import window_mask
 from .closedform import require_closed_form
-from .models import GKind, ModelSpec, PathSystem, PhiKind, require_positive, require_positive_state
+from .models import GKind, ModelSpec, PathSystem, PhiKind
+from .models import require_interval, require_positive, require_positive_state
 from .simulate import PositivityPolicy, Scheme, require_steps
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
@@ -228,7 +228,7 @@ def _semantic_errors(config: RunConfig) -> list[str]:
         check("scheme", require_closed_form, config.response, config.saturation)
     if config.window is not None:
         # lo < hi here; whether the window selects a sample is rate_report's check
-        check("window", window_mask, np.empty(0), config.window)
+        check("window", require_interval, "window", config.window)
     return errors
 
 

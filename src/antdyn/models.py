@@ -189,11 +189,23 @@ class ModelSpec:
 
 
 def require_positive(name: str, value) -> float:
-    """Check a rate or step size: a finite float > 0, returned as a float."""
+    """Check a rate or step size: a finite float > 0 (not a bool), returned as a float."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     value = float(value)
     if not 0.0 < value < math.inf:  # nan fails both
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
     return value
+
+
+def require_interval(name: str, pair) -> tuple[float, float]:
+    """Check an interval ``(lo, hi)``: both finite and ``lo < hi``, returned as floats."""
+    lo, hi = float(pair[0]), float(pair[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} must be finite, got {(lo, hi)!r}")
+    if not lo < hi:
+        raise ValueError(f"{name} must satisfy lo < hi, got {(lo, hi)!r}")
+    return lo, hi
 
 
 def require_admissible(x) -> np.ndarray:

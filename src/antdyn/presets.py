@@ -14,7 +14,6 @@ x(0) = (0.1, 0.2, ..., 1.0), and 2000 Euler steps of 0.02.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis import compare_variants, rate_report, verify_convergence
-from .models import ModelSpec, PathSystem, PhiKind, rhs
+from .models import ModelSpec, PathSystem, PhiKind, require_interval, rhs
 from .reporting import (
     compose_report,
     equilibria_lines,
@@ -208,11 +207,7 @@ def phase_grid(
         raise ValueError("resolution must be at least 2")
     if bounds is None:
         bounds = (0.01, 1.5 * model.beta * model.paths.d[0] / model.alpha)
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"bounds must be finite, got {bounds!r}")
-    if not lo < hi:
-        raise ValueError(f"bounds must satisfy lo < hi, got {bounds!r}")
+    lo, hi = require_interval("bounds", bounds)
     if lo < 0.0:
         raise ValueError("bounds must stay in the nonnegative quadrant")
     if lo == 0.0:

@@ -18,6 +18,10 @@ model integrated alone, and a failing row raises the error its solo run
 raises, naming the row.  Trajectories also cover closed-form and
 asymptotic sample grids, which reuse the same container and CSV schema
 with a different source tag.
+
+A :class:`Trajectory` stores its states and its step only; its time grid
+and its state sums are derived from them, so no producer builds either
+and no trajectory can hold a grid or sums that disagree with its states.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -109,19 +114,28 @@ class PositivityError(IntegrationError):
 class Trajectory:
     """Equally spaced samples of one run.
 
-    ``states`` has shape (steps + 1, n) in canonical path order and
-    ``sums`` is the row sum of ``states`` exactly as stored.  Samples of
-    the asymptotic expansion carry ``leading_valid``, one flag per row
-    that is False where the expansion is too early to hold.
+    Stored: ``states``, of shape (steps + 1, n) in canonical path order,
+    the ``scheme`` that made them, the step ``dt``, the first clamp, if
+    any, and, for samples of the asymptotic expansion, ``leading_valid``,
+    one flag per row that is False where the expansion is too early to
+    hold.  Derived, once, on first use: ``times``, the grid
+    :func:`sample_times` makes from ``dt`` and ``steps``, and ``sums``,
+    the row sums of ``states`` exactly as stored.
     """
 
-    times: np.ndarray
     states: np.ndarray
-    sums: np.ndarray
     scheme: Scheme
     dt: float
     first_violation: Optional[tuple[int, int]] = None
     leading_valid: Optional[np.ndarray] = None
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        return sample_times(self.dt, self.steps)
+
+    @cached_property
+    def sums(self) -> np.ndarray:
+        return self.states.sum(axis=1)
 
     @property
     def n(self) -> int:
@@ -166,18 +180,18 @@ def require_steps(steps: int) -> int:
 
 
 def sample_times(dt: float, steps: int) -> np.ndarray:
-    """The uniform grid ``0, dt, ..., steps * dt`` after checking both inputs."""
-    require_positive("dt", dt)
+    """The uniform grid ``0, dt, ..., steps * dt`` after checking both inputs, in floats."""
+    dt = require_positive("dt", dt)
     return np.arange(require_steps(steps) + 1) * dt
 
 
 def _run_setup(scheme, positivity, dt, steps):
-    """Check the run arguments shared by both integrators; return them with the time grid."""
+    """Check the run arguments shared by both integrators; return them, ``dt`` as a float."""
     scheme = Scheme(scheme)
     positivity = PositivityPolicy(positivity)
     if scheme not in (Scheme.EULER, Scheme.RK4):
         raise ValueError(f"scheme {scheme.value!r} is a sample-grid tag, not an integrator")
-    return scheme, positivity, sample_times(dt, steps)
+    return scheme, positivity, require_positive("dt", dt), require_steps(steps)
 
 
 def integrate(
@@ -225,11 +239,11 @@ def integrate(
     component exactly, as a per-step check would.  The error's ``row``
     is 0.
     """
-    scheme, positivity, times = _run_setup(scheme, positivity, dt, steps)
+    scheme, positivity, dt, steps = _run_setup(scheme, positivity, dt, steps)
     x0 = require_positive_state(x0, model.n)
     advance = scalar_stepper(model, dt, scheme is Scheme.EULER)
     states, violations = _step(rhs(model), x0, dt, steps, scheme, positivity, (0,), advance)
-    return _trajectories(states[None], violations, times, scheme, dt)[0]
+    return Trajectory(states=states, scheme=scheme, dt=dt, first_violation=violations[0])
 
 
 def integrate_rows(
@@ -279,7 +293,7 @@ def integrate_rows(
         ) from None
     if rows == 1:
         return (integrate(models[0], block[0], dt, steps, scheme, positivity),)
-    scheme, positivity, times = _run_setup(scheme, positivity, dt, steps)
+    scheme, positivity, dt, steps = _run_setup(scheme, positivity, dt, steps)
     if not (0.0 < block.min() and block.max() < math.inf):  # nan fails both
         r, i = (int(v) for v in np.argwhere(~(np.isfinite(block) & (block > 0.0)))[0])
         where = f"component {i} of x0" if x0.ndim < 2 else f"component {i} of x0 row {r}"
@@ -291,15 +305,9 @@ def integrate_rows(
     place = np.argsort(order).tolist()  # each caller row's place in the block
     # one contiguous (steps + 1, n) block per row, as integrate makes it
     per_row = states.transpose(1, 0, 2)[place]
-    return _trajectories(per_row, [violations[p] for p in place], times, scheme, dt)
-
-
-def _trajectories(states, violations, times, scheme, dt) -> tuple[Trajectory, ...]:
-    """One Trajectory per row of ``states``, a C-contiguous ``(B, steps + 1, n)`` block."""
-    sums = states.sum(axis=2)
     return tuple(
-        Trajectory(times=times, states=x, sums=s, scheme=scheme, dt=dt, first_violation=v)
-        for x, s, v in zip(states, sums, violations)
+        Trajectory(states=x, scheme=scheme, dt=dt, first_violation=violations[p])
+        for x, p in zip(per_row, place)
     )
 
 

@@ -33,16 +33,8 @@ from antdyn.models import TIE_RTOL
 from helpers import make_model
 
 
-def make_trajectory(times, states, dt=None, scheme=Scheme.EULER):
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=float)
-    return Trajectory(
-        times=times,
-        states=states,
-        sums=states.sum(axis=1),
-        scheme=scheme,
-        dt=float(times[1] - times[0]) if dt is None else dt,
-    )
+def make_trajectory(states, dt):
+    return Trajectory(states=np.asarray(states, dtype=float), scheme=Scheme.EULER, dt=dt)
 
 
 # -- decay fitting ------------------------------------------------------
@@ -77,8 +69,8 @@ def test_fit_estimates_limit_from_tail():
 
 def test_fit_window_selects_samples():
     # the window is rate_report's: every fit sees only the samples inside it
-    t = np.linspace(0.0, 20.0, 500)
-    traj = make_trajectory(t, np.column_stack([np.full(500, 1.0), np.exp(-0.5 * t)]))
+    t = np.arange(500) * 0.04
+    traj = make_trajectory(np.column_stack([np.full(500, 1.0), np.exp(-0.5 * t)]), 0.04)
     entry = rate_report(make_model([1, 2]), traj, window=(5.0, 15.0)).components[1]
     assert entry.n_samples == np.count_nonzero((t >= 5.0) & (t <= 15.0))
     assert entry.fitted_rate == pytest.approx(0.5, rel=1e-10)
@@ -330,9 +322,8 @@ def test_rates_are_gain_scaled():
 
 
 def test_rate_report_survives_dead_components():
-    times = np.linspace(0.0, 10.0, 200)
     states = np.column_stack([np.full(200, 2.0), np.zeros(200)])
-    traj = make_trajectory(times, states)
+    traj = make_trajectory(states, 0.05)
     report = rate_report(make_model([1, 2]), traj)
     dead = report.components[1]
     assert np.isnan(dead.fitted_rate)
@@ -560,7 +551,7 @@ def test_verify_inconclusive_while_transient_still_moving():
 
 def test_verify_fails_on_wrong_limit():
     model, traj = fig_style_run()
-    scaled = make_trajectory(traj.times, traj.states * 1.3, dt=traj.dt)
+    scaled = make_trajectory(traj.states * 1.3, traj.dt)
     report = verify_convergence(scaled, model)
     assert report.settled
     assert not report.sum_ok
@@ -570,9 +561,8 @@ def test_verify_fails_on_wrong_limit():
 
 
 def test_verify_fails_on_surviving_component():
-    times = np.linspace(0.0, 40.0, 500)
     states = np.column_stack([np.full(500, 1.0), np.full(500, 0.5)])
-    report = verify_convergence(make_trajectory(times, states), make_model([1, 2]))
+    report = verify_convergence(make_trajectory(states, 0.08), make_model([1, 2]))
     assert not report.zero_ok
     assert report.max_other == 0.5
     assert report.status is VerificationStatus.FAIL
@@ -580,16 +570,9 @@ def test_verify_fails_on_surviving_component():
 
 def test_verify_fails_on_envelope_violation_alone():
     model, traj = fig_style_run()
-    sums = traj.sums.copy()
-    sums[1000] += 5.0  # spike outside the envelope, far from the tail
-    doctored = Trajectory(
-        times=traj.times,
-        states=traj.states,
-        sums=sums,
-        scheme=traj.scheme,
-        dt=traj.dt,
-    )
-    report = verify_convergence(doctored, model)
+    states = traj.states.copy()
+    states[1000, 0] += 5.0  # spike the sum outside the envelope, far from the tail
+    report = verify_convergence(make_trajectory(states, traj.dt), model)
     assert report.settled and report.zero_ok and report.sum_ok
     assert report.envelope_ok is False
     assert report.status is VerificationStatus.FAIL
@@ -607,17 +590,17 @@ def test_verify_skips_envelope_for_other_variants():
 # -- variant ranking ----------------------------------------------------
 
 
-def crossing_run(gamma, crossing_time, times):
+def crossing_run(gamma, crossing_time, dt, steps):
     model = make_model([1, 2], gamma=gamma)
+    times = np.arange(steps + 1) * dt
     x1 = 1.0 + np.exp(-np.log(20.0) * times / crossing_time)
     states = np.column_stack([x1, np.full(times.size, 0.5)])
-    return model, make_trajectory(times, states)
+    return model, make_trajectory(states, dt)
 
 
 def test_ranking_uses_gain_scaled_time():
-    times = np.round(np.arange(0, 801) * 0.01, 10)
-    model_a, traj_a = crossing_run(gamma=1.0, crossing_time=3.0, times=times)
-    model_b, traj_b = crossing_run(gamma=4.0, crossing_time=1.5, times=times)
+    model_a, traj_a = crossing_run(gamma=1.0, crossing_time=3.0, dt=0.01, steps=800)
+    model_b, traj_b = crossing_run(gamma=4.0, crossing_time=1.5, dt=0.01, steps=800)
     ranking = compare_variants([("a", model_a, traj_a), ("b", model_b, traj_b)])
     assert ranking.threshold == 0.05
     first, second = ranking.entries
@@ -632,11 +615,10 @@ def test_ranking_uses_gain_scaled_time():
 
 
 def test_ranking_ties_share_rank_and_stragglers_rank_last():
-    times = np.arange(0, 501) * 0.01
-    model, traj = crossing_run(gamma=1.0, crossing_time=2.0, times=times)
-    straggler_states = np.column_stack([np.full(times.size, 3.0), np.full(times.size, 0.5)])
+    model, traj = crossing_run(gamma=1.0, crossing_time=2.0, dt=0.01, steps=500)
+    straggler_states = np.column_stack([np.full(501, 3.0), np.full(501, 0.5)])
     straggler_states[0, 0] = traj.states[0, 0]
-    straggler = make_trajectory(times, straggler_states)
+    straggler = make_trajectory(straggler_states, 0.01)
     ranking = compare_variants(
         [("x", model, traj), ("y", model, traj), ("z", model, straggler)]
     )
@@ -649,15 +631,13 @@ def test_ranking_ties_share_rank_and_stragglers_rank_last():
 
 
 def test_ranking_keeps_the_callers_order_among_tied_runs():
-    times = np.arange(0, 501) * 0.01
-    model, traj = crossing_run(gamma=1.0, crossing_time=2.0, times=times)
+    model, traj = crossing_run(gamma=1.0, crossing_time=2.0, dt=0.01, steps=500)
     ranking = compare_variants([("y", model, traj), ("x", model, traj)])
     assert [(e.label, e.rank) for e in ranking.entries] == [("y", 1), ("x", 1)]
 
 
 def test_a_trajectory_is_judged_only_against_a_model_of_its_paths():
-    times = np.arange(0, 201) * 0.05
-    two = make_trajectory(times, np.column_stack([np.full(201, 1.0), np.full(201, 1e-9)]))
+    two = make_trajectory(np.column_stack([np.full(201, 1.0), np.full(201, 1e-9)]), 0.05)
     for lengths in ([1, 2, 3], [1, 1, 2]):
         three = make_model(lengths)
         for call in (
@@ -672,22 +652,20 @@ def test_a_trajectory_is_judged_only_against_a_model_of_its_paths():
             assert str(info.value) == "trajectory has 2 paths, model has 3"
     # a run whose path count differs from the first run's is named
     model3 = make_model([1, 2, 3])
-    traj3 = make_trajectory(times, np.full((201, 3), 0.5))
+    traj3 = make_trajectory(np.full((201, 3), 0.5), 0.05)
     with pytest.raises(ValueError) as info:
         compare_variants([("a", make_model([1, 2]), two), ("b", model3, traj3)])
     assert str(info.value) == "run 'b' has 3 paths, run 'a' has 2"
 
 
 def test_ranking_rejects_incomparable_runs():
-    times = np.arange(0, 101) * 0.01
-    model, traj = crossing_run(gamma=1.0, crossing_time=1.0, times=times)
+    model, traj = crossing_run(gamma=1.0, crossing_time=1.0, dt=0.01, steps=100)
     with pytest.raises(ValueError, match="at least one"):
         compare_variants([])
-    other_times = np.arange(0, 101) * 0.02
-    _, other = crossing_run(gamma=1.0, crossing_time=1.0, times=other_times)
+    _, other = crossing_run(gamma=1.0, crossing_time=1.0, dt=0.02, steps=100)
     with pytest.raises(ValueError, match="time grid"):
         compare_variants([("a", model, traj), ("b", model, other)])
-    shifted = make_trajectory(times, traj.states + 0.1)
+    shifted = make_trajectory(traj.states + 0.1, 0.01)
     with pytest.raises(ValueError, match="initial state"):
         compare_variants([("a", model, traj), ("b", model, shifted)])
     other_model = make_model([1, 3], gamma=1.0)

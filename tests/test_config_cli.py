@@ -506,7 +506,7 @@ positivity = clamp-epsilon
 def test_cli_phase_rejects_nonfinite_bounds(tmp_path, capsys):
     path = write_config(tmp_path, "[model]\nlengths = 1, 2\n")
     assert main(["phase", str(path), "--out", str(tmp_path), "--bounds", "0.01", "inf"]) == 1
-    assert "error: bounds must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: bounds must be finite, got (0.01, inf)\n"
     assert not (tmp_path / "phase-identity-sum").exists()
 
 

@@ -283,8 +283,9 @@ def test_phase_grid_input_validation():
         phase_grid(model, bounds=(1.0, 1.0))
     with pytest.raises(ValueError, match="resolution"):
         phase_grid(model, resolution=1)
-    with pytest.raises(ValueError, match="bounds must be finite"):
-        phase_grid(model, bounds=(0.01, np.inf))
+    # bounds of any sequence type are named as a pair of plain floats
+    with pytest.raises(ValueError, match=re.escape("bounds must be finite, got (0.01, inf)") + "$"):
+        phase_grid(model, bounds=[np.float64(0.01), np.inf])
     with pytest.raises(ValueError, match="bounds must be finite"):
         phase_grid(model, bounds=(np.nan, 1.0))
     # the saturation overflows at the lowest node, which the error names

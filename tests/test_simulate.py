@@ -104,6 +104,29 @@ def test_integrate_input_validation():
         integrate(model, [0.5, 0.5], 0.1, 10, scheme=Scheme.EXACT)
 
 
+def test_dt_is_stepped_sampled_and_stored_as_the_float_it_checks_as():
+    model, tanh = make_model([1, 2]), make_model([1, 2], g="tanh")
+    producers = [
+        lambda dt: integrate(model, [0.5, 0.5], dt, 3),  # Python floats
+        lambda dt: integrate(tanh, [0.5, 0.5], dt, 3, Scheme.RK4),  # numpy
+        lambda dt: integrate_rows([model, tanh], [0.5, 0.5], dt, 3)[0],
+        lambda dt: sample_exact(model, [0.5, 0.5], dt, 3),
+        lambda dt: sample_asymptotic(model, [0.5, 0.5], dt, 3),
+    ]
+    for produce in producers:
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=f"^dt must be a number, got {flag}$"):
+                produce(flag)
+        for dt in (1, np.int64(1), "0.25", np.float32(0.25)):
+            traj, want = produce(dt), produce(float(dt))
+            assert type(traj.dt) is float and traj.dt == want.dt
+            assert traj.times.dtype == np.float64
+            assert np.array_equal(traj.times, want.times)
+            assert np.array_equal(traj.states, want.states)
+    with pytest.raises(ValueError, match="^alpha must be a number, got True$"):
+        make_model([1, 2], alpha=True)
+
+
 def overshooting_model():
     # evaporation dominates and dt * gamma * alpha > 1: Euler overshoots 0
     return make_model([1, 2], alpha=5.0, beta=0.01, gamma=10.0)
@@ -413,6 +436,44 @@ def test_integrate_rows_input_validation():
         integrate_rows([two, two], [0.5, 0.5], 0.1, -1)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    producer=st.sampled_from(["euler", "rk4", "rows", "exact", "asymptotic"]),
+    # identity runs up to SCALAR_PATHS paths step in Python floats, longer ones
+    # and tanh ones in numpy; a block of several models always does
+    n=st.one_of(st.integers(1, SCALAR_PATHS), st.integers(SCALAR_PATHS + 1, 32)),
+    g=st.sampled_from([GKind.IDENTITY, GKind.TANH]),
+    dt_fraction=st.floats(0.05, 0.9),
+    steps=st.integers(0, 150),
+    data=st.data(),
+)
+def test_times_and_sums_are_derived_bitwise(producer, n, g, dt_fraction, steps, data):
+    rates = st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(0.2, 3.0))
+    lengths = st.lists(st.floats(1.0, 10.0), min_size=n, max_size=n)
+    alpha, beta, gamma = data.draw(rates)
+    model = make_model(data.draw(lengths), alpha=alpha, beta=beta, gamma=gamma, g=g)
+    x0 = 10.0 ** np.array(data.draw(st.lists(st.floats(-3.0, 2.0), min_size=n, max_size=n)))
+    identity = replace(model, g_kind=GKind.IDENTITY)
+    dt = dt_fraction * euler_bound(identity)  # within the tanh bound too
+    clamp = PositivityPolicy.CLAMP_EPSILON
+    if producer in ("euler", "rk4"):
+        runs = [integrate(model, x0, dt, steps, Scheme(producer), clamp)]
+    elif producer == "rows":
+        # a row whose first Euler step sends every component far below 0
+        overshoot = make_model(data.draw(lengths), alpha=1.0, beta=0.01, gamma=5.0 / dt)
+        other = replace(model, g_kind=GKind.TANH) if g is GKind.IDENTITY else identity
+        runs = integrate_rows([model, overshoot, other], x0, dt, steps, positivity=clamp)
+        assert [traj.first_violation is not None for traj in runs] == [False, steps > 0, False]
+    else:
+        sample = sample_exact if producer == "exact" else sample_asymptotic
+        runs = [sample(identity, x0, dt, steps)]
+    grid = (np.arange(steps + 1) * dt).tobytes()
+    # the sums as the producers stored them: one reduction over the (B, steps + 1, n) block
+    for traj, sums in zip(runs, np.stack([run.states for run in runs]).sum(axis=-1)):
+        assert traj.times.tobytes() == grid
+        assert traj.sums.tobytes() == sums.tobytes()
+
+
 def test_sum_envelope_endpoints_and_limits():
     model = make_model([1, 2, 4], alpha=0.5, beta=2.0, gamma=3.0)
     times = np.array([0.0, 1.0, 200.0])
@@ -436,15 +497,9 @@ def test_check_sum_bounds_on_real_run():
 def test_check_sum_bounds_flags_doctored_sums():
     model = make_model([1, 2], alpha=1.0, beta=1.0, gamma=1.0)
     traj = integrate(model, [0.5, 0.5], 0.05, 40)
-    spiked = traj.sums.copy()
-    spiked[20] = traj.sums[0] + 5.0  # far above the decaying upper bound
-    doctored = Trajectory(
-        times=traj.times,
-        states=traj.states,
-        sums=spiked,
-        scheme=traj.scheme,
-        dt=traj.dt,
-    )
+    spiked = traj.states.copy()
+    spiked[20] = traj.states[0] + 2.5  # a sum far above the decaying upper bound
+    doctored = Trajectory(states=spiked, scheme=traj.scheme, dt=traj.dt)
     report = check_sum_bounds(doctored, model)
     assert not report.within
     assert report.max_violation > 1.0
@@ -479,13 +534,7 @@ def test_csv_source_column():
     assert lines[0] == "t,x_1,x_2,S,source"
     assert all(line.endswith(",euler") for line in lines[1:])
     # only the caller's source adds the column, whatever the scheme
-    tagged = Trajectory(
-        times=traj.times,
-        states=traj.states,
-        sums=traj.sums,
-        scheme=Scheme.EXACT,
-        dt=traj.dt,
-    )
+    tagged = Trajectory(states=traj.states, scheme=Scheme.EXACT, dt=traj.dt)
     assert trajectory_to_csv(tagged).splitlines()[0] == "t,x_1,x_2,S"
     assert trajectory_to_csv(tagged, source="exact").splitlines()[1].endswith(",exact")
 
@@ -573,15 +622,9 @@ def test_a_failed_stream_keeps_the_old_file(tmp_path, monkeypatch):
 def test_streamed_csv_memory_is_bounded_by_a_pass(tmp_path):
     # 13 MB of CSV text; a pass of the formatter allocates about 306 B a cell
     rng = np.random.default_rng(0)
-    states = rng.uniform(0.1, 2.0, (20_001, 32))
-    traj = Trajectory(
-        times=np.arange(20_001) * 0.01,
-        states=states,
-        sums=states.sum(axis=1),
-        scheme=Scheme.EULER,
-        dt=0.01,
-    )
+    traj = Trajectory(states=rng.uniform(0.1, 2.0, (20_001, 32)), scheme=Scheme.EULER, dt=0.01)
     _format_tables()  # built once per process, outside the bound
+    traj.times, traj.sums  # the run's own arrays, derived once, outside the bound too
     tracemalloc.start()
     try:
         write_trajectory_csv(traj, tmp_path / "long.csv", source="euler")
