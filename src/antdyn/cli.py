@@ -23,7 +23,7 @@ from pathlib import Path
 from .analysis import FitError, rate_report, verify_convergence
 from .closedform import CORRECTION_LIMIT, OracleRangeError, sample_asymptotic, sample_exact
 from .config import RunConfig, load_config
-from .presets import PHASE_PRESETS, phase_grid, preset_names, run_preset, write_phase_artifacts
+from .presets import get_preset, phase_grid, preset_names, run_preset, write_phase_artifacts
 from .reporting import equilibria_lines, rates_table, resolve_out_root, verification_lines
 from .simulate import (
     IntegrationError,
@@ -180,8 +180,7 @@ def _cmd_phase(args) -> int:
 
 def _cmd_presets(args) -> int:
     for name in preset_names():
-        kind = "phase" if name in PHASE_PRESETS else "trajectory"
-        print(f"{name}  ({kind})")
+        print(f"{name}  ({get_preset(name).kind})")
     return 0
 
 

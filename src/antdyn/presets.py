@@ -1,10 +1,13 @@
 """Canonical experiment presets and phase-portrait grids.
 
-Each preset bundles a model family, initial state and step schedule, and
-``run_preset`` materializes it into a directory of artifacts: trajectory
-and rate CSVs, an SVG figure and a plain-text report.  Everything here
-is deterministic, so rerunning a preset reproduces its files byte for
-byte.
+``PRESETS`` holds every preset by name, in listing order.  A preset
+bundles a model family with what is sampled from it: an initial state
+and step schedule for an :class:`ExperimentPreset`, a direction-field
+grid for a :class:`PhasePreset`.  Each class names its ``kind`` and
+writes its own artifacts (trajectory and rate CSVs or a field grid, and
+an SVG figure), and ``run_preset`` adds the plain-text report.
+Everything here is deterministic, so rerunning a preset reproduces its
+files byte for byte.
 
 The ten-path presets share the classic setup, which is the default of
 :class:`ExperimentPreset`: path lengths 1..10 (so preference weights 1,
@@ -17,7 +20,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,6 +76,40 @@ class ExperimentPreset:
     dt: float = 0.02
     steps: int = 2000
 
+    kind: ClassVar[str] = "trajectory"
+
+    def write(self, out_dir: Path, steps: Optional[int]):
+        """Integrate every run as one row block and write its CSVs and the figure.
+
+        ``steps`` overrides :attr:`steps` unless it is None.  Returns the
+        report's preamble pairs, its sections and the written paths.
+        """
+        steps = self.steps if steps is None else steps
+        labels, models = zip(*self.runs)
+        runs = list(zip(labels, models, integrate_rows(models, self.x0, self.dt, steps)))
+        sections = []
+        paths = []
+        for label, model, traj in runs:
+            rates = rate_report(model, traj)
+            paths.append(write_trajectory_csv(traj, out_dir / f"trajectory-{label}.csv"))
+            paths.append(write_text_atomic(out_dir / f"rates-{label}.csv", rates_csv(rates)))
+            sections += [
+                (f"model:{label}", model_lines(model)),
+                (f"verification:{label}", verification_lines(verify_convergence(traj, model))),
+                (f"rates:{label}", rates_table(rates)),
+                (f"equilibria:{label}", equilibria_lines(model)),
+            ]
+        if len(runs) > 1:
+            sections.append(("ranking", ranking_lines(compare_variants(runs))))
+        paths.append(write_text_atomic(out_dir / "figure.svg", _figure_for(self, runs)))
+        preamble = [
+            ("dt", self.dt),
+            ("steps", steps),
+            ("horizon", self.dt * steps),
+            ("x0", ", ".join(f"{v:.12g}" for v in self.x0)),
+        ]
+        return preamble, sections, paths
+
 
 @dataclass(frozen=True, eq=False)
 class PhasePreset:
@@ -81,6 +118,42 @@ class PhasePreset:
     name: str
     description: str
     model: ModelSpec
+
+    kind: ClassVar[str] = "phase"
+
+    def write(self, out_dir: Path, steps: Optional[int]):
+        """Sample and scan the field and write its grid and figure.
+
+        A phase preset has no step schedule, so ``steps`` must be None.
+        Returns the same three parts as :meth:`ExperimentPreset.write`.
+        """
+        if steps is not None:
+            raise ValueError(f"preset {self.name!r} has no step schedule to override")
+        grid = phase_grid(self.model)
+        equilibria = find_equilibria(self.model)
+        clean, offending = spurious_equilibria_scan(grid, equilibria)
+        paths = write_phase_artifacts(
+            grid, equilibria, out_dir, title=self.name, caption=self.description
+        )
+        preamble = [
+            ("bounds", f"{grid.x1[0]:.12g} .. {grid.x1[-1]:.12g}"),
+            ("resolution", grid.x1.size),
+        ]
+        sections = [
+            ("model", model_lines(self.model)),
+            ("equilibria", equilibria_lines(self.model)),
+            (
+                "field-scan",
+                render_kv(
+                    [
+                        ("spurious_minima", len(offending)),
+                        ("clean", clean),
+                        ("tie_nodes", int(np.sum(grid.tie))),
+                    ]
+                ),
+            ),
+        ]
+        return preamble, sections, paths
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,12 +223,6 @@ PRESETS = {
                 ),
             ),
         ),
-    )
-}
-
-PHASE_PRESETS = {
-    preset.name: preset
-    for preset in (
         PhasePreset(
             "phase-eigenant",
             "two-path direction field, identity response, reciprocal sum",
@@ -171,16 +238,13 @@ PHASE_PRESETS = {
 
 
 def preset_names() -> list[str]:
-    return list(PRESETS) + list(PHASE_PRESETS)
+    return list(PRESETS)
 
 
 def get_preset(name: str) -> Union[ExperimentPreset, PhasePreset]:
-    if name in PRESETS:
-        return PRESETS[name]
-    if name in PHASE_PRESETS:
-        return PHASE_PRESETS[name]
-    known = ", ".join(preset_names())
-    raise ValueError(f"unknown preset {name!r}; known presets: {known}")
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; known presets: {', '.join(PRESETS)}")
+    return PRESETS[name]
 
 
 def phase_grid(
@@ -298,85 +362,21 @@ def _figure_for(preset: ExperimentPreset, runs) -> str:
     )
 
 
-def _run_trajectory_preset(preset: ExperimentPreset, out_dir: Path, steps: int):
-    """Integrate every run as one row block and write its CSVs and the figure.
-
-    Returns the report's preamble pairs, its sections and the written paths.
-    """
-    labels, models = zip(*preset.runs)
-    runs = list(zip(labels, models, integrate_rows(models, preset.x0, preset.dt, steps)))
-    sections = []
-    paths = []
-    for label, model, traj in runs:
-        rates = rate_report(model, traj)
-        paths.append(write_trajectory_csv(traj, out_dir / f"trajectory-{label}.csv"))
-        paths.append(write_text_atomic(out_dir / f"rates-{label}.csv", rates_csv(rates)))
-        sections += [
-            (f"model:{label}", model_lines(model)),
-            (f"verification:{label}", verification_lines(verify_convergence(traj, model))),
-            (f"rates:{label}", rates_table(rates)),
-            (f"equilibria:{label}", equilibria_lines(model)),
-        ]
-    if len(runs) > 1:
-        sections.append(("ranking", ranking_lines(compare_variants(runs))))
-    paths.append(write_text_atomic(out_dir / "figure.svg", _figure_for(preset, runs)))
-    preamble = [
-        ("dt", preset.dt),
-        ("steps", steps),
-        ("horizon", preset.dt * steps),
-        ("x0", ", ".join(f"{v:.12g}" for v in preset.x0)),
-    ]
-    return preamble, sections, paths
-
-
-def _run_phase_preset(preset: PhasePreset, out_dir: Path):
-    """Sample and scan the field and write its grid and figure, as the runner above."""
-    grid = phase_grid(preset.model)
-    equilibria = find_equilibria(preset.model)
-    clean, offending = spurious_equilibria_scan(grid, equilibria)
-    paths = write_phase_artifacts(
-        grid, equilibria, out_dir, title=preset.name, caption=preset.description
-    )
-    preamble = [
-        ("bounds", f"{grid.x1[0]:.12g} .. {grid.x1[-1]:.12g}"),
-        ("resolution", grid.x1.size),
-    ]
-    sections = [
-        ("model", model_lines(preset.model)),
-        ("equilibria", equilibria_lines(preset.model)),
-        (
-            "field-scan",
-            render_kv(
-                [
-                    ("spurious_minima", len(offending)),
-                    ("clean", clean),
-                    ("tie_nodes", int(np.sum(grid.tie))),
-                ]
-            ),
-        ),
-    ]
-    return preamble, sections, paths
-
-
 def run_preset(name: str, out_root=None, steps: Optional[int] = None) -> tuple[Path, ...]:
     """Run a named preset, write its artifact bundle and return the written paths.
 
     Artifacts land in ``<out_root>/<name>/``; the root defaults to the
     ``ANTDYN_OUT`` environment variable and then the working directory.
     ``steps`` overrides the preset's step count (trajectory presets only).
-    The paths come in the order written: per run the trajectory CSV and
-    then the rates CSV, or ``field-grid.csv`` for a phase preset, then
-    ``figure.svg`` and last ``report.txt``.
+    The preset's ``write`` method writes its data files and figure and
+    hands back the report's parts.  The paths come in the order written:
+    per run the trajectory CSV and then the rates CSV, or
+    ``field-grid.csv`` for a phase preset, then ``figure.svg`` and last
+    ``report.txt``.
     """
     preset = get_preset(name)
     out_dir = resolve_out_root(out_root) / name
-    if isinstance(preset, PhasePreset):
-        if steps is not None:
-            raise ValueError(f"preset {name!r} has no step schedule to override")
-        preamble, sections, paths = _run_phase_preset(preset, out_dir)
-    else:
-        steps = preset.steps if steps is None else steps
-        preamble, sections, paths = _run_trajectory_preset(preset, out_dir, steps)
+    preamble, sections, paths = preset.write(out_dir, steps)
     head = render_kv([("preset", preset.name), ("description", preset.description), *preamble])
     report = write_text_atomic(out_dir / "report.txt", compose_report([(None, head), *sections]))
     return (*paths, report)

@@ -120,7 +120,9 @@ class Trajectory:
     one flag per row that is False where the expansion is too early to
     hold.  Derived, once, on first use: ``times``, the grid
     :func:`sample_times` makes from ``dt`` and ``steps``, and ``sums``,
-    the row sums of ``states`` exactly as stored.
+    the row sums of ``states`` exactly as stored.  Building a trajectory
+    makes ``states`` and ``leading_valid`` read-only, so the derived
+    values cannot go stale.
     """
 
     states: np.ndarray
@@ -128,6 +130,11 @@ class Trajectory:
     dt: float
     first_violation: Optional[tuple[int, int]] = None
     leading_valid: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        self.states.flags.writeable = False
+        if self.leading_valid is not None:
+            self.leading_valid.flags.writeable = False
 
     @cached_property
     def times(self) -> np.ndarray:

@@ -170,6 +170,8 @@ def test_criterion_6_invariants_and_jacobian(capsys):
     positive = True
     envelopes = True
     for preset in PRESETS.values():
+        if preset.kind != "trajectory":
+            continue
         for _, model in preset.runs:
             traj = integrate(model, preset.x0, preset.dt, preset.steps)
             positive = positive and bool(np.all(traj.states > 0.0))

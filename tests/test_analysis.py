@@ -305,6 +305,27 @@ def test_rate_report_tied_leaders():
     assert report.tied_sum.theoretical_rate == pytest.approx(0.5 * (1.0 - 0.5))
 
 
+def test_rate_report_theory_when_the_shortest_length_is_not_one():
+    # every other theory test has a shortest length of 1, where d_1 = 1 hides a
+    # product written for a quotient (d_i * d_1 == d_i / d_1)
+    lengths = (2.0, 2.0, 3.0, 5.0)
+    model = make_model(lengths, alpha=0.5, beta=1.5, gamma=1.0)
+    x0 = np.array([0.3, 0.7, 0.4, 0.9])
+    report = rate_report(model, sample_exact(model, x0, 0.05, 400))
+    exactly = {"rel": 1e-14, "abs": 0.0}
+    sigma1 = (x0[0] + x0[1]) / (1.5 / 2.0)
+    assert [comp.tied for comp in report.components] == [True, True, False, False]
+    for comp, length in zip(report.components, lengths):
+        if comp.tied:
+            expected = x0[comp.index] / (0.5 * sigma1)
+            assert comp.theoretical_limit == pytest.approx(expected, **exactly)
+        else:
+            expected = 0.5 * (1.0 - 2.0 / length)
+            assert comp.theoretical_rate == pytest.approx(expected, **exactly)
+    for series in (report.tied_sum, report.total_sum):
+        assert series.theoretical_rate == pytest.approx(0.5 * (1.0 - 2.0 / 3.0), **exactly)
+
+
 def test_rates_are_gain_scaled():
     # the same flow sampled on one gain-scaled grid through two gains
     x0 = np.arange(1, 11) * 0.1
@@ -634,6 +655,17 @@ def test_ranking_keeps_the_callers_order_among_tied_runs():
     model, traj = crossing_run(gamma=1.0, crossing_time=2.0, dt=0.01, steps=500)
     ranking = compare_variants([("y", model, traj), ("x", model, traj)])
     assert [(e.label, e.rank) for e in ranking.entries] == [("y", 1), ("x", 1)]
+
+
+def test_ranking_crossing_is_strictly_inside_the_threshold():
+    # mu_1 = beta d_1 / alpha = 20 and RANK_THRESHOLD * mu_1 == 1.0 exactly, so 21.0
+    # lies on the threshold: the run crosses at sample 2, not 1
+    model = make_model([1, 2], alpha=1.0, beta=20.0)
+    assert model.mu[0] == 20.0 and antdyn.analysis.RANK_THRESHOLD * model.mu[0] == 1.0
+    traj = make_trajectory([[25.0, 0.5], [21.0, 0.5], [20.5, 0.5]], 0.1)
+    (entry,) = compare_variants([("edge", model, traj)]).entries
+    assert entry.reached
+    assert entry.tau_time == traj.times[2]
 
 
 def test_a_trajectory_is_judged_only_against_a_model_of_its_paths():

@@ -1,5 +1,6 @@
 """Run-file parsing and command-line interface tests."""
 
+import ast
 import contextlib
 import errno
 import io
@@ -27,7 +28,7 @@ from antdyn import (
     trajectory_to_csv,
 )
 from antdyn.cli import main
-from antdyn.presets import PHASE_PRESETS
+from antdyn.presets import get_preset
 
 MINIMAL = """\
 [model]
@@ -634,7 +635,7 @@ def test_cli_phase(tmp_path, capsys):
 
 
 def test_cli_phase_matches_phase_preset(tmp_path, capsys):
-    preset = PHASE_PRESETS["phase-eigenant"]
+    preset = get_preset("phase-eigenant")
     model = preset.model
     path = write_config(
         tmp_path,
@@ -817,3 +818,19 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_test_module_imports_scipy():
+    # the tier-1 leg installs only the test extra, so a test that imports scipy would fail
+    # to collect there alone; code in strings, as the child's above, is not an import
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "scipy"]
+    assert found == []

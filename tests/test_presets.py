@@ -25,7 +25,7 @@ from antdyn import (
     vector_field,
 )
 from antdyn import presets
-from antdyn.presets import PHASE_PRESETS, PRESETS, SPURIOUS_SPEED_TOL, PhaseGrid
+from antdyn.presets import PRESETS, SPURIOUS_SPEED_TOL, PhaseGrid
 from antdyn.reporting import write_text_atomic
 from antdyn.stability import Equilibrium
 
@@ -266,7 +266,7 @@ def test_phase_grid_matches_vector_field():
 
 
 def test_phase_grid_sum_variant_has_no_kinks():
-    model = PHASE_PRESETS["phase-eigenant"].model
+    model = get_preset("phase-eigenant").model
     grid = phase_grid(model, resolution=5)
     assert not grid.tie.any()
     # default bounds end at 1.5x the leading equilibrium scale
@@ -274,7 +274,7 @@ def test_phase_grid_sum_variant_has_no_kinks():
 
 
 def test_phase_grid_input_validation():
-    model = PHASE_PRESETS["phase-eigenant"].model
+    model = get_preset("phase-eigenant").model
     with pytest.raises(ValueError, match="origin"):
         phase_grid(model, bounds=(0.0, 1.0))
     with pytest.raises(ValueError, match="nonnegative quadrant"):
@@ -297,7 +297,7 @@ def test_phase_grid_input_validation():
 
 
 def test_phase_grid_resolution_must_be_an_integer():
-    model = PHASE_PRESETS["phase-eigenant"].model
+    model = get_preset("phase-eigenant").model
     for resolution in (2.5, 21.0, True, "21"):
         with pytest.raises(ValueError) as info:
             phase_grid(model, resolution=resolution)
@@ -318,7 +318,7 @@ def test_spurious_scan_flags_false_equilibria():
         speed=speed,
         tie=np.zeros((9, 9), dtype=bool),
     )
-    model = PHASE_PRESETS["phase-eigenant"].model
+    model = get_preset("phase-eigenant").model
     clean, offending = spurious_equilibria_scan(grid, find_equilibria(model))
     assert not clean
     assert offending == [(4, 4)]
@@ -426,7 +426,9 @@ def test_spurious_scan_edge_corner_and_plateau_minima():
 
 
 def test_both_phase_presets_scan_clean():
-    for name, preset in PHASE_PRESETS.items():
+    phase = {name: preset for name, preset in PRESETS.items() if preset.kind == "phase"}
+    assert list(phase) == ["phase-eigenant", "phase-maxant"]
+    for name, preset in phase.items():
         grid = phase_grid(preset.model)
         clean, offending = spurious_equilibria_scan(grid, find_equilibria(preset.model))
         assert clean, f"{name}: {offending}"
@@ -443,6 +445,8 @@ def test_signum_preset_report_has_no_stability_labels(tmp_path):
 def test_trajectory_presets_registry_is_consistent():
     for name, preset in PRESETS.items():
         assert preset.name == name
+        if preset.kind != "trajectory":
+            continue
         assert preset.x0.shape == (preset.runs[0][1].n,)
         for _, model in preset.runs:
             assert model.n == preset.runs[0][1].n

@@ -472,6 +472,15 @@ def test_times_and_sums_are_derived_bitwise(producer, n, g, dt_fraction, steps, 
     for traj, sums in zip(runs, np.stack([run.states for run in runs]).sum(axis=-1)):
         assert traj.times.tobytes() == grid
         assert traj.sums.tobytes() == sums.tobytes()
+        # once the sums are read, the states they came from cannot change
+        check_sum_bounds(traj, identity)
+        k = data.draw(st.integers(0, steps))
+        with pytest.raises(ValueError, match="read-only"):
+            traj.states[k, 0] += 5.0
+        if traj.leading_valid is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                traj.leading_valid[k] = not traj.leading_valid[k]
+        assert traj.sums.tobytes() == sums.tobytes()
 
 
 def test_sum_envelope_endpoints_and_limits():
@@ -705,3 +714,36 @@ def test_identity_sum_weighted_mass_relaxes_as_the_scheme_predicts(scheme, n, ra
     r = 1.0 + z if scheme is Scheme.EULER else 1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
     predicted = 1.0 / alpha + (w[0] - 1.0 / alpha) * r ** np.arange(traj.steps + 1)
     assert np.all(np.abs(w - predicted) <= 1e-12 * np.maximum(np.abs(w), 1.0 / alpha))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scheme=st.sampled_from([Scheme.EULER, Scheme.RK4]),
+    # up to SCALAR_PATHS paths the run steps in Python floats, beyond in numpy
+    n=st.one_of(st.integers(1, SCALAR_PATHS), st.integers(SCALAR_PATHS + 1, 32)),
+    rates=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
+    share=st.floats(0.01, 0.5),
+    data=st.data(),
+)
+def test_identity_max_leader_relaxes_as_the_scheme_predicts(scheme, n, rates, share, data):
+    # a shortest path that leads at the start leads for the whole run, and while path j
+    # leads, phi = 1 / x_j makes its equation affine, dx_j/dtau = beta d_1 - alpha x_j, so
+    # the iterates follow x_{j,k} = mu_1 + (x_{j,0} - mu_1) R(-alpha h)^k with h = gamma dt
+    # and R the scheme's stability polynomial
+    lengths = data.draw(st.lists(st.floats(1.0, 10.0), min_size=n, max_size=n))
+    tied = data.draw(st.integers(1, n))
+    lengths[:tied] = [min(lengths)] * tied
+    x0 = 10.0 ** np.array(data.draw(st.lists(st.floats(-4.0, 0.0), min_size=n, max_size=n)))
+    alpha, beta, gamma = rates
+    model = make_model(lengths, alpha=alpha, beta=beta, gamma=gamma, phi="max")
+    # the maximum of x0 goes to one of the paths whose weight is exactly d_1
+    leaders = np.flatnonzero(model.paths.d == model.paths.d[0])
+    j, top = leaders[data.draw(st.integers(0, leaders.size - 1))], x0.argmax()
+    x0[[j, top]] = x0[[top, j]]
+    traj = integrate(model, x0, share * euler_bound(model), 400, scheme=scheme)
+    x = traj.states[:, j]
+    mu = model.mu[0]
+    z = -alpha * gamma * traj.dt
+    r = 1.0 + z if scheme is Scheme.EULER else 1.0 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+    predicted = mu + (x[0] - mu) * r ** np.arange(traj.steps + 1)
+    assert np.all(np.abs(x - predicted) <= 1e-12 * np.maximum(np.abs(x), mu))

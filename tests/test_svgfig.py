@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antdyn import svgfig
-from antdyn.presets import PHASE_PRESETS, phase_grid, preset_names, run_preset
+from antdyn.presets import PRESETS, phase_grid, preset_names, run_preset
 from antdyn.stability import find_equilibria
 from antdyn.svgfig import (
     HEIGHT,
@@ -222,9 +222,9 @@ def reference_quiver(x1, x2, u, v, markers, title, xlabel, ylabel, caption=None)
     return svgfig._document(parts)
 
 
-@pytest.mark.parametrize("name", sorted(PHASE_PRESETS))
+@pytest.mark.parametrize("name", sorted(n for n, p in PRESETS.items() if p.kind == "phase"))
 def test_quiver_figure_is_the_node_loop(name):
-    preset = PHASE_PRESETS[name]
+    preset = PRESETS[name]
     grid = phase_grid(preset.model)
     markers = [
         (float(eq.point[0]), float(eq.point[1]), f"mu_{eq.index + 1}")
