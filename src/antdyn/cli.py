@@ -12,11 +12,17 @@ phase       sample a two-path direction field and write grid + figure
 Exit codes: 0 success, 1 usage or configuration errors and output paths
 that cannot be written, 2 numerical failures (blow-up, positivity loss,
 fit breakdown, out-of-range closed-form evaluation).
+
+``main(argv)`` may be called many times in one process. The parser is built
+on the first call and reused, so the ``_cmd_*`` handlers are bound at that
+point. Nothing patches them: a tracer wraps ``main`` and the library
+functions, which the handlers look up at call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -47,6 +53,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="antdyn", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

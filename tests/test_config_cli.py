@@ -667,6 +667,36 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     assert "antdyn presets" in help_text and "--list" not in help_text
 
 
+def test_cli_main_carries_nothing_from_one_call_to_the_next(tmp_path, capsys):
+    # main builds its parser once per process, so an option, a default or an error
+    # of one call must not reach the next
+    assert antdyn.cli._build_parser() is antdyn.cli._build_parser()
+
+    assert main(["reproduce", "phase-eigenant", "--steps", "3", "--out", str(tmp_path)]) == 1
+    assert "has no step schedule to override" in capsys.readouterr().err
+    assert main(["reproduce", "phase-eigenant", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+    path = write_config(tmp_path, "[model]\nlengths = 1, 2\n")
+    grid = tmp_path / "phase-identity-sum" / "field-grid.csv"
+    argv = ["phase", str(path), "--out", str(tmp_path)]
+    assert main(argv + ["--bounds", "0.2", "3", "--resolution", "5"]) == 0
+    assert len(grid.read_text().splitlines()) == 1 + 5 * 5
+    assert main(argv) == 0
+    capsys.readouterr()
+    rows = grid.read_text().splitlines()[1:]
+    assert len(rows) == 21 * 21
+    # the default bounds (0.01, 1.5 beta d_1 / alpha) with alpha = beta = d_1 = 1
+    assert rows[0].startswith("0.01,0.01,") and rows[-1].startswith("1.5,1.5,")
+
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: antdyn verify [-h] config\n")
+    assert main(["verify", str(write_config(tmp_path, BASIC_RUN))]) == 0
+    assert "status = " in capsys.readouterr().out
+
+
 def test_cli_names_a_run_file_that_is_not_utf8(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_bytes(b"\xff\xfe[model]\nlengths = 1, 2\n")

@@ -690,6 +690,43 @@ def test_the_order_check_fails_on_weights_in_reverse_order():
     assert not np.all(rise <= allowance)
 
 
+def euler_by_hand(x0, dt, steps, growth):
+    """Euler states of ``dx/dt = growth(x) * x``, stepped here rather than by ``integrate``."""
+    states = [np.asarray(x0, dtype=float)]
+    for _ in range(steps):
+        x = states[-1]
+        states.append(x + dt * growth(x) * x)
+    return Trajectory(states=np.array(states), scheme=Scheme.EULER, dt=dt)
+
+
+def test_the_order_check_fails_on_the_response_applied_with_the_wrong_sign():
+    model = make_model(np.linspace(1.0, 4.0, 6), alpha=0.5, beta=0.8, gamma=0.7, g="tanh")
+    x0, dt, d = np.full(6, 0.3), 0.2 * euler_bound(model), model.paths.d
+
+    def flipped(x):
+        return model.gamma * -g_eval(model.g_kind, -model.alpha + model.beta * d / x.sum())
+
+    rise, allowance = order_rises(euler_by_hand(x0, dt, 400, flipped))
+    assert not np.all(rise <= allowance)
+    rise, allowance = order_rises(integrate(model, x0, dt, 400))
+    assert np.all(rise <= allowance)
+
+
+def test_the_order_check_fails_on_the_saturation_taken_per_component():
+    # a_i = -alpha + beta d_i / x_i: from a start that falls steeply along the
+    # canonical order, each ratio x_{i+1} / x_i rises toward d_{i+1} / d_i
+    model = make_model(np.linspace(1.0, 4.0, 6), alpha=0.5, beta=0.8, gamma=0.7)
+    x0, dt, d = 10.0 ** -np.arange(6.0), 0.2 * euler_bound(model), model.paths.d
+
+    def per_component(x):
+        return model.gamma * g_eval(model.g_kind, -model.alpha + model.beta * d / x)
+
+    rise, allowance = order_rises(euler_by_hand(x0, dt, 400, per_component))
+    assert not np.all(rise <= allowance)
+    rise, allowance = order_rises(integrate(model, x0, dt, 400))
+    assert np.all(rise <= allowance)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     scheme=st.sampled_from([Scheme.EULER, Scheme.RK4]),
