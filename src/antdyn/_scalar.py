@@ -22,10 +22,10 @@ order.  A block that fails the integrator's finiteness and sign check,
 or meets a zero saturation (where Python raises and numpy divides to an
 infinity), hands the run to the numpy loop from that block on.
 
-This module lives apart from ``simulate`` for the reason ``_fixed``
-does: without cached bytecode, every fresh interpreter compiles the
-package, and the largest module's syntax tree sets the peak memory of
-that import.
+This module lives apart from ``simulate`` to keep that module's syntax
+tree small: without cached bytecode, every fresh interpreter compiles
+the package, and the largest module's syntax tree sets the peak memory
+of that import.
 """
 
 from __future__ import annotations

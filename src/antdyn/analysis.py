@@ -23,26 +23,6 @@ from numpy.linalg._umath_linalg import lstsq as _lstsq
 from .models import GKind, ModelSpec, PhiKind, require_interval
 from .simulate import SumBoundsReport, Trajectory, check_sum_bounds, require_paths
 
-__all__ = [
-    "ComponentRate",
-    "ConvergenceReport",
-    "DecayFit",
-    "FitError",
-    "RankEntry",
-    "RateReport",
-    "SeriesRate",
-    "VariantRanking",
-    "VerificationStatus",
-    "ZERO_THRESHOLD_FACTOR",
-    "compare_variants",
-    "default_fit_window",
-    "fit_decay_rate",
-    "fit_decay_rates",
-    "rate_report",
-    "verify_convergence",
-    "window_mask",
-]
-
 # A component counts as converged to zero below this fraction of the
 # natural scale beta d_1 / alpha.
 ZERO_THRESHOLD_FACTOR = 1e-4

@@ -41,8 +41,6 @@ from .simulate import (
 )
 from .stability import find_equilibria
 
-__all__ = ["main"]
-
 # Caught before ValueError, because OracleRangeError is also one.
 NUMERIC_ERRORS = (IntegrationError, OracleRangeError, FitError)
 

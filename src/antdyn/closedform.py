@@ -33,25 +33,6 @@ import numpy as np
 from .models import DomainError, GKind, ModelSpec, PhiKind, require_positive, require_positive_state
 from .simulate import Scheme, Trajectory, sample_times
 
-__all__ = [
-    "AsymptoticState",
-    "ClosedFormState",
-    "FFunction",
-    "MAX_LOG_ARG",
-    "NEWTON_BUDGET",
-    "OracleRangeError",
-    "SigmaCoefficients",
-    "exact_state",
-    "f_eval",
-    "f_inverse",
-    "f_prime",
-    "require_closed_form",
-    "sample_asymptotic",
-    "sample_exact",
-    "sigma_coefficients",
-    "asymptotic_state",
-]
-
 # exp(alpha * tau) stays represented in the log domain up to here.
 MAX_LOG_ARG = 700.0 * math.log(10.0)
 

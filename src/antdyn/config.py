@@ -49,8 +49,6 @@ from .models import GKind, ModelSpec, PathSystem, PhiKind
 from .models import require_interval, require_positive, require_positive_state
 from .simulate import PositivityPolicy, Scheme, require_steps
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
-
 
 class ConfigError(ValueError):
     """Raised for unreadable, malformed, or semantically invalid run files."""

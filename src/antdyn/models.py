@@ -20,25 +20,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-
-__all__ = [
-    "DomainError",
-    "GKind",
-    "ModelSpec",
-    "NondifferentiablePointError",
-    "PathSystem",
-    "PhiKind",
-    "UnsupportedDerivativeError",
-    "g_eval",
-    "g_prime",
-    "phi_eval",
-    "phi_grad",
-    "rhs",
-    "vector_field",
-]
 
 # Relative tolerance for grouping equal preference weights.  Lengths given
 # as equal numbers produce bit-identical reciprocals, so exact ties always
@@ -112,8 +96,8 @@ class PathSystem:
         arr = np.asarray(lengths, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("lengths must be a nonempty 1-D sequence")
-        if not (0.0 < arr.min() and arr.max() < math.inf):  # nan fails both
-            i = int(np.argmin(np.isfinite(arr) & (arr > 0.0)))
+        i = first_nonpositive(arr)
+        if i is not None:
             raise ValueError(f"length {i} is {float(arr[i])}; lengths must be finite and positive")
         recip = 1.0 / arr
         # stable sort keeps user order among exact ties
@@ -232,13 +216,20 @@ def require_admissible(x) -> np.ndarray:
     return arr
 
 
+def first_nonpositive(x: np.ndarray) -> Optional[int]:
+    """Flat index of the first entry of ``x`` that is not finite and > 0, or None if none is."""
+    if 0.0 < x.min() and x.max() < math.inf:  # nan fails both
+        return None
+    return int(np.argmin(np.isfinite(x) & (x > 0.0)))
+
+
 def require_positive_state(x0, n: int) -> np.ndarray:
     """Check an initial state: shape ``(n,)``, every component finite and > 0."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(f"x0 has shape {x0.shape}, model has {n} paths")
-    if not (0.0 < x0.min() and x0.max() < math.inf):  # nan fails both
-        i = int(np.argmin(np.isfinite(x0) & (x0 > 0.0)))
+    i = first_nonpositive(x0)
+    if i is not None:
         raise DomainError(f"component {i} of x0 is {float(x0[i])}; must be strictly positive")
     return x0
 

@@ -44,18 +44,6 @@ from .simulate import integrate_rows, write_trajectory_csv
 from .stability import find_equilibria
 from .svgfig import Series, line_figure, quiver_figure
 
-__all__ = [
-    "ExperimentPreset",
-    "PhaseGrid",
-    "PhasePreset",
-    "get_preset",
-    "phase_grid",
-    "preset_names",
-    "run_preset",
-    "spurious_equilibria_scan",
-    "write_phase_artifacts",
-]
-
 SPURIOUS_SPEED_TOL = 1e-8
 
 

@@ -26,7 +26,6 @@ and no trajectory can hold a grid or sums that disagree with its states.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -40,30 +39,14 @@ from .models import (
     GKind,
     ModelSpec,
     PhiKind,
+    first_nonpositive,
     require_positive,
     require_positive_state,
     require_rows,
     rhs,
 )
+from ._output import format_passes, write_atomic
 from ._scalar import scalar_stepper
-from .reporting import _format_passes, _write_atomic
-
-__all__ = [
-    "CLAMP_FLOOR",
-    "IntegrationError",
-    "PositivityError",
-    "PositivityPolicy",
-    "Scheme",
-    "SumBoundsReport",
-    "Trajectory",
-    "check_sum_bounds",
-    "integrate",
-    "integrate_rows",
-    "iter_trajectory_csv",
-    "sum_envelope",
-    "trajectory_to_csv",
-    "write_trajectory_csv",
-]
 
 # Positive floor used by the clamping policy; far below any meaningful
 # state but still a normal double.
@@ -301,8 +284,9 @@ def integrate_rows(
     if rows == 1:
         return (integrate(models[0], block[0], dt, steps, scheme, positivity),)
     scheme, positivity, dt, steps = _run_setup(scheme, positivity, dt, steps)
-    if not (0.0 < block.min() and block.max() < math.inf):  # nan fails both
-        r, i = (int(v) for v in np.argwhere(~(np.isfinite(block) & (block > 0.0)))[0])
+    k = first_nonpositive(block)
+    if k is not None:
+        r, i = divmod(k, n)
         where = f"component {i} of x0" if x0.ndim < 2 else f"component {i} of x0 row {r}"
         raise DomainError(f"{where} is {float(block[r, i])}; must be strictly positive")
     order = sorted(range(rows), key=lambda i: (models[i].phi_kind.value, models[i].g_kind.value))
@@ -452,18 +436,19 @@ def iter_trajectory_csv(traj: Trajectory, source: Optional[str] = None) -> Itera
 
     Header is ``t,x_1,...,x_n,S``; each float is spelled exactly as
     ``"%.17g"`` spells it (17 significant digits, so doubles round-trip),
-    by one vectorized formatter that hands every cell it cannot decide
-    with margin to ``"%.17g"`` itself.  When ``source`` is given, a
-    trailing ``source`` column carries it on every row.  A pass holds a
-    few thousand cells, so the memory of the text in flight does not
-    grow with the length of the run.
+    by the vectorized formatter :func:`antdyn._output.format_passes`,
+    which hands every cell it cannot decide with margin to ``"%.17g"``
+    itself.  When ``source`` is given, a trailing ``source`` column
+    carries it on every row.  A pass holds a few thousand cells, so the
+    memory of the text in flight does not grow with the length of the
+    run.
     """
     columns = ["t"] + [f"x_{i + 1}" for i in range(traj.n)] + ["S"]
     if source is not None:
         columns.append("source")
     yield ",".join(columns) + "\n"
     end = "\n" if source is None else f",{source}\n"
-    yield from _format_passes([traj.times, traj.states, traj.sums], end)
+    yield from format_passes([traj.times, traj.states, traj.sums], end)
 
 
 def trajectory_to_csv(traj: Trajectory, source: Optional[str] = None) -> str:
@@ -479,7 +464,8 @@ def write_trajectory_csv(traj: Trajectory, path, source: Optional[str] = None):
     """Write :func:`trajectory_to_csv` output atomically; return the path as a ``Path``.
 
     The CSV streams into the temporary file of
-    :func:`~antdyn.reporting.write_text_atomic` one pass at a time, so
+    :func:`antdyn._output.write_atomic`, the writer of
+    :func:`~antdyn.reporting.write_text_atomic`, one pass at a time, so
     its memory does not grow with the length of the run.
     """
-    return _write_atomic(path, iter_trajectory_csv(traj, source))
+    return write_atomic(path, iter_trajectory_csv(traj, source))

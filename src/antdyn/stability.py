@@ -31,17 +31,6 @@ from .models import (
     rhs,
 )
 
-__all__ = [
-    "Equilibrium",
-    "EquilibriumReport",
-    "StabilityLabel",
-    "classify",
-    "equilibrium_report",
-    "find_equilibria",
-    "jacobian",
-    "spectrum_at_equilibrium",
-]
-
 CLASSIFY_TOL = 1e-9
 
 

@@ -3,7 +3,7 @@
 No plotting dependency; the output is plain SVG markup with fixed
 geometry, so identical inputs give byte-identical files.  Every pixel
 coordinate is spelled exactly as ``"%.2f"`` spells it: polyline points
-by the vectorized kernel ``_fixed._format_fixed``, and quiver arrows,
+by the vectorized kernel ``_output.format_fixed``, and quiver arrows,
 ticks and other one-off coordinates by f-strings.
 """
 
@@ -15,9 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._fixed import _format_fixed
-
-__all__ = ["Series", "line_figure", "quiver_figure"]
+from ._output import format_fixed
 
 PALETTE = [
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -194,7 +192,7 @@ def line_figure(
     finite, and the union of the series' ranges must map to pixels;
     otherwise ``ValueError`` names the series.  Every polyline
     coordinate is spelled exactly as ``"%.2f"`` spells it, by the
-    vectorized kernel ``_fixed._format_fixed``.
+    vectorized kernel ``_output.format_fixed``.
     """
     if not series:
         raise ValueError("need at least one series")
@@ -222,7 +220,7 @@ def line_figure(
         # spells nothing, after the last
         sep = np.tile(_POINT_SEP, len(x))
         sep[-1] = 0
-        points = _format_fixed(cells, sep).decode("ascii")
+        points = format_fixed(cells, sep).decode("ascii")
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )

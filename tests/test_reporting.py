@@ -8,17 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antdyn import _fixed, reporting
+from antdyn import _output
 from antdyn.presets import PRESETS, PhaseGrid, phase_grid
-from antdyn._fixed import _FIXED_LIMIT, _format_fixed
+from antdyn._output import _FIXED_LIMIT, _FMT_CELLS, format_fixed, format_passes
 from antdyn.analysis import ComponentRate, RateReport, SeriesRate
-from antdyn.reporting import _FMT_CELLS, _format_passes, grid_csv, rates_csv, rates_table
+from antdyn.reporting import grid_csv, rates_csv, rates_table
 from antdyn.simulate import CLAMP_FLOOR, integrate, trajectory_to_csv
 
 
 def format_block(block) -> str:
     """A 2-d float block as CSV rows, one row per block row, by the pass kernel."""
-    return "".join(_format_passes([block]))
+    return "".join(format_passes([block]))
 
 
 def spelled(block) -> list[str]:
@@ -185,13 +185,13 @@ def test_grid_csv_is_the_node_loop(n1, n2, seed, scale):
 def count_fallbacks(monkeypatch) -> list:
     """Record every cell that the block formatter hands to ``"%.17g"``."""
     cells = []
-    spell = reporting._spell_exactly
+    spell = _output._spell_exactly
 
     def counted(value, sep):
         cells.append(float(value))
         return spell(value, sep)
 
-    monkeypatch.setattr(reporting, "_spell_exactly", counted)
+    monkeypatch.setattr(_output, "_spell_exactly", counted)
     return cells
 
 
@@ -201,6 +201,17 @@ def test_zeros_are_spelled_without_the_fallback(monkeypatch):
     assert format_block(block) == "0,-0,1\n-0,2.5,0\n1e-300,0,-3\n"
     # 1e-300 lies below the table's range
     assert fallbacks == [1e-300]
+
+
+def test_the_table_range_is_spelled_without_the_fallback(monkeypatch):
+    fallbacks = count_fallbacks(monkeypatch)
+    # both ends of the range, then three mantissas at each of its decimal exponents
+    k = np.arange(-270, 270)
+    ends = [1e-270, -1e-270, 1e270]
+    cells = np.concatenate([ends, *(m * 10.0**k for m in (3.0, -7 / 3, 9.87654321))])
+    assert_formats(cells[:, None])
+    # the range is half open: 1e270 is the first magnitude past it
+    assert fallbacks == [1e270]
 
 
 def test_preset_csvs_leave_the_fallback(monkeypatch):
@@ -250,15 +261,15 @@ def assert_spells_percent_2f(values, seps):
     values = np.asarray(values, dtype=float)
     seps = np.asarray(seps, dtype=np.uint8)
     fallbacks = []
-    spell = _fixed._spell_fixed_exactly
+    spell = _output._spell_fixed_exactly
 
     def counted(value, sep):
         fallbacks.append(float(value))
         return spell(value, sep)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_fixed, "_spell_fixed_exactly", counted)
-        got = _format_fixed(values, seps)
+        patch.setattr(_output, "_spell_fixed_exactly", counted)
+        got = format_fixed(values, seps)
     want = [b"%.2f" % v for v in values.tolist()]
     wrong = [(w, g) for w, g in zip(want, re.split(rb"[, \n;]", got)) if w != g]
     assert not wrong, f"{len(wrong)} of {len(want)} cells differ, e.g. {wrong[:5]}"
@@ -294,11 +305,11 @@ def test_fixed_ties_and_pass_edges_are_percent_2f():
     seps = np.resize(np.frombuffer(b", \n", np.uint8), cells.size)
     assert_spells_percent_2f(cells, seps)
     # exact ties round half-even, and a zero of either origin keeps its sign
-    spelled = _format_fixed(np.array([0.125, 0.375, -0.0, -0.001]), seps[:4])
+    spelled = format_fixed(np.array([0.125, 0.375, -0.0, -0.001]), seps[:4])
     assert spelled == b"0.12,0.38 -0.00\n-0.00,"
     # a NUL separator spells nothing, as after the last point of a polyline
     nul = np.array([ord(","), 0, 0], np.uint8)
-    assert _format_fixed(np.array([1.0, -2.5, np.nan]), nul) == b"1.00,-2.50nan"
+    assert format_fixed(np.array([1.0, -2.5, np.nan]), nul) == b"1.00,-2.50nan"
 
 
 NAN = float("nan")

@@ -29,7 +29,7 @@ from antdyn import simulate
 from antdyn._scalar import SCALAR_PATHS
 from antdyn.closedform import sample_asymptotic, sample_exact
 from antdyn.models import GKind, PhiKind, rhs
-from antdyn.reporting import _FMT_CELLS, _format_tables
+from antdyn._output import _FMT_CELLS, _format_tables
 from antdyn.simulate import _CHECK_BLOCK, CLAMP_FLOOR
 
 from helpers import make_model
@@ -613,7 +613,7 @@ class FormatterFailed(Exception):
 
 def test_a_failed_stream_keeps_the_old_file(tmp_path, monkeypatch):
     traj = many_pass_run()
-    real = simulate._format_passes
+    real = simulate.format_passes
 
     def first_pass_then_fail(columns, end):
         yield next(real(columns, end))
@@ -621,7 +621,7 @@ def test_a_failed_stream_keeps_the_old_file(tmp_path, monkeypatch):
 
     target = tmp_path / "traj.csv"
     target.write_bytes(b"old contents\n")
-    monkeypatch.setattr(simulate, "_format_passes", first_pass_then_fail)
+    monkeypatch.setattr(simulate, "format_passes", first_pass_then_fail)
     with pytest.raises(FormatterFailed):
         write_trajectory_csv(traj, target)
     assert target.read_bytes() == b"old contents\n"
