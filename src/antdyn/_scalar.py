@@ -1,14 +1,16 @@
-"""Single runs of a few paths, stepped in Python floats.
+"""Single runs of a few paths, stepped in Python floats by generated code.
 
 The rule for a single run, stated here once: :func:`antdyn.simulate.integrate`
-steps a run of at most ``SCALAR_PATHS`` (12) paths with the identity or
+steps a run of at most ``SCALAR_PATHS`` (24) paths with the identity or
 signum response here, under either saturation and either scheme; every
 other run, every tanh run and every :func:`~antdyn.simulate.integrate_rows`
 block of two or more models steps through the numpy kernel
 (:func:`antdyn.models.rhs`).  For a handful of paths, the numpy calls of
-that loop cost far more than their arithmetic: a Python-float step takes
-about a third of the time of a numpy one at 2 paths, and Python's cost
-grows with n while numpy's barely does, so the two cross near 12 paths.
+that loop cost far more than their arithmetic.  The stepper here is
+straight-line Python, generated once per shape: each state component is
+a local variable, and a step makes no call.  Its cost grows with n while
+numpy's barely does: a 2,000-step Euler run, its compile included,
+crosses numpy between 24 and 28 paths, and RK4 stays ahead beyond 32.
 Tanh stays on numpy because ``math.tanh`` and ``np.tanh`` round
 differently.
 
@@ -16,11 +18,17 @@ Both paths give the same trajectory, bit for bit.  Python floats are
 IEEE doubles too, and each operation below is the one the numpy kernel
 performs, on the same operands and in the same order, so every value
 rounds as it does there.  ``np.sign`` is spelled with comparisons.  The
-one reduction whose order numpy chooses, the saturation sum, follows
-numpy's pairwise order (:func:`pairwise_sum`); a maximum is exact in any
+one reduction whose order numpy chooses, the saturation sum, is spelled
+in numpy's pairwise order (:func:`_pairwise`); a maximum is exact in any
 order.  A block that fails the integrator's finiteness and sign check,
 or meets a zero saturation (where Python raises and numpy divides to an
 infinity), hands the run to the numpy loop from that block on.
+
+The source of a stepper (:func:`_source`) is spelled from ``n``, the
+response, the saturation and the scheme alone; the model's values are
+bound as default arguments, so models of one shape share one code
+object, compiled once per process.  This is the one module that
+compiles code.
 
 This module lives apart from ``simulate`` to keep that module's syntax
 tree small: without cached bytecode, every fresh interpreter compiles
@@ -30,28 +38,111 @@ of that import.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import add
+from functools import cache
+from types import FunctionType
 
 from .models import GKind, PhiKind
 
 # Most paths a run may have and still be stepped here, by the rule above.
-SCALAR_PATHS = 12
+SCALAR_PATHS = 24
+
+# {d}: the weights' names; {x}: the state's names; {steps}: one step's
+# statements, which update the state's names in place.  The arguments
+# after (states, start, stop) are bound per model as defaults.
+_TEMPLATE = """\
+def advance(states, start, stop, alpha, beta, gamma, dt, half, sixth, {d}):
+    ({x},) = states[start - 1].tolist()
+    flat = []
+    try:
+        for _ in range(start, stop):
+{steps}
+            flat += ({x},)
+    except ZeroDivisionError:
+        return False
+    states[start:stop].reshape(-1)[:] = flat
+    return True
+"""
 
 
-def pairwise_sum(x) -> float:
-    """Sum fewer than 16 floats bit for bit as ``np.add.reduce`` sums a contiguous array.
+def _pairwise(terms: list[str]) -> str:
+    """Sum ``terms`` as ``np.add.reduce`` sums a contiguous array of fewer than 128.
 
     That is numpy's pairwise summation, which adds fewer than 8 terms left
     to right.  From 8 terms on it keeps eight accumulators, each adding
-    every eighth term, and joins them as a balanced tree before adding the
-    terms past the last full eight left to right; below 16 terms the
-    accumulators are the first eight terms themselves.
+    every eighth term left to right, and joins them as a balanced tree
+    before adding the terms past the last full eight left to right.
     """
-    if len(x) < 8:
-        return reduce(add, x, 0.0)
-    tree = ((x[0] + x[1]) + (x[2] + x[3])) + ((x[4] + x[5]) + (x[6] + x[7]))
-    return reduce(add, x[8:], tree)
+    n = len(terms)
+    assert n < 128  # from 128 terms on, numpy splits the sum in halves first
+    if n < 8:
+        return " + ".join(terms)
+    full = n - n % 8
+    r = [" + ".join(terms[j:full:8]) for j in range(8)]
+    if full > 8:
+        r = [f"({a})" for a in r]
+    tree = f"((({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]})))"
+    return " + ".join([tree, *terms[full:]])
+
+
+def _source(n: int, g_kind: GKind, phi_kind: PhiKind, euler: bool) -> str:
+    """The source of the stepper of one shape: ``def advance(...)``, spelled from the shape alone.
+
+    Every step is ``rhs(model)`` and the scheme of the numpy loop with
+    each array operation written out per component, with ``c = beta * (1
+    / s)`` at saturation ``s``.  The source holds no float: an int
+    operand converts exactly, and the model's values are arguments.
+    """
+    def coefficient(y: str) -> list[str]:
+        """Statements that set ``c`` from the saturation of state ``y``."""
+        names = [f"{y}{i}" for i in range(n)]
+        if phi_kind is PhiKind.SUM:
+            lines = [f"s = {_pairwise(names)}"]
+        else:
+            lines = [f"s = {names[0]}"] + [f"if {v} > s: s = {v}" for v in names[1:]]
+        return lines + ["c = beta * (1 / s)"]
+
+    def k(i: int, y: str) -> str:
+        """Component ``i`` of ``rhs(model)`` at state ``y``, given ``c``."""
+        if g_kind is GKind.IDENTITY:
+            return f"(c * d{i} - alpha) * gamma * {y}{i}"
+        # np.sign(b - alpha) * gamma at b = c * di: b - alpha rounds to the
+        # sign of the exact difference, and is +0 or nan when neither
+        # comparison holds (never -0, since alpha > 0)
+        g = f"gamma if (b := c * d{i}) > alpha else -gamma if b < alpha else (b - alpha) * gamma"
+        return f"({g}) * {y}{i}"
+
+    if euler:
+        lines = coefficient("x") + [f"x{i} += {k(i, 'x')} * dt" for i in range(n)]
+    else:
+        # k1 in p, k2 + k3 in q, the stage points in y; the result is
+        # x + ((k2 + k3) * 2 + k1 + k4) * (dt / 6), doubling by an exact add
+        lines = coefficient("x")
+        for i in range(n):
+            lines += [f"p{i} = {k(i, 'x')}", f"y{i} = x{i} + half * p{i}"]
+        lines += coefficient("y")
+        for i in range(n):
+            lines += [f"q{i} = {k(i, 'y')}", f"y{i} = x{i} + half * q{i}"]
+        lines += coefficient("y")
+        for i in range(n):
+            lines += [f"k = {k(i, 'y')}", f"y{i} = x{i} + dt * k", f"q{i} += k"]
+        lines += coefficient("y")
+        lines += [f"x{i} += (q{i} + q{i} + p{i} + {k(i, 'y')}) * sixth" for i in range(n)]
+    return _TEMPLATE.format(
+        d=", ".join(f"d{i}" for i in range(n)),
+        x=", ".join(f"x{i}" for i in range(n)),
+        steps="\n".join(" " * 12 + line for line in lines),
+    )
+
+
+@cache
+def _compiled(n: int, g_kind: GKind, phi_kind: PhiKind, euler: bool) -> FunctionType:
+    """The stepper of one shape, with no values bound: compiled once per process.
+
+    There are at most ``8 * SCALAR_PATHS`` shapes, so the cache stays small.
+    """
+    namespace: dict = {}
+    exec(compile(_source(n, g_kind, phi_kind, euler), f"<advance {n}>", "exec"), namespace)
+    return namespace["advance"]
 
 
 def scalar_stepper(model, dt: float, euler: bool):
@@ -62,70 +153,15 @@ def scalar_stepper(model, dt: float, euler: bool):
     ``states``; it returns False, writing nothing, if a saturation is
     zero, where Python raises and numpy divides to an infinity.  Each
     step it stores is bit for bit the numpy kernel's.  Outside the
-    domain the two can part ways (Python's ``max`` skips a nan, numpy's
-    propagates it), but only on a step whose new state holds a nan
-    either way, so a block that passes the integrator's finiteness check
-    is one the numpy kernel would also have written.
+    domain the two can part ways (a comparison skips a nan, numpy's
+    maximum propagates it), but only on a step whose new state holds a
+    nan either way, so a block that passes the integrator's finiteness
+    check is one the numpy kernel would also have written.
     """
     if model.n > SCALAR_PATHS or model.g_kind is GKind.TANH:
         return None
-    total = pairwise_sum if model.phi_kind is PhiKind.SUM else max
-    alpha, beta, gamma = model.alpha, model.beta, model.gamma
-    d = model.paths.d.tolist()
-    half, sixth = 0.5 * dt, dt / 6.0
-
-    # f(y) is rhs(model)(y), and euler_step(x) is x + f(x) * dt with f inlined
-    if model.g_kind is GKind.IDENTITY:
-
-        def f(y):
-            c = beta * (1.0 / total(y))
-            return [(c * di - alpha) * gamma * yi for di, yi in zip(d, y)]
-
-        def euler_step(x):
-            c = beta * (1.0 / total(x))
-            return [xi + (c * di - alpha) * gamma * xi * dt for di, xi in zip(d, x)]
-
-    else:
-        # np.sign: 1, -1, or a itself, which is +0.0 or nan (c * di - alpha
-        # is never -0.0, since alpha > 0)
-
-        def f(y):
-            c = beta * (1.0 / total(y))
-            return [
-                (1.0 if (a := c * di - alpha) > 0.0 else -1.0 if a < 0.0 else a) * gamma * yi
-                for di, yi in zip(d, y)
-            ]
-
-        def euler_step(x):
-            c = beta * (1.0 / total(x))
-            return [
-                xi
-                + (1.0 if (a := c * di - alpha) > 0.0 else -1.0 if a < 0.0 else a) * gamma * xi * dt
-                for di, xi in zip(d, x)
-            ]
-
-    def rk4_step(x):
-        k1 = f(x)
-        k2 = f([xi + half * k for xi, k in zip(x, k1)])
-        k3 = f([xi + half * k for xi, k in zip(x, k2)])
-        k4 = f([xi + dt * k for xi, k in zip(x, k3)])
-        # ((k2 + k3) * 2 + k1 + k4) * (dt / 6), doubling by an exact add
-        return [
-            xi + ((t := b + c) + t + a + e) * sixth for xi, a, b, c, e in zip(x, k1, k2, k3, k4)
-        ]
-
-    step = euler_step if euler else rk4_step
-
-    def advance(states, start: int, stop: int) -> bool:
-        x = states[start - 1].tolist()
-        flat = []
-        try:
-            for _ in range(start, stop):
-                x = step(x)
-                flat += x
-        except ZeroDivisionError:
-            return False
-        states[start:stop].reshape(-1)[:] = flat
-        return True
-
-    return advance
+    template = _compiled(model.n, model.g_kind, model.phi_kind, euler)
+    bound = (model.alpha, model.beta, model.gamma, dt, 0.5 * dt, dt / 6.0)
+    return FunctionType(
+        template.__code__, template.__globals__, "advance", (*bound, *model.paths.d.tolist())
+    )

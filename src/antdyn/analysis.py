@@ -366,8 +366,12 @@ def verify_convergence(traj: Trajectory, model: ModelSpec) -> ConvergenceReport:
     Three checks: every component off the tied-leading set is below
     ``ZERO_THRESHOLD_FACTOR * beta d_1 / alpha`` at the final time; the
     tied-set sum is within ``SUM_TOLERANCE_FACTOR * beta d_1 / alpha`` of
-    ``beta d_1 / alpha``; and, for the identity-sum model, the state sum
-    stayed inside its envelope.  If the sum is still moving by
+    its limit; and, for the identity-sum model, the state sum stayed
+    inside its envelope.  Under ``phi = sum`` the tied-set sum tends to
+    ``mu_1 = beta d_1 / alpha``.  Under ``phi = max`` tied paths keep
+    their ratios and the tied leader tends to ``mu_1``, so the tied-set
+    sum tends to ``mu_1 * sum(x_tied(0)) / max(x_tied(0))``, which is
+    ``mu_1`` for a single shortest path.  If the sum is still moving by
     ``SETTLE_RTOL`` or more over the last 10% of the horizon, or the run
     has a single sample and so shows no movement at all, the verdict is
     inconclusive rather than a verdict on an unfinished transient.
@@ -387,7 +391,11 @@ def verify_convergence(traj: Trajectory, model: ModelSpec) -> ConvergenceReport:
     zero_ok = max_other < zero_threshold
 
     tied_sum_final = float(np.sum(final[:tied]))
-    sum_ok = abs(tied_sum_final - scale) <= sum_tolerance
+    expected_sum = float(scale)
+    if model.phi_kind is PhiKind.MAX:
+        start = traj.states[0, :tied]
+        expected_sum *= float(np.sum(start) / np.max(start))
+    sum_ok = abs(tied_sum_final - expected_sum) <= sum_tolerance
 
     envelope = None
     envelope_ok: Optional[bool] = None
@@ -410,7 +418,7 @@ def verify_convergence(traj: Trajectory, model: ModelSpec) -> ConvergenceReport:
         zero_threshold=float(zero_threshold),
         sum_ok=sum_ok,
         tied_sum_final=tied_sum_final,
-        expected_sum=float(scale),
+        expected_sum=expected_sum,
         sum_tolerance=float(sum_tolerance),
         tied_indices=tuple(range(tied)),
         envelope_ok=envelope_ok,

@@ -7,8 +7,9 @@ model's right-hand side (:func:`antdyn.models.rhs`) on buffers allocated
 once per run, writing every stage and state in place, and without
 per-step checks; the finiteness and sign checks run once per block of
 steps and still report the first offending step exactly.  Some single
-runs step in Python floats instead, bit for bit as numpy would, by the
-rule that :mod:`antdyn._scalar` states.
+runs step in Python floats instead, through straight-line code generated
+once per shape, bit for bit as numpy would, by the rule that
+:mod:`antdyn._scalar` states.
 
 :func:`integrate_rows` integrates several models of one ``n`` as the
 rows of one ``(B, n)`` block, through one stepping loop, and
@@ -216,8 +217,9 @@ def integrate(
     same stepping loop on a single state of shape ``(n,)``: through the
     single-state path of :func:`rhs`, in place on buffers preallocated for
     the run (the stages, one work row and ``dt``, ``dt / 2`` and
-    ``dt / 6`` as arrays), or in Python floats for the runs that
-    :mod:`antdyn._scalar` names, with the same result.  Either way a step
+    ``dt / 6`` as arrays), or in Python floats, by straight-line code
+    generated once per shape, for the runs that :mod:`antdyn._scalar`
+    names, with the same result.  Either way a step
     rounds exactly as ``x + dt * f(x)`` (Euler) or
     ``x + ((k2 + k3) * 2 + k1 + k4) * (dt / 6)`` (RK4) would.
 

@@ -599,6 +599,22 @@ def test_verify_fails_on_envelope_violation_alone():
     assert report.status is VerificationStatus.FAIL
 
 
+@pytest.mark.parametrize("phi", ["sum", "max"])
+def test_verify_expects_the_tied_sum_of_the_saturation(phi):
+    # under the maximum the tied paths keep their ratio 1 : 2, and the
+    # leader tends to mu_1 = 1, so their sum tends to 1.5; under the sum
+    # the tied sum itself tends to mu_1
+    model = make_model([1, 1, 2], phi=phi)
+    traj = integrate(model, [0.3, 0.6, 0.5], 0.05, 2000)
+    report = verify_convergence(traj, model)
+    want = 1.5 if phi == "max" else 1.0
+    assert report.expected_sum == pytest.approx(want, rel=1e-15)
+    assert report.tied_indices == (0, 1)
+    assert report.tied_sum_final == pytest.approx(want, abs=1e-12)
+    assert np.allclose(traj.final_state[:2], np.array([1.0, 2.0]) * want / 3.0)
+    assert report.sum_ok and report.status is VerificationStatus.PASS
+
+
 def test_verify_skips_envelope_for_other_variants():
     model = make_model(range(1, 11), alpha=0.1, beta=0.1, gamma=10.0, g="tanh")
     traj = integrate(model, np.arange(1, 11) * 0.1, 0.02, 2000)

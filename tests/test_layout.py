@@ -51,3 +51,15 @@ def test_no_module_imports_a_private_name_of_a_sibling():
 def test_the_output_module_needs_no_sibling_and_the_integrator_no_renderer():
     assert sibling_imports(SRC / "_output.py") == []
     assert "reporting" not in {sibling for _, sibling, _ in sibling_imports(SRC / "simulate.py")}
+
+
+def test_only_the_scalar_stepper_compiles_code():
+    compiling = sorted(
+        {
+            path.name
+            for path in MODULES
+            for node in ast.walk(tree(path))
+            if isinstance(node, ast.Name) and node.id in ("exec", "compile")
+        }
+    )
+    assert compiling == ["_scalar.py"]

@@ -1,5 +1,7 @@
 """Tests of the Python-float stepper of small single runs."""
 
+import ast
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +9,23 @@ from hypothesis import strategies as st
 
 from antdyn import (
     IntegrationError,
+    PositivityError,
     PositivityPolicy,
     Scheme,
     integrate,
 )
 from antdyn import simulate
-from antdyn._scalar import SCALAR_PATHS, pairwise_sum, scalar_stepper
+from antdyn._scalar import SCALAR_PATHS, _pairwise, _source, scalar_stepper
 from antdyn.models import GKind, PhiKind
 
 from helpers import make_model
+
+SHAPES = [
+    (g, phi, euler)
+    for g in (GKind.IDENTITY, GKind.SIGNUM)
+    for phi in PhiKind
+    for euler in (True, False)
+]
 
 
 def left_to_right(values):
@@ -26,22 +36,48 @@ def left_to_right(values):
 
 
 def test_pairwise_sum_is_numpys_sum_bit_for_bit():
-    # pairwise_sum spells out numpy's order for fewer than 16 terms only,
-    # which every run stepped in Python floats has
-    assert SCALAR_PATHS < 16
     # positive terms spread over 16 decades, so that the order of the
-    # additions shows in the rounding
+    # additions shows in the rounding; every n a stepped run can have
     rng = np.random.default_rng(20140)
     plain_differs = set()
-    for n in range(1, 16):
+    for n in range(1, SCALAR_PATHS + 1):
+        names = [f"v{i}" for i in range(n)]
+        total = _pairwise(names)
         for _ in range(50):
             v = 10.0 ** rng.uniform(-8.0, 8.0, n)
             want = float(np.add.reduce(v))
-            assert pairwise_sum(v.tolist()) == want, n
+            assert eval(total, {}, dict(zip(names, v.tolist()))) == want, n
             if left_to_right(v.tolist()) != want:
                 plain_differs.add(n)
     # below 8 terms numpy sums left to right too; from 8 on it does not
-    assert plain_differs == set(range(8, 16))
+    assert plain_differs == set(range(8, SCALAR_PATHS + 1))
+
+
+def test_models_of_one_shape_share_one_code_object():
+    one = make_model([1.0, 2.0, 3.0], alpha=0.5, beta=2.0, gamma=3.0, g="signum")
+    other = make_model([4.0, 7.5, 9.0], alpha=1.5, beta=0.3, gamma=0.7, g="signum")
+    for euler in (True, False):
+        a, b = scalar_stepper(one, 0.01, euler), scalar_stepper(other, 0.3, euler)
+        assert a.__code__ is b.__code__
+        assert a.__defaults__ != b.__defaults__
+    shapes = [
+        scalar_stepper(make_model([1.0, 2.0, 3.0], g=g, phi=phi), 0.01, euler).__code__
+        for g, phi, euler in SHAPES
+    ]
+    shapes.append(scalar_stepper(make_model([1.0, 2.0]), 0.01, True).__code__)
+    assert len(set(shapes)) == len(SHAPES) + 1
+
+
+def test_generated_source_holds_no_float():
+    # the model's values are bound as arguments, never spelled into the source
+    for n in range(1, SCALAR_PATHS + 1):
+        for shape in SHAPES:
+            floats = [
+                node.value
+                for node in ast.walk(ast.parse(_source(n, *shape)))
+                if isinstance(node, ast.Constant) and isinstance(node.value, float)
+            ]
+            assert floats == [], (n, shape)
 
 
 def spy_on_scalar_blocks(monkeypatch):
@@ -67,7 +103,9 @@ def spy_on_scalar_blocks(monkeypatch):
 @pytest.mark.parametrize("scheme", [Scheme.EULER, Scheme.RK4])
 @pytest.mark.parametrize("phi", list(PhiKind))
 @pytest.mark.parametrize("g", list(GKind))
-@pytest.mark.parametrize("n", [1, SCALAR_PATHS, SCALAR_PATHS + 1, 32])
+# the ends of the stepped range, two sizes inside it whose sums run past
+# eight terms, and two sizes past it
+@pytest.mark.parametrize("n", [1, 12, 13, SCALAR_PATHS, SCALAR_PATHS + 1, 32])
 def test_only_small_identity_and_signum_runs_step_in_python(monkeypatch, n, g, phi, scheme):
     blocks = spy_on_scalar_blocks(monkeypatch)
     model = make_model(np.arange(1.0, n + 1.0), phi=phi, g=g)
@@ -186,3 +224,50 @@ def test_fallback_to_the_numpy_loop_is_exact(
     assert blocks == [True] * (len(blocks) - 1) + [why == "checked"]
     if step is not None:
         assert want[2] == step
+
+
+# Runs of lengths 1..n at alpha = beta = gamma = 1, as (x0, dt) per kind
+# and scheme, whose numpy loop fails with a PositivityError inside the
+# first block: started small, every component grows until the sum is
+# large, and then the weaker ones overshoot 0.
+MID_BLOCK_POSITIVITY = {
+    (GKind.IDENTITY, PhiKind.SUM, EULER): (1e-3, 1.05),
+    (GKind.IDENTITY, PhiKind.MAX, EULER): (1e-3, 1.05),
+    (GKind.SIGNUM, PhiKind.SUM, EULER): (1e-3, 1.05),
+    (GKind.SIGNUM, PhiKind.MAX, EULER): (1e-3, 1.05),
+    (GKind.IDENTITY, PhiKind.SUM, RK4): (0.01, 2.8),
+    (GKind.IDENTITY, PhiKind.MAX, RK4): (1.0, 3.05),
+    (GKind.SIGNUM, PhiKind.SUM, RK4): (0.1, 1.7),
+    (GKind.SIGNUM, PhiKind.MAX, RK4): (1e-3, 1.6),
+}
+
+
+@pytest.mark.parametrize("case", ["stepped", "zero", "mid-block"])
+@pytest.mark.parametrize("scheme", [EULER, RK4])
+@pytest.mark.parametrize("phi", list(PhiKind))
+@pytest.mark.parametrize("g", [GKind.IDENTITY, GKind.SIGNUM])
+@pytest.mark.parametrize("n", [SCALAR_PATHS - 1, SCALAR_PATHS, SCALAR_PATHS + 1])
+def test_runs_about_the_threshold_are_the_numpy_loop(monkeypatch, n, g, phi, scheme, case):
+    lengths = np.arange(1.0, n + 1.0)
+    if case == "stepped":
+        model, x0, dt = make_model(lengths, phi=phi, g=g), np.linspace(0.1, 1.0, n), 0.05
+    elif case == "zero":
+        # dt * gamma * g = -1 sends every component (Euler) or the first
+        # RK4 stage point to exactly 0, where the saturation is 0
+        model, x0 = make_model(lengths, beta=1e-20, phi=phi, g=g), np.full(n, 0.5)
+        dt = 1.0 if scheme is EULER else 2.0
+    else:
+        value, dt = MID_BLOCK_POSITIVITY[g, phi, scheme]
+        model, x0 = make_model(lengths, phi=phi, g=g), np.full(n, value)
+    args = (model, x0, dt, 150, scheme, REJECT)
+    want = numpy_outcome(monkeypatch, *args)
+    blocks = spy_on_scalar_blocks(monkeypatch)
+    assert_same_outcome(run_outcome(*args), want)
+    if case == "mid-block":
+        assert want[0] is PositivityError and 1 < want[2] < 64
+    if n > SCALAR_PATHS:
+        assert blocks == []
+    else:
+        # three full blocks; a zero saturation is declined on the first
+        # block, and a block that fails the check goes back to numpy
+        assert blocks == {"stepped": [True] * 3, "zero": [False], "mid-block": [True]}[case]

@@ -34,6 +34,12 @@ from antdyn.simulate import _CHECK_BLOCK, CLAMP_FLOOR
 
 from helpers import make_model
 
+# Path counts of a solo run, drawn on both sides of SCALAR_PATHS: identity
+# and signum runs of at most that many paths step in Python floats.
+SOLO_PATHS = st.one_of(
+    st.integers(1, SCALAR_PATHS), st.integers(SCALAR_PATHS + 1, SCALAR_PATHS + 8)
+)
+
 
 def test_euler_matches_hand_rolled_loop():
     model = make_model([1, 2, 3], alpha=0.9, beta=1.4, gamma=2.0)
@@ -344,7 +350,7 @@ def error_facts(err):
     variants=st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=7),
     # solo runs of identity and signum models up to SCALAR_PATHS paths step
     # in Python floats, longer ones and tanh ones in numpy
-    n=st.one_of(st.integers(1, SCALAR_PATHS), st.integers(SCALAR_PATHS + 1, 32)),
+    n=SOLO_PATHS,
     scheme=st.sampled_from([Scheme.EULER, Scheme.RK4]),
     positivity=st.sampled_from(list(PositivityPolicy)),
     shared_x0=st.booleans(),
@@ -441,7 +447,7 @@ def test_integrate_rows_input_validation():
     producer=st.sampled_from(["euler", "rk4", "rows", "exact", "asymptotic"]),
     # identity runs up to SCALAR_PATHS paths step in Python floats, longer ones
     # and tanh ones in numpy; a block of several models always does
-    n=st.one_of(st.integers(1, SCALAR_PATHS), st.integers(SCALAR_PATHS + 1, 32)),
+    n=SOLO_PATHS,
     g=st.sampled_from([GKind.IDENTITY, GKind.TANH]),
     dt_fraction=st.floats(0.05, 0.9),
     steps=st.integers(0, 150),
@@ -731,7 +737,7 @@ def test_the_order_check_fails_on_the_saturation_taken_per_component():
 @given(
     scheme=st.sampled_from([Scheme.EULER, Scheme.RK4]),
     # up to SCALAR_PATHS paths the run steps in Python floats, beyond in numpy
-    n=st.one_of(st.integers(1, SCALAR_PATHS), st.integers(SCALAR_PATHS + 1, 32)),
+    n=SOLO_PATHS,
     rates=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
     share=st.floats(0.01, 0.5),
     data=st.data(),
@@ -757,7 +763,7 @@ def test_identity_sum_weighted_mass_relaxes_as_the_scheme_predicts(scheme, n, ra
 @given(
     scheme=st.sampled_from([Scheme.EULER, Scheme.RK4]),
     # up to SCALAR_PATHS paths the run steps in Python floats, beyond in numpy
-    n=st.one_of(st.integers(1, SCALAR_PATHS), st.integers(SCALAR_PATHS + 1, 32)),
+    n=SOLO_PATHS,
     rates=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
     share=st.floats(0.01, 0.5),
     data=st.data(),
