@@ -107,8 +107,9 @@ def _source(n: int, g_kind: GKind, phi_kind: PhiKind, euler: bool) -> str:
             return f"(c * d{i} - alpha) * gamma * {y}{i}"
         # np.sign(b - alpha) * gamma at b = c * di: b - alpha rounds to the
         # sign of the exact difference, and is +0 or nan when neither
-        # comparison holds (never -0, since alpha > 0)
-        g = f"gamma if (b := c * d{i}) > alpha else -gamma if b < alpha else (b - alpha) * gamma"
+        # comparison holds (never -0, since alpha > 0), which sign() and
+        # the gain leave as they are
+        g = f"gamma if (b := c * d{i}) > alpha else -gamma if b < alpha else b - alpha"
         return f"({g}) * {y}{i}"
 
     if euler:

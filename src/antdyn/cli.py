@@ -39,7 +39,7 @@ from .simulate import (
     iter_trajectory_csv,
     write_trajectory_csv,
 )
-from .stability import find_equilibria
+from .stability import equilibrium_report, find_equilibria
 
 # Caught before ValueError, because OracleRangeError is also one.
 NUMERIC_ERRORS = (IntegrationError, OracleRangeError, FitError)
@@ -142,9 +142,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_equilibria(args) -> int:
     config = load_config(args.config)
-    model = config.model()
-    lines = equilibria_lines(model)
-    print("\n".join(lines))
+    print("\n".join(equilibria_lines(equilibrium_report(config.model()))))
     return 0
 
 

@@ -41,7 +41,7 @@ from .reporting import (
     write_text_atomic,
 )
 from .simulate import integrate_rows, write_trajectory_csv
-from .stability import find_equilibria
+from .stability import equilibrium_report
 from .svgfig import Series, line_figure, quiver_figure
 
 SPURIOUS_SPEED_TOL = 1e-8
@@ -85,7 +85,7 @@ class ExperimentPreset:
                 (f"model:{label}", model_lines(model)),
                 (f"verification:{label}", verification_lines(verify_convergence(traj, model))),
                 (f"rates:{label}", rates_table(rates)),
-                (f"equilibria:{label}", equilibria_lines(model)),
+                (f"equilibria:{label}", equilibria_lines(equilibrium_report(model))),
             ]
         if len(runs) > 1:
             sections.append(("ranking", ranking_lines(compare_variants(runs))))
@@ -118,10 +118,10 @@ class PhasePreset:
         if steps is not None:
             raise ValueError(f"preset {self.name!r} has no step schedule to override")
         grid = phase_grid(self.model)
-        equilibria = find_equilibria(self.model)
-        clean, offending = spurious_equilibria_scan(grid, equilibria)
+        report = equilibrium_report(self.model)
+        clean, offending = spurious_equilibria_scan(grid, report.equilibria)
         paths = write_phase_artifacts(
-            grid, equilibria, out_dir, title=self.name, caption=self.description
+            grid, report.equilibria, out_dir, title=self.name, caption=self.description
         )
         preamble = [
             ("bounds", f"{grid.x1[0]:.12g} .. {grid.x1[-1]:.12g}"),
@@ -129,7 +129,7 @@ class PhasePreset:
         ]
         sections = [
             ("model", model_lines(self.model)),
-            ("equilibria", equilibria_lines(self.model)),
+            ("equilibria", equilibria_lines(report)),
             (
                 "field-scan",
                 render_kv(

@@ -20,12 +20,12 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 import numpy as np
 
 from ._output import format_passes, write_atomic
-from .models import GKind, ModelSpec
-from .stability import equilibrium_report, find_equilibria
 
 if TYPE_CHECKING:
     from .analysis import ConvergenceReport, RateReport, VariantRanking
+    from .models import ModelSpec
     from .presets import PhaseGrid
+    from .stability import EquilibriumReport
 
 OUT_ROOT_ENV = "ANTDYN_OUT"
 
@@ -176,22 +176,18 @@ def ranking_lines(ranking: VariantRanking) -> list[str]:
     return lines
 
 
-def equilibria_lines(model: ModelSpec) -> list[str]:
-    """Report table of equilibria, with spectra and labels where they exist."""
-    if model.g_kind is GKind.SIGNUM:
-        rows = [(eq.index + 1, eq.mu, eq.residual, "n/a (signum)") for eq in find_equilibria(model)]
+def equilibria_lines(report: EquilibriumReport) -> list[str]:
+    """Report table of equilibria, with spectra and labels where they exist, and the notes."""
+    if report.labels is None:  # the signum response
+        rows = [(eq.index + 1, eq.mu, eq.residual, "n/a (signum)") for eq in report.equilibria]
         lines = render_table(("path", "mu", "residual", "label"), rows)
-        lines.append("note = signum response has no linearization; labels unavailable")
-        return lines
-    report = equilibrium_report(model)
-    rows = []
-    for eq, spectrum, label in zip(report.equilibria, report.spectra, report.labels):
-        eig_text = "; ".join(f"{value:.6g}" for value in spectrum)
-        rows.append((eq.index + 1, eq.mu, eq.residual, label.value, eig_text))
-    lines = render_table(("path", "mu", "residual", "label", "eigenvalues"), rows)
-    for note in report.notes:
-        lines.append(f"note = {note}")
-    return lines
+    else:
+        rows = [
+            (eq.index + 1, eq.mu, eq.residual, label.value, "; ".join(f"{v:.6g}" for v in eigs))
+            for eq, eigs, label in zip(report.equilibria, report.spectra, report.labels)
+        ]
+        lines = render_table(("path", "mu", "residual", "label", "eigenvalues"), rows)
+    return lines + [f"note = {note}" for note in report.notes]
 
 
 def write_text_atomic(path, text: str) -> Path:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .models import (
     phi_eval,
     phi_grad,
     require_admissible,
-    rhs,
 )
 
 CLASSIFY_TOL = 1e-9
@@ -52,11 +51,15 @@ class Equilibrium:
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumReport:
-    """All equilibria of a model with spectra and stability labels."""
+    """All equilibria of a model with spectra and stability labels.
+
+    ``spectra`` and ``labels`` are None for the signum response, which
+    has no linearization; a note says so.
+    """
 
     equilibria: tuple[Equilibrium, ...]
-    spectra: tuple[np.ndarray, ...]
-    labels: tuple[StabilityLabel, ...]
+    spectra: Optional[tuple[np.ndarray, ...]]
+    labels: Optional[tuple[StabilityLabel, ...]]
     notes: tuple[str, ...]
 
 
@@ -65,16 +68,18 @@ def find_equilibria(model: ModelSpec) -> list[Equilibrium]:
 
     Each scale is the closed form ``mu_i = beta d_i / alpha``
     (``model.mu``), which holds for both the sum and the max saturation.
+    At ``mu_k e_k``, where phi = ``1 / mu_k``, only component k moves, at
+    ``gamma g(a_k) mu_k`` with ``a_k = -alpha + beta (1 / mu_k) d_k``: the
+    residual is its magnitude, bit for bit the max-norm of
+    :func:`antdyn.models.rhs` there.  For the signum response, whose
+    sign() is +-1 for any rounding-level argument, the residual is
+    ``|gamma a_k mu_k|``, the switching argument in field units.
     """
     mu = model.mu
+    a = -model.alpha + model.beta * (1.0 / mu) * model.paths.d
+    g = a if model.g_kind is GKind.SIGNUM else g_eval(model.g_kind, a)
+    residuals = np.abs(model.gamma * g * mu)
     points = np.diag(mu)
-    if model.g_kind is GKind.SIGNUM:
-        # sign() is +-1 for any rounding-level argument, so measure the switching
-        # argument at mu_k e_k, where phi = 1 / mu_k, in field units instead
-        a = -model.alpha + model.beta * (1.0 / mu) * model.paths.d
-        residuals = np.abs(model.gamma * a * mu)
-    else:
-        residuals = np.abs(rhs(model)(points)).max(axis=1)
     return [Equilibrium(i, float(mu[i]), points[i], float(residuals[i])) for i in range(model.n)]
 
 
@@ -150,10 +155,13 @@ def classify(spectra: Sequence[np.ndarray]) -> list[StabilityLabel]:
 def equilibrium_report(model: ModelSpec) -> EquilibriumReport:
     """Equilibria with exact spectra and stability labels at ``CLASSIFY_TOL``.
 
-    Not available for the signum response, whose linearization is
-    distributional; callers can still use :func:`find_equilibria` there.
+    For the signum response, whose linearization is distributional, the
+    report holds the equilibria and a note, and no spectra or labels.
     """
-    equilibria = find_equilibria(model)
+    equilibria = tuple(find_equilibria(model))
+    if model.g_kind is GKind.SIGNUM:
+        note = "signum response has no linearization; labels unavailable"
+        return EquilibriumReport(equilibria, spectra=None, labels=None, notes=(note,))
     spectra = tuple(spectrum_at_equilibrium(model, eq) for eq in equilibria)
     labels = tuple(classify(spectra))
     notes = []
@@ -164,9 +172,4 @@ def equilibrium_report(model: ModelSpec) -> EquilibriumReport:
             f"paths {paths} share the largest preference weight: their equilibria are "
             "individually marginal and the long-run statement applies to their sum"
         )
-    return EquilibriumReport(
-        equilibria=tuple(equilibria),
-        spectra=spectra,
-        labels=labels,
-        notes=tuple(notes),
-    )
+    return EquilibriumReport(equilibria, spectra=spectra, labels=labels, notes=tuple(notes))

@@ -226,6 +226,23 @@ def test_fallback_to_the_numpy_loop_is_exact(
         assert want[2] == step
 
 
+# Signum runs of paths of length 1 at alpha = beta = 1, started where the
+# saturation is 1: every switching argument c * d_i - alpha is exactly 0,
+# where np.sign gives 0, so no path moves.
+@pytest.mark.parametrize("scheme", [EULER, RK4])
+@pytest.mark.parametrize(
+    "phi, x0", [(PhiKind.SUM, [1.0]), (PhiKind.SUM, [0.5, 0.5]), (PhiKind.MAX, [0.25, 1.0])]
+)
+def test_signum_paths_hold_still_at_a_zero_switching_argument(monkeypatch, phi, x0, scheme):
+    model = make_model(np.ones(len(x0)), phi=phi, g=GKind.SIGNUM)
+    args = (model, x0, 0.05, 70, scheme, REJECT)
+    want = numpy_outcome(monkeypatch, *args)
+    blocks = spy_on_scalar_blocks(monkeypatch)
+    assert_same_outcome(run_outcome(*args), want)
+    assert blocks == [True, True]
+    assert np.array_equal(want[0], np.tile(x0, (71, 1)))
+
+
 # Runs of lengths 1..n at alpha = beta = gamma = 1, as (x0, dt) per kind
 # and scheme, whose numpy loop fails with a PositivityError inside the
 # first block: started small, every component grows until the sum is
