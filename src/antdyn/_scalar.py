@@ -20,9 +20,10 @@ performs, on the same operands and in the same order, so every value
 rounds as it does there.  ``np.sign`` is spelled with comparisons.  The
 one reduction whose order numpy chooses, the saturation sum, is spelled
 in numpy's pairwise order (:func:`_pairwise`); a maximum is exact in any
-order.  A block that fails the integrator's finiteness and sign check,
-or meets a zero saturation (where Python raises and numpy divides to an
-infinity), hands the run to the numpy loop from that block on.
+order.  At a zero saturation, where Python raises, the stepper takes
+numpy's ``1 / 0``, an infinity.  A run keeps the stepper it starts with:
+after a block fails the integrator's check, the same stepper steps the
+run on one checked step at a time.
 
 The source of a stepper (:func:`_source`) is spelled from ``n``, the
 response, the saturation and the scheme alone; the model's values are
@@ -38,6 +39,7 @@ of that import.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from types import FunctionType
 
@@ -53,15 +55,16 @@ _TEMPLATE = """\
 def advance(states, start, stop, alpha, beta, gamma, dt, half, sixth, {d}):
     ({x},) = states[start - 1].tolist()
     flat = []
-    try:
-        for _ in range(start, stop):
+    for _ in range(start, stop):
 {steps}
-            flat += ({x},)
-    except ZeroDivisionError:
-        return False
+        flat += ({x},)
     states[start:stop].reshape(-1)[:] = flat
-    return True
 """
+
+# c = beta * (1 / s), and numpy's 1 / 0 = inf where Python raises: a zero
+# saturation is +0, since no state or stage point ever holds -0 (x + y is
+# -0 only if both are)
+_COEFFICIENT = ["try:", "    c = beta * (1 / s)", "except ZeroDivisionError:", "    c = beta * inf"]
 
 
 def _pairwise(terms: list[str]) -> str:
@@ -99,7 +102,7 @@ def _source(n: int, g_kind: GKind, phi_kind: PhiKind, euler: bool) -> str:
             lines = [f"s = {_pairwise(names)}"]
         else:
             lines = [f"s = {names[0]}"] + [f"if {v} > s: s = {v}" for v in names[1:]]
-        return lines + ["c = beta * (1 / s)"]
+        return lines + _COEFFICIENT
 
     def k(i: int, y: str) -> str:
         """Component ``i`` of ``rhs(model)`` at state ``y``, given ``c``."""
@@ -131,7 +134,7 @@ def _source(n: int, g_kind: GKind, phi_kind: PhiKind, euler: bool) -> str:
     return _TEMPLATE.format(
         d=", ".join(f"d{i}" for i in range(n)),
         x=", ".join(f"x{i}" for i in range(n)),
-        steps="\n".join(" " * 12 + line for line in lines),
+        steps="\n".join(" " * 8 + line for line in lines),
     )
 
 
@@ -141,7 +144,7 @@ def _compiled(n: int, g_kind: GKind, phi_kind: PhiKind, euler: bool) -> Function
 
     There are at most ``8 * SCALAR_PATHS`` shapes, so the cache stays small.
     """
-    namespace: dict = {}
+    namespace: dict = {"inf": math.inf}
     exec(compile(_source(n, g_kind, phi_kind, euler), f"<advance {n}>", "exec"), namespace)
     return namespace["advance"]
 
@@ -151,13 +154,11 @@ def scalar_stepper(model, dt: float, euler: bool):
 
     The stepper, ``advance(states, start, stop)``, steps on from
     ``states[start - 1]`` and writes steps ``start .. stop - 1`` into
-    ``states``; it returns False, writing nothing, if a saturation is
-    zero, where Python raises and numpy divides to an infinity.  Each
-    step it stores is bit for bit the numpy kernel's.  Outside the
-    domain the two can part ways (a comparison skips a nan, numpy's
-    maximum propagates it), but only on a step whose new state holds a
-    nan either way, so a block that passes the integrator's finiteness
-    check is one the numpy kernel would also have written.
+    ``states``, as the numpy loop's stepper does.  From a checked state,
+    finite and nonnegative, one step of each gives the same bits or fails
+    the integrator's check with the same error.  Past a failing step the
+    two can part ways (a comparison skips a nan, numpy's maximum
+    propagates it), but the integrator discards those steps.
     """
     if model.n > SCALAR_PATHS or model.g_kind is GKind.TANH:
         return None

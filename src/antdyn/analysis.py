@@ -374,14 +374,17 @@ def verify_convergence(traj: Trajectory, model: ModelSpec) -> ConvergenceReport:
     ``mu_1`` for a single shortest path.  If the sum is still moving by
     ``SETTLE_RTOL`` or more over the last 10% of the horizon, or the run
     has a single sample and so shows no movement at all, the verdict is
-    inconclusive rather than a verdict on an unfinished transient.
+    inconclusive rather than a verdict on an unfinished transient.  A
+    tail that moves to a final sum of 0 moved by ``inf`` relative to it,
+    and one that does not move by 0.
     """
     require_paths(traj, model)
     scale = model.mu[0]
     sum_tolerance = SUM_TOLERANCE_FACTOR * scale
     tail = max(2, int(math.ceil(0.1 * traj.sums.size)))
     window = traj.sums[-tail:]
-    settle_change = float((np.max(window) - np.min(window)) / abs(traj.sums[-1]))
+    spread, final_sum = float(np.max(window) - np.min(window)), abs(float(traj.sums[-1]))
+    settle_change = spread / final_sum if final_sum else (math.inf if spread else 0.0)
     settled = window.size >= 2 and settle_change < SETTLE_RTOL
 
     tied = model.paths.tied

@@ -323,9 +323,8 @@ def rhs(model: ModelSpec | Sequence[ModelSpec]):
     into buffers bound here, so ``f`` belongs to one caller at a time:
     bind it once per model, and do not call it reentrantly.
 
-    Some single runs step without this kernel, in Python floats through
-    straight-line code generated once per shape, bit for bit as it would,
-    by the rule that :mod:`antdyn._scalar` states.
+    Some single runs step without this kernel, in Python floats, by the
+    rule that :mod:`antdyn._scalar` states.
     """
     if isinstance(model, ModelSpec):
         models, buffer = (model,), None

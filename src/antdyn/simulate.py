@@ -9,7 +9,8 @@ per-step checks; the finiteness and sign checks run once per block of
 steps and still report the first offending step exactly.  Some single
 runs step in Python floats instead, through straight-line code generated
 once per shape, bit for bit as numpy would, by the rule that
-:mod:`antdyn._scalar` states.
+:mod:`antdyn._scalar` states.  A run picks its stepper once, and one
+loop (:func:`_step`) steps and checks every run.
 
 :func:`integrate_rows` integrates several models of one ``n`` as the
 rows of one ``(B, n)`` block, through one stepping loop, and
@@ -214,27 +215,28 @@ def integrate(
         ``x_i = 0``, which is that component's limit.
 
     This is the one-row case of :func:`integrate_rows`, and it runs the
-    same stepping loop on a single state of shape ``(n,)``: through the
-    single-state path of :func:`rhs`, in place on buffers preallocated for
-    the run (the stages, one work row and ``dt``, ``dt / 2`` and
-    ``dt / 6`` as arrays), or in Python floats, by straight-line code
+    same stepping loop on a single state of shape ``(n,)``.  The run's
+    stepper is picked once: Python floats, by straight-line code
     generated once per shape, for the runs that :mod:`antdyn._scalar`
-    names, with the same result.  Either way a step
-    rounds exactly as ``x + dt * f(x)`` (Euler) or
+    names, and otherwise the single-state path of :func:`rhs`, in place
+    on buffers preallocated for the run (the stages, one work row and
+    ``dt``, ``dt / 2`` and ``dt / 6`` as arrays), with the same result.
+    Either way a step rounds exactly as ``x + dt * f(x)`` (Euler) or
     ``x + ((k2 + k3) * 2 + k1 + k4) * (dt / 6)`` (RK4) would.
 
     A non-finite component raises :class:`IntegrationError`.  Steps run
     in blocks of ``_CHECK_BLOCK``, each checked once with one minimum and
     one maximum.  The first block that fails is integrated again one
-    checked step at a time, and the run goes on that way, so the error,
-    the clamp and ``first_violation`` name the first offending step and
-    component exactly, as a per-step check would.  The error's ``row``
-    is 0.
+    checked step at a time, through the same stepper, and the run goes on
+    that way, so the error, the clamp and ``first_violation`` name the
+    first offending step and component exactly, as a per-step check
+    would.  The error's ``row`` is 0.
     """
     scheme, positivity, dt, steps = _run_setup(scheme, positivity, dt, steps)
     x0 = require_positive_state(x0, model.n)
-    advance = scalar_stepper(model, dt, scheme is Scheme.EULER)
-    states, violations = _step(rhs(model), x0, dt, steps, scheme, positivity, (0,), advance)
+    euler = scheme is Scheme.EULER
+    advance = scalar_stepper(model, dt, euler) or _numpy_stepper(rhs(model), x0.shape, dt, euler)
+    states, violations = _step(advance, x0, steps, positivity, (0,))
     return Trajectory(states=states, scheme=scheme, dt=dt, first_violation=violations[0])
 
 
@@ -292,9 +294,10 @@ def integrate_rows(
         where = f"component {i} of x0" if x0.ndim < 2 else f"component {i} of x0 row {r}"
         raise DomainError(f"{where} is {float(block[r, i])}; must be strictly positive")
     order = sorted(range(rows), key=lambda i: (models[i].phi_kind.value, models[i].g_kind.value))
-    states, violations = _step(
-        rhs([models[i] for i in order]), block[order], dt, steps, scheme, positivity, order
+    advance = _numpy_stepper(
+        rhs([models[i] for i in order]), block.shape, dt, scheme is Scheme.EULER
     )
+    states, violations = _step(advance, block[order], steps, positivity, order)
     place = np.argsort(order).tolist()  # each caller row's place in the block
     # one contiguous (steps + 1, n) block per row, as integrate makes it
     per_row = states.transpose(1, 0, 2)[place]
@@ -304,25 +307,49 @@ def integrate_rows(
     )
 
 
-def _step(f, x0, dt, steps, scheme, positivity, rows, advance=None):
-    """The stepping loop of both integrators.
+def _numpy_stepper(f, shape, dt, euler):
+    """The stepper of the numpy loop through ``f``, a :func:`rhs` of states of ``shape``.
 
-    ``x0`` is one state of shape ``(n,)`` or a row block of shape
-    ``(B, n)`` that ``f`` evaluates as such, and ``rows`` names each
-    row's index in the caller's order.  Returns the states, of shape
-    ``(steps + 1, *x0.shape)``, and each row's first violation.
-
-    ``advance``, if given, is a scalar stepper from
-    :mod:`antdyn._scalar`: it steps each block in its place until a
-    block fails the check or it declines one, and the numpy loop takes
-    the run from the start of that block.
+    ``advance(states, start, stop)`` steps on from ``states[start - 1]``
+    and writes steps ``start .. stop - 1`` into ``states``.  Its operands
+    and buffers are made once, here: every step writes in place, through
+    bound ufuncs with array operands and a positional out.
     """
-    euler = scheme is Scheme.EULER
-    # operands and buffers made once per run: every step writes in place,
-    # through bound ufuncs with array operands and a positional out
-    h, half, sixth = (np.full(x0.shape, v) for v in (dt, 0.5 * dt, dt / 6.0))
-    k1, k2, k3, k4, y = np.empty((5, *x0.shape))
+    h, half, sixth = (np.full(shape, v) for v in (dt, 0.5 * dt, dt / 6.0))
+    k1, k2, k3, k4, y = np.empty((5, *shape))
     add, multiply = np.add, np.multiply
+
+    def advance(states, start, stop):
+        x = states[start - 1]
+        for k in range(start, stop):
+            f(x, k1)
+            if euler:
+                multiply(k1, h, k1)
+            else:
+                # stages at x + (dt / 2) * k1, x + (dt / 2) * k2, x + dt * k3
+                f(add(x, multiply(half, k1, y), y), k2)
+                f(add(x, multiply(half, k2, y), y), k3)
+                f(add(x, multiply(h, k3, y), y), k4)
+                add(k2, k3, k2)
+                add(k2, k2, k2)  # times 2, exactly
+                add(k2, k1, k2)
+                add(k2, k4, k2)
+                multiply(k2, sixth, k1)
+            x = add(x, k1, states[k])
+
+    return advance
+
+
+def _step(advance, x0, steps, positivity, rows):
+    """The stepping loop of both integrators: blocks of steps of ``advance``, each checked.
+
+    ``advance(states, start, stop)`` is the run's stepper, from
+    :func:`antdyn._scalar.scalar_stepper` or :func:`_numpy_stepper`.
+    ``x0`` is one state of shape ``(n,)`` or a row block of shape
+    ``(B, n)``, and ``rows`` names each row's index in the caller's
+    order.  Returns the states, of shape ``(steps + 1, *x0.shape)``, and
+    each row's first violation.
+    """
     states = np.empty((steps + 1, *x0.shape))
     states[0] = x0
     violations: list[Optional[tuple[int, int]]] = [None] * len(rows)
@@ -332,33 +359,12 @@ def _step(f, x0, dt, steps, scheme, positivity, rows, advance=None):
     with np.errstate(all="ignore"):
         while start <= steps:
             stop = min(start + block, steps + 1)
-            if advance is not None:
-                if not advance(states, start, stop):
-                    advance = None  # a zero saturation: numpy steps this block
-                    continue
-            else:
-                x = states[start - 1]
-                for k in range(start, stop):
-                    f(x, k1)
-                    if euler:
-                        multiply(k1, h, k1)
-                    else:
-                        # stages at x + (dt / 2) * k1, x + (dt / 2) * k2, x + dt * k3
-                        f(add(x, multiply(half, k1, y), y), k2)
-                        f(add(x, multiply(half, k2, y), y), k3)
-                        f(add(x, multiply(h, k3, y), y), k4)
-                        add(k2, k3, k2)
-                        add(k2, k2, k2)  # times 2, exactly
-                        add(k2, k1, k2)
-                        add(k2, k4, k2)
-                        multiply(k2, sixth, k1)
-                    x = add(x, k1, states[k])
+            advance(states, start, stop)
             checked = states[start:stop]
             # A nan fails the comparison with the minimum.
             if 0.0 <= checked.min() and checked.max() < np.inf:
                 start = stop
                 continue
-            advance = None  # the numpy loop rounds the same; it takes the run on
             if block > 1:
                 # Integrate the block again one checked step at a time, and
                 # keep that pace: after a clamp, a component pinned at the

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -587,6 +588,21 @@ def test_verify_fails_on_surviving_component():
     assert not report.zero_ok
     assert report.max_other == 0.5
     assert report.status is VerificationStatus.FAIL
+
+
+@pytest.mark.parametrize("moved, status", [(True, "inconclusive"), (False, "fail")])
+def test_verify_measures_the_tail_against_a_final_sum_of_zero(moved, status):
+    # the final sum is 0: a tail that moved there moved infinitely far
+    # relative to it, and one that sat there did not move at all
+    states = np.zeros((20, 2))
+    states[:, 0] = 0.5 if moved else 0.0
+    states[-1] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_convergence(make_trajectory(states, 0.1), make_model([1, 2]))
+    assert report.settle_change == (math.inf if moved else 0.0)
+    assert report.settled is not moved and not report.sum_ok
+    assert report.status is VerificationStatus(status)
 
 
 def test_verify_fails_on_envelope_violation_alone():

@@ -830,6 +830,25 @@ def test_module_entry_point():
     assert "comparison-fig4" in proc.stdout
 
 
+def test_cli_verify_of_a_run_that_ends_at_a_zero_sum_writes_nothing_to_stderr(tmp_path):
+    # dt * gamma * g = -1 sends both components to exactly 0 on the first
+    # step, where the run stays: it settled, at the wrong sum
+    text = """\
+[model]
+lengths = 1, 2
+beta = 1e-20
+response = signum
+
+[run]
+x0 = 0.5, 0.5
+dt = 1.0
+steps = 100
+"""
+    proc = run_child("-m", "antdyn", "verify", str(write_config(tmp_path, text)))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[:3] == ["status = fail", "settled = yes", "settle_change = 0"]
+
+
 def test_public_names_are_the_package_globals_that_are_not_modules():
     names = antdyn.__all__
     assert names == sorted(set(names))

@@ -4,7 +4,7 @@ import ast
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antdyn import (
@@ -16,7 +16,7 @@ from antdyn import (
 )
 from antdyn import simulate
 from antdyn._scalar import SCALAR_PATHS, _pairwise, _source, scalar_stepper
-from antdyn.models import GKind, PhiKind
+from antdyn.models import GKind, PhiKind, rhs
 
 from helpers import make_model
 
@@ -80,23 +80,26 @@ def test_generated_source_holds_no_float():
             assert floats == [], (n, shape)
 
 
-def spy_on_scalar_blocks(monkeypatch):
-    """Record what each scalar block returns: True if it was stepped, False if declined."""
+def spy_on_steppers(monkeypatch):
+    """Record ``(stepper, steps)`` for each block a run steps: ``"python"`` or ``"numpy"``."""
     blocks = []
 
-    def spying(*args):
-        advance = scalar_stepper(*args)
-        if advance is None:
-            return None
+    def spying(kind, make):
+        def made(*args):
+            advance = make(*args)
+            if advance is None:
+                return None
 
-        def spied(*block):
-            stepped = advance(*block)
-            blocks.append(stepped)
-            return stepped
+            def spied(states, start, stop):
+                blocks.append((kind, stop - start))
+                advance(states, start, stop)
 
-        return spied
+            return spied
 
-    monkeypatch.setattr(simulate, "scalar_stepper", spying)
+        return made
+
+    monkeypatch.setattr(simulate, "scalar_stepper", spying("python", scalar_stepper))
+    monkeypatch.setattr(simulate, "_numpy_stepper", spying("numpy", simulate._numpy_stepper))
     return blocks
 
 
@@ -107,11 +110,11 @@ def spy_on_scalar_blocks(monkeypatch):
 # eight terms, and two sizes past it
 @pytest.mark.parametrize("n", [1, 12, 13, SCALAR_PATHS, SCALAR_PATHS + 1, 32])
 def test_only_small_identity_and_signum_runs_step_in_python(monkeypatch, n, g, phi, scheme):
-    blocks = spy_on_scalar_blocks(monkeypatch)
+    blocks = spy_on_steppers(monkeypatch)
     model = make_model(np.arange(1.0, n + 1.0), phi=phi, g=g)
     integrate(model, np.full(n, 0.5), 0.01, 100, scheme)
-    eligible = n <= SCALAR_PATHS and g is not GKind.TANH
-    assert blocks == ([True, True] if eligible else [])
+    kind = "python" if n <= SCALAR_PATHS and g is not GKind.TANH else "numpy"
+    assert blocks == [(kind, 64), (kind, 36)]
 
 
 def run_outcome(*args):
@@ -168,14 +171,73 @@ EULER, RK4 = Scheme.EULER, Scheme.RK4
 CLAMP, REJECT = PositivityPolicy.CLAMP_EPSILON, PositivityPolicy.REJECT
 
 
-# Runs of two paths that leave the scalar path.  "checked": a block fails
-# the finiteness and sign check.  "zero": a saturation is 0, which Python
-# cannot divide by and numpy turns into an infinity; there dt * gamma * g
-# = -1 sends the state (Euler) or the first RK4 stage point to exactly 0,
-# after which numpy's signum reads g = 1 and goes on, and the identity
-# gives 0 * inf = nan.  ``step`` is the step a rejected run fails at: a
-# block's last (64, 128) or first (65, 129), as growing oscillations about
-# the equilibrium overshoot 0.
+def log_uniform(low, high):
+    """Floats ``10 ** e`` with the exponent ``e`` drawn from ``[low, high]``."""
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+def one_step(advance, x, positivity):
+    """The bits of one checked step of ``advance`` from ``x``, or its error's type and message."""
+    states = np.empty((2, x.size))
+    states[0] = x
+    violations = [None]
+    with np.errstate(all="ignore"):
+        advance(states, 1, 2)
+        try:
+            simulate._check_step(states[1].reshape(1, -1), 1, positivity, (0,), violations)
+        except IntegrationError as err:
+            return type(err), str(err)
+    return states[1].tobytes(), violations
+
+
+# Every step a run takes starts from a checked state: finite and >= 0,
+# or clamped.  From any such state, with exact zeros (a zero saturation),
+# subnormals and values near overflow, both steppers agree bit for bit.
+@settings(max_examples=300, deadline=None)
+@example(
+    lengths=[1.0], g=GKind.IDENTITY, phi=PhiKind.SUM, euler=True, positivity=REJECT,
+    rates=(1.0, 1.0, 1.0), dt=1.0, x=[0.0],
+)
+@given(
+    lengths=st.lists(st.floats(1.0, 10.0), min_size=1, max_size=SCALAR_PATHS),
+    g=st.sampled_from([GKind.IDENTITY, GKind.SIGNUM]),
+    phi=st.sampled_from(list(PhiKind)),
+    euler=st.booleans(),
+    positivity=st.sampled_from(list(PositivityPolicy)),
+    rates=st.tuples(
+        log_uniform(-6.0, 6.0),
+        st.one_of(log_uniform(-6.0, 6.0), log_uniform(-320.0, -6.0)),
+        log_uniform(-6.0, 6.0),
+    ),
+    dt=log_uniform(-4.0, 1.0),
+    x=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1.7e308]),
+            st.floats(0.0, 1.7e308),
+            log_uniform(-323.0, 308.0),
+        ),
+        min_size=SCALAR_PATHS,
+        max_size=SCALAR_PATHS,
+    ),
+)
+def test_one_step_of_both_steppers_is_the_same(lengths, g, phi, euler, positivity, rates, dt, x):
+    alpha, beta, gamma = rates
+    model = make_model(lengths, alpha=alpha, beta=beta, gamma=gamma, phi=phi, g=g)
+    x = np.array(x[: model.n])
+    python = scalar_stepper(model, dt, euler)
+    numpy = simulate._numpy_stepper(rhs(model), x.shape, dt, euler)
+    assert one_step(python, x, positivity) == one_step(numpy, x, positivity)
+
+
+# Runs of two paths that leave the blocks of unchecked steps or divide by
+# zero.  "checked": a block fails the finiteness and sign check, and the
+# run goes on one checked step at a time.  "zero": a saturation is 0, which
+# Python cannot divide by and numpy turns into an infinity; there dt *
+# gamma * g = -1 sends the state (Euler) or the first RK4 stage point to
+# exactly 0, after which numpy's signum reads g = 1 and goes on, and the
+# identity gives 0 * inf = nan.  ``step`` is the step a rejected run fails
+# at: a block's last (64, 128) or first (65, 129), as growing oscillations
+# about the equilibrium overshoot 0.
 @pytest.mark.parametrize(
     "why, step, model, x0, dt, steps, scheme, positivity",
     [
@@ -217,11 +279,16 @@ def test_fallback_to_the_numpy_loop_is_exact(
     model = make_model(**{"lengths": [1.0, 1.0], **model})
     args = (model, x0, dt, steps, scheme, positivity)
     want = numpy_outcome(monkeypatch, *args)
-    blocks = spy_on_scalar_blocks(monkeypatch)
+    blocks = spy_on_steppers(monkeypatch)
     assert_same_outcome(run_outcome(*args), want)
-    # every block up to the handover was stepped in Python floats, and the
-    # last one was declined only at a zero saturation
-    assert blocks == [True] * (len(blocks) - 1) + [why == "checked"]
+    # Python floats step every block, at a zero saturation too, and step
+    # again one step at a time after a failed check
+    assert {kind for kind, _ in blocks} == {"python"}
+    if why == "checked":
+        assert ("python", 1) in blocks
+    elif isinstance(want[0], np.ndarray):
+        # a state at exactly 0 passes the check, so the blocks stay whole
+        assert blocks == [("python", 64), ("python", 36)]
     if step is not None:
         assert want[2] == step
 
@@ -237,9 +304,9 @@ def test_signum_paths_hold_still_at_a_zero_switching_argument(monkeypatch, phi, 
     model = make_model(np.ones(len(x0)), phi=phi, g=GKind.SIGNUM)
     args = (model, x0, 0.05, 70, scheme, REJECT)
     want = numpy_outcome(monkeypatch, *args)
-    blocks = spy_on_scalar_blocks(monkeypatch)
+    blocks = spy_on_steppers(monkeypatch)
     assert_same_outcome(run_outcome(*args), want)
-    assert blocks == [True, True]
+    assert blocks == [("python", 64), ("python", 6)]
     assert np.array_equal(want[0], np.tile(x0, (71, 1)))
 
 
@@ -278,13 +345,14 @@ def test_runs_about_the_threshold_are_the_numpy_loop(monkeypatch, n, g, phi, sch
         model, x0 = make_model(lengths, phi=phi, g=g), np.full(n, value)
     args = (model, x0, dt, 150, scheme, REJECT)
     want = numpy_outcome(monkeypatch, *args)
-    blocks = spy_on_scalar_blocks(monkeypatch)
+    blocks = spy_on_steppers(monkeypatch)
     assert_same_outcome(run_outcome(*args), want)
+    # one stepper steps the whole run: three full blocks, or, after the
+    # first block fails the check, one step at a time up to the error
+    kind = "python" if n <= SCALAR_PATHS else "numpy"
+    assert {k for k, _ in blocks} == {kind}
+    if case == "stepped":
+        assert blocks == [(kind, 64), (kind, 64), (kind, 22)]
     if case == "mid-block":
         assert want[0] is PositivityError and 1 < want[2] < 64
-    if n > SCALAR_PATHS:
-        assert blocks == []
-    else:
-        # three full blocks; a zero saturation is declined on the first
-        # block, and a block that fails the check goes back to numpy
-        assert blocks == {"stepped": [True] * 3, "zero": [False], "mid-block": [True]}[case]
+        assert blocks == [(kind, 64)] + [(kind, 1)] * want[2]

@@ -172,6 +172,17 @@ def test_underflow_to_zero_is_not_a_positivity_loss():
     assert "np.float64" not in str(info.value)
 
 
+def test_the_step_that_overshoots_names_the_negative_component_not_a_zero_one():
+    # at alpha = 2 and dt = 1 the first Euler step sends x_1 to 0.5 - 1 * 0.5
+    # = 0 exactly, on its invariant face, and x_2 to 0.5 - 1.5 * 0.5 < 0
+    model = make_model([1, 2], alpha=2.0)
+    with pytest.raises(PositivityError, match=r"component 1 reached -0\.25 at step 1;") as info:
+        integrate(model, [0.5, 0.5], 1.0, 3)
+    assert (info.value.step, info.value.component) == (1, 1)
+    traj = integrate(model, [0.5, 0.5], 1.0, 3, positivity=PositivityPolicy.CLAMP_EPSILON)
+    assert traj.first_violation == (1, 1)
+
+
 def test_positivity_preserved_at_preset_step_sizes():
     # gamma * alpha * dt < 1 keeps Euler inside the orthant
     model = make_model(range(1, 11), alpha=1.0, beta=1.0, gamma=10.0)
@@ -186,6 +197,12 @@ def test_non_finite_step_aborts_with_integration_error():
             integrate(overshooting_model(), [1.0, 1.0], 1e308, 3)
     assert info.value.step == 1
     assert not isinstance(info.value, PositivityError)
+    # a run whose last step overflows to +inf, with no nan to fail the
+    # check's minimum, through the generated stepper and through numpy
+    for g in ("identity", "signum", "tanh"):
+        model = make_model([1.0], beta=2.0, gamma=1e300, g=g)
+        with pytest.raises(IntegrationError, match="non-finite value in component 0 at step 1;"):
+            integrate(model, [1.0], 1e10, 1)
 
 
 def reference_field(model, x):
@@ -507,6 +524,10 @@ def test_check_sum_bounds_on_real_run():
     assert report.within
     assert report.max_violation == 0.0
     assert report.allowance == pytest.approx(10 * 0.02 * 10.0 * 1.0 * 1.0)
+    # the slack grows with the largest weight, here d_1 = 1 / 2
+    halved = make_model(range(2, 12), alpha=1.0, beta=1.0, gamma=10.0)
+    report = check_sum_bounds(integrate(halved, np.arange(1, 11) * 0.05, 0.02, 200), halved)
+    assert report.within and report.allowance == pytest.approx(10 * 0.02 * 10.0 * 1.0 * 0.5)
 
 
 def test_check_sum_bounds_flags_doctored_sums():
