@@ -124,8 +124,8 @@ class PhasePreset:
             grid, report.equilibria, out_dir, title=self.name, caption=self.description
         )
         preamble = [
-            ("bounds", f"{grid.x1[0]:.12g} .. {grid.x1[-1]:.12g}"),
-            ("resolution", grid.x1.size),
+            ("bounds", f"{grid.axis[0]:.12g} .. {grid.axis[-1]:.12g}"),
+            ("resolution", grid.axis.size),
         ]
         sections = [
             ("model", model_lines(self.model)),
@@ -146,14 +146,18 @@ class PhasePreset:
 
 @dataclass(frozen=True, eq=False)
 class PhaseGrid:
-    """Vector-field samples on a regular two-path grid.
+    """Vector-field samples on a regular, square two-path grid.
 
-    ``tie`` marks nodes on the diagonal where phi=max has a kink; the
-    field itself is still well defined there.
+    Both coordinates run over the one ``axis``: node ``(i, j)`` is
+    ``(axis[i], axis[j])``, and ``u``, ``v``, ``speed`` and ``tie`` are
+    ``(len(axis), len(axis))`` arrays indexed that way.
+    :func:`phase_grid` checks every node's field for finiteness, so the
+    figure and CSV writers take the grid as it is.  ``tie`` marks nodes
+    on the diagonal where phi=max has a kink; the field itself is still
+    well defined there.
     """
 
-    x1: np.ndarray
-    x2: np.ndarray
+    axis: np.ndarray
     u: np.ndarray
     v: np.ndarray
     speed: np.ndarray
@@ -274,14 +278,7 @@ def phase_grid(
     tie = np.zeros((resolution, resolution), dtype=bool)
     if model.phi_kind is PhiKind.MAX:
         tie = axis[:, None] == axis
-    return PhaseGrid(
-        x1=axis.copy(),
-        x2=axis.copy(),
-        u=u,
-        v=v,
-        speed=np.hypot(u, v),
-        tie=tie,
-    )
+    return PhaseGrid(axis=axis, u=u, v=v, speed=np.hypot(u, v), tie=tie)
 
 
 def spurious_equilibria_scan(grid: PhaseGrid, equilibria) -> tuple[bool, list[tuple[int, int]]]:
@@ -297,12 +294,11 @@ def spurious_equilibria_scan(grid: PhaseGrid, equilibria) -> tuple[bool, list[tu
     # node itself is never strictly slower than itself
     around = sliding_window_view(np.pad(speed, 1, constant_values=np.inf), (3, 3))
     suspicious = (speed < SPURIOUS_SPEED_TOL) & ~(around < speed[..., None, None]).any(axis=(2, 3))
-    cell_x = grid.x1[1] - grid.x1[0]
-    cell_y = grid.x2[1] - grid.x2[0]
+    axis = grid.axis
+    cell = axis[1] - axis[0]
     for eq in equilibria:
-        near_x = np.abs(eq.point[0] - grid.x1) <= cell_x
-        near_y = np.abs(eq.point[1] - grid.x2) <= cell_y
-        suspicious &= ~(near_x[:, None] & near_y)
+        near = np.abs(eq.point[:, None] - axis) <= cell
+        suspicious &= ~(near[0][:, None] & near[1])
     offending = [(int(i), int(j)) for i, j in np.argwhere(suspicious)]
     return (not offending, offending)
 
@@ -310,22 +306,19 @@ def spurious_equilibria_scan(grid: PhaseGrid, equilibria) -> tuple[bool, list[tu
 def write_phase_artifacts(grid: PhaseGrid, equilibria, out_dir, title: str, caption=None):
     """Write ``field-grid.csv`` and a quiver ``figure.svg`` marking each equilibrium.
 
-    Returns the CSV and SVG paths.
+    The figure is rendered before either file is written, so an axis it
+    cannot draw raises with nothing written.  Returns the CSV and SVG
+    paths.
     """
-    csv_path = out_dir / "field-grid.csv"
-    write_text_atomic(csv_path, grid_csv(grid))
     markers = [
         (float(eq.point[0]), float(eq.point[1]), f"mu_{eq.index + 1}") for eq in equilibria
     ]
-    svg_path = out_dir / "figure.svg"
-    write_text_atomic(
-        svg_path,
-        quiver_figure(
-            grid.x1, grid.x2, grid.u, grid.v, markers,
-            title=title, xlabel="x_1", ylabel="x_2", caption=caption,
-        ),
+    svg = quiver_figure(
+        grid.axis, grid.u, grid.v, markers,
+        title=title, xlabel="x_1", ylabel="x_2", caption=caption,
     )
-    return csv_path, svg_path
+    csv_path = write_text_atomic(out_dir / "field-grid.csv", grid_csv(grid))
+    return csv_path, write_text_atomic(out_dir / "figure.svg", svg)
 
 
 def _figure_for(preset: ExperimentPreset, runs) -> str:

@@ -77,8 +77,8 @@ def grid_csv(grid: PhaseGrid) -> str:
     :func:`format_passes`.
     """
     columns = [
-        np.repeat(grid.x1, grid.x2.size),
-        np.tile(grid.x2, grid.x1.size),
+        np.repeat(grid.axis, grid.axis.size),
+        np.tile(grid.axis, grid.axis.size),
         grid.u.ravel(),
         grid.v.ravel(),
         grid.speed.ravel(),

@@ -401,7 +401,7 @@ def _check_step(x, k, positivity, rows, violations):
     for r in np.flatnonzero(negative).tolist():
         if violations[r] is None:
             violations[r] = (k, int(np.flatnonzero(x[r] < 0.0)[0]))
-        np.maximum(x[r], CLAMP_FLOOR, out=x[r])
+        np.copyto(x[r], CLAMP_FLOOR, where=x[r] < 0.0)
 
 
 def sum_envelope(model: ModelSpec, s0: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

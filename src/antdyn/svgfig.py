@@ -5,6 +5,14 @@ geometry, so identical inputs give byte-identical files.  Every pixel
 coordinate is spelled exactly as ``"%.2f"`` spells it: polyline points
 by the vectorized kernel ``_output.format_fixed``, and quiver arrows,
 ticks and other one-off coordinates by f-strings.
+
+The figures draw what their producers hand them: the integrator checks
+every trajectory step for finiteness, and :func:`antdyn.presets.phase_grid`
+every field node.  The one check made here is the frame's: each axis
+span, after widening and padding, must map to pixels and ticks, or
+``ValueError`` names the axis.  It is what guards the figures against
+outside input, the bounds of ``antdyn phase`` and the step count of
+``antdyn reproduce``.
 """
 
 from __future__ import annotations
@@ -65,9 +73,25 @@ def _fmt(v: float) -> str:
 _TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
+def _drawable(lo: float, hi: float) -> bool:
+    """Whether ``hi - lo``, an axis span of a frame, maps to pixels and ticks.
+
+    A tick step is at least a fifth of the span, and it must be no finer
+    than the spacing of the doubles at the span's ends, or the ticks
+    would not advance.
+    """
+    span = hi - lo
+    return 0.0 < span < math.inf and span / 5 > math.ulp(max(abs(lo), abs(hi)))
+
+
 class _Frame:
     """Data-to-pixel mapping for one plot area.
 
+    An empty data range is widened to one unit and the y range is padded
+    by 4 % on each side.  Construction raises ``ValueError`` naming the
+    axis unless both resulting spans are :func:`_drawable`: this is the
+    figure layer's one check of its input, and it also keeps
+    :func:`_nice_ticks` from looping on a tick step that does not advance.
     ``x`` and ``y`` are plain arithmetic, so they map a scalar and an
     array alike, with the same operations in the same order.
     """
@@ -82,6 +106,11 @@ class _Frame:
         pad = 0.04 * (y_hi - y_lo)
         self.x_lo, self.x_hi = x_lo, x_hi
         self.y_lo, self.y_hi = y_lo - pad, y_hi + pad
+        for name, lo, hi in (("x", self.x_lo, self.x_hi), ("y", self.y_lo, self.y_hi)):
+            if not _drawable(lo, hi):
+                raise ValueError(
+                    f"{name} spans {lo:.6g} to {hi:.6g}, which cannot be mapped to pixels"
+                )
         self.px_lo = MARGIN_LEFT
         self.px_hi = WIDTH - MARGIN_RIGHT
         self.py_lo = HEIGHT - MARGIN_BOTTOM
@@ -153,29 +182,6 @@ def _document(parts: list[str], caption: Optional[str] = None) -> str:
     )
 
 
-def _drawable(lo: float, hi: float) -> bool:
-    """Whether ``hi - lo``, an axis span of a frame, maps to pixels and ticks.
-
-    A tick step is at least a fifth of the span, and it must be no finer
-    than the spacing of the doubles at the span's ends, or the ticks
-    would not advance.
-    """
-    span = hi - lo
-    return 0.0 < span < math.inf and span / 5 > math.ulp(max(abs(lo), abs(hi)))
-
-
-def _check_span(axis: str, lo: float, hi: float, series, bounds) -> None:
-    """Raise unless the axis span ``lo .. hi`` of the frame is :func:`_drawable`."""
-    if not _drawable(lo, hi):
-        first = series[int(np.argmin(bounds[:, 0]))].label
-        last = series[int(np.argmax(bounds[:, 1]))].label
-        names = repr(first) if first == last else f"{first!r} and {last!r}"
-        raise ValueError(
-            f"series {names} span {axis} from {bounds[:, 0].min():.6g} to "
-            f"{bounds[:, 1].max():.6g}, which cannot be mapped to pixels"
-        )
-
-
 _POINT_SEP = np.frombuffer(b", ", np.uint8)
 
 
@@ -188,30 +194,17 @@ def line_figure(
 ) -> str:
     """Polyline chart with axes, grid and a legend column.
 
-    Each series needs as many x values as y values, at least one, all
-    finite, and the union of the series' ranges must map to pixels;
-    otherwise ``ValueError`` names the series.  Every polyline
-    coordinate is spelled exactly as ``"%.2f"`` spells it, by the
-    vectorized kernel ``_output.format_fixed``.
+    Each series holds as many x values as y values, at least one, and
+    all finite: the trajectory presets draw integrator output, which the
+    integrator has checked step by step.  Only the joint range is checked
+    here, by :class:`_Frame`.  Every polyline coordinate is spelled
+    exactly as ``"%.2f"`` spells it, by the vectorized kernel
+    ``_output.format_fixed``.
     """
-    if not series:
-        raise ValueError("need at least one series")
-    xy, bounds = [], []
-    for s in series:
-        x, y = np.asarray(s.x, dtype=float), np.asarray(s.y, dtype=float)
-        if len(x) != len(y):
-            raise ValueError(f"series {s.label!r} has {len(x)} x values but {len(y)} y values")
-        if not len(x):
-            raise ValueError(f"series {s.label!r} is empty")
-        bounds.append((x.min(), x.max(), y.min(), y.max()))
-        if not np.isfinite(bounds[-1]).all():
-            raise ValueError(f"series {s.label!r} has a non-finite value")
-        xy.append((x, y))
-    bounds = np.array(bounds)
+    xy = [(np.asarray(s.x, dtype=float), np.asarray(s.y, dtype=float)) for s in series]
+    bounds = np.array([(x.min(), x.max(), y.min(), y.max()) for x, y in xy])
     lo, hi = bounds.min(axis=0).tolist(), bounds.max(axis=0).tolist()
     frame = _Frame((lo[0], hi[1]), (lo[2], hi[3]))
-    _check_span("x", frame.x_lo, frame.x_hi, series, bounds[:, 0:2])
-    _check_span("y", frame.y_lo, frame.y_hi, series, bounds[:, 2:4])
     parts = _axes(frame, title, xlabel, ylabel)
     for k, (s, (x, y)) in enumerate(zip(series, xy)):
         color = PALETTE[k % len(PALETTE)]
@@ -238,8 +231,7 @@ def line_figure(
 
 
 def quiver_figure(
-    x1: np.ndarray,
-    x2: np.ndarray,
+    axis: np.ndarray,
     u: np.ndarray,
     v: np.ndarray,
     markers: Sequence[tuple[float, float, str]],
@@ -248,45 +240,24 @@ def quiver_figure(
     ylabel: str,
     caption: Optional[str] = None,
 ) -> str:
-    """Direction-field chart: one fixed-length arrow per grid node.
+    """Direction-field chart on a square grid: one fixed-length arrow per node.
 
-    ``u`` and ``v`` hold the field at node ``(x1[i], x2[j])`` in row
-    ``i``, column ``j``, so their shape must be ``(len(x1), len(x2))``.
-    Arrows show direction only; nodes where the field vanishes get a dot.
-    ``markers`` are annotated points (equilibria).  A non-finite field
-    value raises ``ValueError`` naming its node, and node coordinates
-    whose span cannot be drawn raise one naming the axis.  Every
-    coordinate is spelled exactly as ``"%.2f"`` spells it, node by node.
+    Both coordinates run over ``axis``, and ``u`` and ``v`` hold the field
+    at node ``(axis[i], axis[j])`` in row ``i``, column ``j``, as
+    :func:`antdyn.presets.phase_grid` samples it: finite, of shape
+    ``(len(axis), len(axis))``.  Only the axis span is checked here, by
+    :class:`_Frame`.  Arrows show direction only; nodes where the field
+    vanishes get a dot.  ``markers`` are annotated points (equilibria).
+    Every coordinate is spelled exactly as ``"%.2f"`` spells it, node by
+    node.
     """
-    shape = (len(x1), len(x2))
-    if np.shape(u) != shape or np.shape(v) != shape:
-        raise ValueError(
-            f"u and v must have shape (len(x1), len(x2)) = {shape}, "
-            f"got {np.shape(u)} and {np.shape(v)}"
-        )
-    bad = np.argwhere(~(np.isfinite(u) & np.isfinite(v)))
-    if bad.size:
-        i, j = bad[0].tolist()
-        raise ValueError(
-            f"field at node ({i}, {j}), x = ({float(x1[i]):.6g}, {float(x2[j]):.6g}), "
-            f"is not finite: (u, v) = ({float(u[i, j]):.6g}, {float(v[i, j]):.6g})"
-        )
-    frame = _Frame((float(x1[0]), float(x1[-1])), (float(x2[0]), float(x2[-1])))
-    axes = (("x1", x1, frame.x_lo, frame.x_hi), ("x2", x2, frame.y_lo, frame.y_hi))
-    for name, nodes, lo, hi in axes:
-        if not _drawable(lo, hi):
-            raise ValueError(
-                f"{name} spans {float(nodes[0]):.6g} to {float(nodes[-1]):.6g}, "
-                "which cannot be mapped to pixels"
-            )
+    ends = (float(axis[0]), float(axis[-1]))
+    frame = _Frame(ends, ends)
     parts = _axes(frame, title, xlabel, ylabel)
-    cell = min(
-        (frame.px_hi - frame.px_lo) / max(len(x1) - 1, 1),
-        (frame.py_lo - frame.py_hi) / max(len(x2) - 1, 1),
-    )
+    cell = min(frame.px_hi - frame.px_lo, frame.py_lo - frame.py_hi) / max(len(axis) - 1, 1)
     shaft = 0.38 * cell
-    for i, xv in enumerate(x1):
-        for j, yv in enumerate(x2):
+    for i, xv in enumerate(axis):
+        for j, yv in enumerate(axis):
             du, dv = float(u[i, j]), float(v[i, j])
             norm = math.hypot(du, dv)
             px, py = frame.x(float(xv)), frame.y(float(yv))

@@ -511,6 +511,19 @@ def test_cli_phase_rejects_nonfinite_bounds(tmp_path, capsys):
     assert not (tmp_path / "phase-identity-sum").exists()
 
 
+def test_cli_phase_writes_nothing_for_bounds_it_cannot_draw(tmp_path, capsys):
+    # finite, ordered bounds one ulp apart: the grid samples, but no tick
+    # step between them advances, so the figure cannot be drawn
+    path = write_config(tmp_path, "[model]\nlengths = 1, 2\n")
+    out = tmp_path / "out"
+    argv = ["phase", str(path), "--out", str(out), "--bounds", "1", "1.0000000000000002"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: x spans 1 to 1, which cannot be mapped to pixels\n"
+    assert not out.exists()
+
+
 def test_cli_equilibria(tmp_path, capsys):
     path = write_config(tmp_path, BASIC_RUN)
     assert main(["equilibria", str(path)]) == 0

@@ -253,10 +253,9 @@ def test_phase_grid_matches_vector_field():
         for g in GKind:
             model = ModelSpec(alpha=0.7, beta=1.3, gamma=2.0, phi_kind=phi, g_kind=g, paths=paths)
             grid = phase_grid(model, bounds=(0.1, 1.3), resolution=9)
-            assert np.array_equal(grid.x1, np.linspace(0.1, 1.3, 9))
-            assert np.array_equal(grid.x2, grid.x1)
-            for i, a in enumerate(grid.x1):
-                for j, b in enumerate(grid.x2):
+            assert np.array_equal(grid.axis, np.linspace(0.1, 1.3, 9))
+            for i, a in enumerate(grid.axis):
+                for j, b in enumerate(grid.axis):
                     field = vector_field(model, np.array([a, b]))
                     assert grid.u[i, j] == field[0], (model.label, i, j)
                     assert grid.v[i, j] == field[1], (model.label, i, j)
@@ -270,7 +269,7 @@ def test_phase_grid_sum_variant_has_no_kinks():
     grid = phase_grid(model, resolution=5)
     assert not grid.tie.any()
     # default bounds end at 1.5x the leading equilibrium scale
-    assert grid.x1[-1] == pytest.approx(1.5 * model.beta * model.paths.d[0] / model.alpha)
+    assert grid.axis[-1] == pytest.approx(1.5 * model.beta * model.paths.d[0] / model.alpha)
 
 
 def test_phase_grid_input_validation():
@@ -303,7 +302,7 @@ def test_phase_grid_resolution_must_be_an_integer():
             phase_grid(model, resolution=resolution)
         assert str(info.value) == f"resolution must be an integer, got {resolution!r}"
     # numpy's integers are integers
-    assert phase_grid(model, resolution=np.int64(3)).x1.size == 3
+    assert phase_grid(model, resolution=np.int64(3)).axis.size == 3
 
 
 def test_spurious_scan_flags_false_equilibria():
@@ -311,8 +310,7 @@ def test_spurious_scan_flags_false_equilibria():
     speed = np.ones((9, 9))
     speed[4, 4] = 1e-12  # local minimum far from both equilibria
     grid = PhaseGrid(
-        x1=axis,
-        x2=axis,
+        axis=axis,
         u=speed.copy(),
         v=np.zeros((9, 9)),
         speed=speed,
@@ -327,8 +325,7 @@ def test_spurious_scan_flags_false_equilibria():
     near_equilibrium[4, 4] = 1.0
     near_equilibrium[8, 0] = 1e-12  # node (0.9, 0.1), one cell from (1.0, 0)-ish
     grid2 = PhaseGrid(
-        x1=axis,
-        x2=axis,
+        axis=axis,
         u=near_equilibrium.copy(),
         v=np.zeros((9, 9)),
         speed=near_equilibrium,
@@ -340,26 +337,25 @@ def test_spurious_scan_flags_false_equilibria():
 
 def reference_scan(grid, equilibria):
     """The scan node by node: a speed minimum below the tolerance, far from every equilibrium."""
-    res_x, res_y = grid.speed.shape
-    cell_x = grid.x1[1] - grid.x1[0]
-    cell_y = grid.x2[1] - grid.x2[0]
+    res = grid.axis.size
+    cell = grid.axis[1] - grid.axis[0]
     offending = []
-    for i in range(res_x):
-        for j in range(res_y):
+    for i in range(res):
+        for j in range(res):
             s = grid.speed[i, j]
             if s >= SPURIOUS_SPEED_TOL:
                 continue
             neighbors = [
                 grid.speed[a, b]
-                for a in range(max(i - 1, 0), min(i + 2, res_x))
-                for b in range(max(j - 1, 0), min(j + 2, res_y))
+                for a in range(max(i - 1, 0), min(i + 2, res))
+                for b in range(max(j - 1, 0), min(j + 2, res))
                 if (a, b) != (i, j)
             ]
             if any(nb < s for nb in neighbors):
                 continue
-            point = np.array([grid.x1[i], grid.x2[j]])
+            point = np.array([grid.axis[i], grid.axis[j]])
             near = any(
-                abs(eq.point[0] - point[0]) <= cell_x and abs(eq.point[1] - point[1]) <= cell_y
+                abs(eq.point[0] - point[0]) <= cell and abs(eq.point[1] - point[1]) <= cell
                 for eq in equilibria
             )
             if not near:
@@ -367,9 +363,9 @@ def reference_scan(grid, equilibria):
     return (not offending, offending)
 
 
-def speed_grid(x1, x2, speed):
+def speed_grid(axis, speed):
     zeros = np.zeros(speed.shape)
-    return PhaseGrid(x1=x1, x2=x2, u=speed, v=zeros, speed=speed, tie=zeros.astype(bool))
+    return PhaseGrid(axis=axis, u=speed, v=zeros, speed=speed, tie=zeros.astype(bool))
 
 
 def equilibrium_at(k, x, y):
@@ -385,22 +381,18 @@ CELL_OFFSETS = (0.0, 0.5, 1.0, -1.0, 1.5, -2.5, 40.0)
 
 @st.composite
 def scan_cases(draw):
-    rows, cols = draw(st.integers(2, 7)), draw(st.integers(2, 7))
-    axes = []
-    for size in (rows, cols):
-        lo = draw(st.floats(0.01, 2.0))
-        axes.append(np.linspace(lo, lo + draw(st.floats(0.1, 5.0)), size))
-    x1, x2 = axes
-    nodes = rows * cols
+    size = draw(st.integers(2, 7))
+    lo = draw(st.floats(0.01, 2.0))
+    axis = np.linspace(lo, lo + draw(st.floats(0.1, 5.0)), size)
+    cell = axis[1] - axis[0]
+    nodes = size * size
     levels = draw(st.lists(st.sampled_from(SPEED_LEVELS), min_size=nodes, max_size=nodes))
     equilibria = []
     for k in range(draw(st.integers(0, 3))):
-        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
         dx, dy = draw(st.sampled_from(CELL_OFFSETS)), draw(st.sampled_from(CELL_OFFSETS))
-        x = x1[i] + dx * (x1[1] - x1[0])
-        y = x2[j] + dy * (x2[1] - x2[0])
-        equilibria.append(equilibrium_at(k, x, y))
-    return speed_grid(x1, x2, np.array(levels).reshape(rows, cols)), equilibria
+        equilibria.append(equilibrium_at(k, axis[i] + dx * cell, axis[j] + dy * cell))
+    return speed_grid(axis, np.array(levels).reshape(size, size)), equilibria
 
 
 @settings(max_examples=300, deadline=None)
@@ -416,7 +408,7 @@ def test_spurious_scan_edge_corner_and_plateau_minima():
     speed[0, 0] = 0.0  # corner
     speed[0, 3] = 1e-12  # edge
     speed[3, 2] = speed[3, 3] = 1e-12  # a plateau: neither is strictly slower
-    grid = speed_grid(axis, axis, speed)
+    grid = speed_grid(axis, speed)
     expected = [(0, 0), (0, 3), (3, 2), (3, 3)]
     assert spurious_equilibria_scan(grid, []) == (False, expected)
     # an equilibrium within one cell of the corner, and one off the grid beside the edge

@@ -157,6 +157,20 @@ def test_positivity_clamp_flags_and_continues():
     assert np.all(traj.states >= CLAMP_FLOOR)
 
 
+def test_clamp_keeps_a_zero_beside_a_negative_component():
+    # the first Euler step lands on (0.0, -0.25): only the negative
+    # component is clamped, and the zero stays on the face x_1 = 0
+    model = make_model([1, 2], alpha=2.0)
+    clamp = PositivityPolicy.CLAMP_EPSILON
+    runs = [
+        integrate(model, [0.5, 0.5], 1.0, 3, positivity=clamp),
+        *integrate_rows([model], [0.5, 0.5], 1.0, 3, positivity=clamp),
+    ]
+    for traj in runs:
+        assert traj.states[1].tolist() == [0.0, CLAMP_FLOOR]
+        assert traj.first_violation == (1, 1)
+
+
 def test_underflow_to_zero_is_not_a_positivity_loss():
     # dt is 60 % of the Euler bound dt * gamma * alpha < 1, so no step
     # overshoots; x_2 decays through the subnormals to exactly 0.0 (at
@@ -243,7 +257,7 @@ def reference_integrate(model, x0, dt, steps, scheme, positivity):
                     raise PositivityError("negative", step=k, component=bad)
                 if first_violation is None:
                     first_violation = (k, bad)
-                x = np.maximum(x, CLAMP_FLOOR)
+                x = np.where(x < 0.0, CLAMP_FLOOR, x)
             states.append(x)
     return np.array(states), first_violation
 
