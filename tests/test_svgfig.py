@@ -120,6 +120,28 @@ def test_line_figure_edge_cases_match_reference():
         assert_points_match_reference(series)
 
 
+FIFTHS = [0.0, 0.2, 0.4, 0.6000000000000001, 0.8, 1.0]
+
+
+@pytest.mark.parametrize(
+    "lo, hi, ticks",
+    [
+        # a span of exactly five steps of 0.2 takes that step, not 0.5
+        (0.0, 1.0, FIFTHS),
+        # 0.999999999 + 1e-9 * 0.999999999 is exactly 1.0: the last tick
+        # sits on the edge of the tolerance and is drawn
+        (0.0, 0.999999999, FIFTHS),
+    ],
+)
+def test_nice_ticks_on_the_ladder_and_tolerance_edges(lo, hi, ticks):
+    assert svgfig._nice_ticks(lo, hi) == ticks
+
+
+def test_nice_ticks_snap_only_values_tiny_against_the_span_to_zero():
+    # the ticks of a tiny span are small but not zero
+    assert svgfig._nice_ticks(0.0, 1e-9)[1:] == pytest.approx([2e-10, 4e-10, 6e-10, 8e-10, 1e-9])
+
+
 def _ramp(label, y, x=None):
     y = np.asarray(y, dtype=float)
     return Series(label, np.arange(float(y.size)) if x is None else np.asarray(x), y)
