@@ -1,29 +1,42 @@
 """Single runs of a few paths, stepped in Python floats by generated code.
 
 The rule for a single run, stated here once: :func:`antdyn.simulate.integrate`
-steps a run of at most ``SCALAR_PATHS`` (24) paths with the identity or
-signum response here, under either saturation and either scheme; every
-other run, every tanh run and every :func:`~antdyn.simulate.integrate_rows`
-block of two or more models steps through the numpy kernel
+steps a run here if it has at most the paths that ``SCALAR_PATHS`` allows
+its scheme and response, under either saturation:
+
+=======  ==================  ====
+scheme   identity or signum  tanh
+=======  ==================  ====
+Euler    24                  14
+RK4      32                  20
+=======  ==================  ====
+
+Every other run and every :func:`~antdyn.simulate.integrate_rows` block of
+two or more models steps through the numpy kernel
 (:func:`antdyn.models.rhs`).  For a handful of paths, the numpy calls of
 that loop cost far more than their arithmetic.  The stepper here is
 straight-line Python, generated once per shape: each state component is
-a local variable, and a step makes no call.  Its cost grows with n while
-numpy's barely does: a 2,000-step Euler run, its compile included,
-crosses numpy between 24 and 28 paths, and RK4 stays ahead beyond 32.
-Tanh stays on numpy because ``math.tanh`` and ``np.tanh`` round
-differently.
+a local variable, and a step makes no call but, under tanh, one
+``np.tanh`` per stage.  Its cost grows with n while numpy's barely does.
+A 2,000-step run, its compile included, crosses numpy between 24 and 28
+paths (Euler) and between 32 and 40 (RK4); warm, a tanh run crosses near
+18 paths (Euler) and 22 (RK4).  Each limit sits at or below its crossing,
+which leaves room for the compile, and RK4's 32 also bounds the memory
+that compiling a shape takes.
 
 Both paths give the same trajectory, bit for bit.  Python floats are
 IEEE doubles too, and each operation below is the one the numpy kernel
 performs, on the same operands and in the same order, so every value
-rounds as it does there.  ``np.sign`` is spelled with comparisons.  The
-one reduction whose order numpy chooses, the saturation sum, is spelled
-in numpy's pairwise order (:func:`_pairwise`); a maximum is exact in any
-order.  At a zero saturation, where Python raises, the stepper takes
-numpy's ``1 / 0``, an infinity.  A run keeps the stepper it starts with:
-after a block fails the integrator's check, the same stepper steps the
-run on one checked step at a time.
+rounds as it does there.  ``np.sign`` is spelled with comparisons, and
+``np.tanh`` runs in place on a row of the stage's n arguments, as in the
+numpy loop; it gives an element the same value whatever the array's
+length and the element's place in it.  The one reduction whose order
+numpy chooses, the saturation sum, is spelled in numpy's pairwise order
+(:func:`_pairwise`); a maximum is exact in any order.  At a zero
+saturation, where Python raises, the stepper takes numpy's ``1 / 0``, an
+infinity.  A run keeps the stepper it starts with: after a block fails
+the integrator's check, the same stepper steps the run on one checked
+step at a time.
 
 The source of a stepper (:func:`_source`) is spelled from ``n``, the
 response, the saturation and the scheme alone; the model's values are
@@ -43,16 +56,20 @@ import math
 from functools import cache
 from types import FunctionType
 
+import numpy as np
+
 from .models import GKind, PhiKind
 
-# Most paths a run may have and still be stepped here, by the rule above.
-SCALAR_PATHS = 24
+# The most paths a run may have and still be stepped here, by the rule
+# above, keyed by (euler, tanh): the scheme, and whether the response is tanh.
+SCALAR_PATHS = {(True, False): 24, (True, True): 14, (False, False): 32, (False, True): 20}
 
 # {d}: the weights' names; {x}: the state's names; {steps}: one step's
 # statements, which update the state's names in place.  The arguments
-# after (states, start, stop) are bound per model as defaults.
+# after (states, start, stop) are bound per model as defaults; ``work``
+# is tanh's row of n floats.
 _TEMPLATE = """\
-def advance(states, start, stop, alpha, beta, gamma, dt, half, sixth, {d}):
+def advance(states, start, stop, alpha, beta, gamma, dt, half, sixth, work, {d}):
     ({x},) = states[start - 1].tolist()
     flat = []
     for _ in range(start, stop):
@@ -91,23 +108,31 @@ def _source(n: int, g_kind: GKind, phi_kind: PhiKind, euler: bool) -> str:
     """The source of the stepper of one shape: ``def advance(...)``, spelled from the shape alone.
 
     Every step is ``rhs(model)`` and the scheme of the numpy loop with
-    each array operation written out per component, with ``c = beta * (1
-    / s)`` at saturation ``s``.  The source holds no float: an int
-    operand converts exactly, and the model's values are arguments.
+    each array operation but tanh written out per component, with ``c =
+    beta * (1 / s)`` at saturation ``s``.  The source holds no float: an
+    int operand converts exactly, and the model's values are arguments.
     """
     def coefficient(y: str) -> list[str]:
-        """Statements that set ``c`` from the saturation of state ``y``."""
+        """Statements that set ``c`` from the saturation of state ``y``, and under tanh ``t0 ..``."""
         names = [f"{y}{i}" for i in range(n)]
         if phi_kind is PhiKind.SUM:
             lines = [f"s = {_pairwise(names)}"]
         else:
             lines = [f"s = {names[0]}"] + [f"if {v} > s: s = {v}" for v in names[1:]]
-        return lines + _COEFFICIENT
+        lines += _COEFFICIENT
+        if g_kind is GKind.TANH:
+            # rhs's subtract, then its np.tanh in place on an (n,) row
+            a = ", ".join(f"c * d{i} - alpha" for i in range(n))
+            t = ", ".join(f"t{i}" for i in range(n))
+            lines += [f"work[:] = ({a},)", f"({t},) = tanh(work, work).tolist()"]
+        return lines
 
     def k(i: int, y: str) -> str:
         """Component ``i`` of ``rhs(model)`` at state ``y``, given ``c``."""
         if g_kind is GKind.IDENTITY:
             return f"(c * d{i} - alpha) * gamma * {y}{i}"
+        if g_kind is GKind.TANH:
+            return f"t{i} * gamma * {y}{i}"
         # np.sign(b - alpha) * gamma at b = c * di: b - alpha rounds to the
         # sign of the exact difference, and is +0 or nan when neither
         # comparison holds (never -0, since alpha > 0), which sign() and
@@ -142,9 +167,9 @@ def _source(n: int, g_kind: GKind, phi_kind: PhiKind, euler: bool) -> str:
 def _compiled(n: int, g_kind: GKind, phi_kind: PhiKind, euler: bool) -> FunctionType:
     """The stepper of one shape, with no values bound: compiled once per process.
 
-    There are at most ``8 * SCALAR_PATHS`` shapes, so the cache stays small.
+    ``SCALAR_PATHS`` allows 292 shapes in all, so the cache stays small.
     """
-    namespace: dict = {"inf": math.inf}
+    namespace: dict = {"inf": math.inf, "tanh": np.tanh}
     exec(compile(_source(n, g_kind, phi_kind, euler), f"<advance {n}>", "exec"), namespace)
     return namespace["advance"]
 
@@ -160,10 +185,10 @@ def scalar_stepper(model, dt: float, euler: bool):
     two can part ways (a comparison skips a nan, numpy's maximum
     propagates it), but the integrator discards those steps.
     """
-    if model.n > SCALAR_PATHS or model.g_kind is GKind.TANH:
+    if model.n > SCALAR_PATHS[euler, model.g_kind is GKind.TANH]:
         return None
     template = _compiled(model.n, model.g_kind, model.phi_kind, euler)
-    bound = (model.alpha, model.beta, model.gamma, dt, 0.5 * dt, dt / 6.0)
+    bound = (model.alpha, model.beta, model.gamma, dt, 0.5 * dt, dt / 6.0, np.empty(model.n))
     return FunctionType(
         template.__code__, template.__globals__, "advance", (*bound, *model.paths.d.tolist())
     )

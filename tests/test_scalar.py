@@ -1,11 +1,16 @@
 """Tests of the Python-float stepper of small single runs."""
 
 import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
 
 from antdyn import (
     IntegrationError,
@@ -14,18 +19,20 @@ from antdyn import (
     Scheme,
     integrate,
 )
+import antdyn
 from antdyn import simulate
 from antdyn._scalar import SCALAR_PATHS, _pairwise, _source, scalar_stepper
 from antdyn.models import GKind, PhiKind, rhs
 
 from helpers import make_model
 
-SHAPES = [
-    (g, phi, euler)
-    for g in (GKind.IDENTITY, GKind.SIGNUM)
-    for phi in PhiKind
-    for euler in (True, False)
-]
+SHAPES = [(g, phi, euler) for g in GKind for phi in PhiKind for euler in (True, False)]
+WIDEST = max(SCALAR_PATHS.values())
+
+
+def limit(g, euler):
+    """The most paths a single run of response ``g`` may have and still step in Python floats."""
+    return SCALAR_PATHS[euler, g is GKind.TANH]
 
 
 def left_to_right(values):
@@ -40,7 +47,7 @@ def test_pairwise_sum_is_numpys_sum_bit_for_bit():
     # additions shows in the rounding; every n a stepped run can have
     rng = np.random.default_rng(20140)
     plain_differs = set()
-    for n in range(1, SCALAR_PATHS + 1):
+    for n in range(1, WIDEST + 1):
         names = [f"v{i}" for i in range(n)]
         total = _pairwise(names)
         for _ in range(50):
@@ -50,7 +57,7 @@ def test_pairwise_sum_is_numpys_sum_bit_for_bit():
             if left_to_right(v.tolist()) != want:
                 plain_differs.add(n)
     # below 8 terms numpy sums left to right too; from 8 on it does not
-    assert plain_differs == set(range(8, SCALAR_PATHS + 1))
+    assert plain_differs == set(range(8, WIDEST + 1))
 
 
 def test_models_of_one_shape_share_one_code_object():
@@ -70,14 +77,109 @@ def test_models_of_one_shape_share_one_code_object():
 
 def test_generated_source_holds_no_float():
     # the model's values are bound as arguments, never spelled into the source
-    for n in range(1, SCALAR_PATHS + 1):
-        for shape in SHAPES:
+    for g, phi, euler in SHAPES:
+        for n in range(1, limit(g, euler) + 1):
             floats = [
                 node.value
-                for node in ast.walk(ast.parse(_source(n, *shape)))
+                for node in ast.walk(ast.parse(_source(n, g, phi, euler)))
                 if isinstance(node, ast.Constant) and isinstance(node.value, float)
             ]
-            assert floats == [], (n, shape)
+            assert floats == [], (n, g, phi, euler)
+
+
+def test_np_tanh_of_an_element_does_not_depend_on_its_array():
+    # The rule rests on this: the numpy loop calls np.tanh in place on its
+    # row of a stage's n arguments, and a generated step on a row of its
+    # own, and each element must take the value of its own one-element
+    # call, at any length and offset in the array.
+    rng = np.random.default_rng(2014)
+    values = np.concatenate(
+        [
+            rng.normal(0.0, 3.0, 200),
+            np.copysign(10.0 ** rng.uniform(-320.0, 3.0, 200), rng.normal(size=200)),
+            [0.0, -0.0, np.inf, -np.inf, 5e-324, 1e-8, 20.0, -20.0],
+        ]
+    )
+    rng.shuffle(values)
+    alone = np.concatenate([np.tanh(values[i : i + 1]) for i in range(values.size)])
+    for length in range(1, 40):
+        for start in range(values.size - length + 1):
+            chunk = values[start : start + length]
+            want = alone[start : start + length].tobytes()
+            work = chunk.copy()
+            np.tanh(work, work)
+            assert work.tobytes() == want, (length, start)
+            assert np.tanh(chunk).tobytes() == want, (length, start)
+
+
+# Run in a child process whose numpy has the dispatch targets named in its
+# arguments disabled: tanh runs at the limits and inside them, under both
+# saturations and schemes, step to the same bits or the same error through
+# the generated stepper and through the numpy loop.
+LOWER_LEVEL_CHILD = """
+import sys
+
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+
+from antdyn import IntegrationError, ModelSpec, PathSystem, Scheme, integrate, simulate
+from antdyn._scalar import SCALAR_PATHS, scalar_stepper
+
+assert not any(__cpu_features__[target] for target in sys.argv[1:]), sys.argv[1:]
+
+
+def outcome(*args):
+    try:
+        return integrate(*args).states.tobytes()
+    except IntegrationError as err:
+        return type(err), str(err)
+
+
+rng = np.random.default_rng(16)
+runs = 0
+for scheme in (Scheme.EULER, Scheme.RK4):
+    for phi in ("sum", "max"):
+        for n in (1, 2, 9, SCALAR_PATHS[scheme is Scheme.EULER, True]):
+            for _ in range(3):
+                alpha, beta, gamma = rng.uniform(0.2, 3.0, 3)
+                paths = PathSystem.from_lengths(rng.uniform(1.0, 10.0, n))
+                model = ModelSpec(alpha, beta, gamma, phi, "tanh", paths)
+                x0, dt = 10.0 ** rng.uniform(-3.0, 2.0, n), rng.uniform(0.05, 2.0) / gamma
+                args = model, x0, dt, 200, scheme
+                assert scalar_stepper(model, dt, scheme is Scheme.EULER) is not None
+                got = outcome(*args)
+                simulate.scalar_stepper = lambda *_: None
+                assert outcome(*args) == got, (n, phi, scheme)
+                simulate.scalar_stepper = scalar_stepper
+                runs += 1
+print(runs)
+"""
+
+
+@pytest.mark.parametrize("level", ["X86_V3", "X86_V2"])
+def test_tanh_runs_agree_at_each_lower_dispatch_level(level):
+    offered = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    if level in __cpu_baseline__:
+        above = offered
+    elif level in offered:
+        above = offered[offered.index(level) + 1 :]
+    else:
+        pytest.skip(f"numpy offers no {level} dispatch here")
+    if not above:
+        pytest.skip(f"{level} is numpy's own dispatch level here")
+    env = {k: v for k, v in os.environ.items() if k != "NPY_ENABLE_CPU_FEATURES"}
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(above)
+    src = str(Path(antdyn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", LOWER_LEVEL_CHILD, *above],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["48"]
 
 
 def spy_on_steppers(monkeypatch):
@@ -103,17 +205,22 @@ def spy_on_steppers(monkeypatch):
     return blocks
 
 
+# one path, two sizes whose sums run past eight terms, and each limit -1, 0
+# and +1 of the table, for every response under both schemes
+ABOUT_THE_LIMITS = sorted({1, 12, 13} | {m + k for m in SCALAR_PATHS.values() for k in (-1, 0, 1)})
+
+
 @pytest.mark.parametrize("scheme", [Scheme.EULER, Scheme.RK4])
 @pytest.mark.parametrize("phi", list(PhiKind))
 @pytest.mark.parametrize("g", list(GKind))
-# the ends of the stepped range, two sizes inside it whose sums run past
-# eight terms, and two sizes past it
-@pytest.mark.parametrize("n", [1, 12, 13, SCALAR_PATHS, SCALAR_PATHS + 1, 32])
+@pytest.mark.parametrize("n", ABOUT_THE_LIMITS)
 def test_only_small_identity_and_signum_runs_step_in_python(monkeypatch, n, g, phi, scheme):
+    # the rule of SCALAR_PATHS: a run of at most its scheme's and response's
+    # limit steps in Python floats, any other in numpy
     blocks = spy_on_steppers(monkeypatch)
     model = make_model(np.arange(1.0, n + 1.0), phi=phi, g=g)
     integrate(model, np.full(n, 0.5), 0.01, 100, scheme)
-    kind = "python" if n <= SCALAR_PATHS and g is not GKind.TANH else "numpy"
+    kind = "python" if n <= limit(g, scheme is Scheme.EULER) else "numpy"
     assert blocks == [(kind, 64), (kind, 36)]
 
 
@@ -144,12 +251,12 @@ def assert_same_outcome(got, want):
 @settings(max_examples=150, deadline=None)
 @given(
     phi=st.sampled_from(list(PhiKind)),
-    g=st.sampled_from([GKind.IDENTITY, GKind.SIGNUM]),
+    g=st.sampled_from(list(GKind)),
     scheme=st.sampled_from([Scheme.EULER, Scheme.RK4]),
     positivity=st.sampled_from(list(PositivityPolicy)),
-    lengths=st.lists(st.floats(1.0, 10.0), min_size=1, max_size=SCALAR_PATHS),
+    lengths=st.lists(st.floats(1.0, 10.0), min_size=1, max_size=WIDEST),
     rates=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(0.2, 3.0)),
-    log_x0=st.lists(st.floats(-3.0, 2.0), min_size=SCALAR_PATHS, max_size=SCALAR_PATHS),
+    log_x0=st.lists(st.floats(-3.0, 2.0), min_size=WIDEST, max_size=WIDEST),
     dt_fraction=st.floats(0.05, 3.0),
     steps=st.integers(0, 200),
 )
@@ -157,6 +264,7 @@ def test_scalar_runs_are_the_numpy_loop(
     phi, g, scheme, positivity, lengths, rates, log_x0, dt_fraction, steps
 ):
     alpha, beta, gamma = rates
+    lengths = lengths[: limit(g, scheme is Scheme.EULER)]
     model = make_model(lengths, alpha=alpha, beta=beta, gamma=gamma, phi=phi, g=g)
     x0 = 10.0 ** np.array(log_x0[: model.n])
     # past dt = 1 / (gamma * |g(-alpha)|), Euler can overshoot 0
@@ -198,9 +306,14 @@ def one_step(advance, x, positivity):
     lengths=[1.0], g=GKind.IDENTITY, phi=PhiKind.SUM, euler=True, positivity=REJECT,
     rates=(1.0, 1.0, 1.0), dt=1.0, x=[0.0],
 )
+# tanh(1.5), where math.tanh and np.tanh differ
+@example(
+    lengths=[1.0], g=GKind.TANH, phi=PhiKind.SUM, euler=False, positivity=REJECT,
+    rates=(1.0, 1.0, 1.0), dt=0.1, x=[0.4],
+)
 @given(
-    lengths=st.lists(st.floats(1.0, 10.0), min_size=1, max_size=SCALAR_PATHS),
-    g=st.sampled_from([GKind.IDENTITY, GKind.SIGNUM]),
+    lengths=st.lists(st.floats(1.0, 10.0), min_size=1, max_size=WIDEST),
+    g=st.sampled_from(list(GKind)),
     phi=st.sampled_from(list(PhiKind)),
     euler=st.booleans(),
     positivity=st.sampled_from(list(PositivityPolicy)),
@@ -216,12 +329,13 @@ def one_step(advance, x, positivity):
             st.floats(0.0, 1.7e308),
             log_uniform(-323.0, 308.0),
         ),
-        min_size=SCALAR_PATHS,
-        max_size=SCALAR_PATHS,
+        min_size=WIDEST,
+        max_size=WIDEST,
     ),
 )
 def test_one_step_of_both_steppers_is_the_same(lengths, g, phi, euler, positivity, rates, dt, x):
     alpha, beta, gamma = rates
+    lengths = lengths[: limit(g, euler)]
     model = make_model(lengths, alpha=alpha, beta=beta, gamma=gamma, phi=phi, g=g)
     x = np.array(x[: model.n])
     python = scalar_stepper(model, dt, euler)
@@ -319,27 +433,45 @@ MID_BLOCK_POSITIVITY = {
     (GKind.IDENTITY, PhiKind.MAX, EULER): (1e-3, 1.05),
     (GKind.SIGNUM, PhiKind.SUM, EULER): (1e-3, 1.05),
     (GKind.SIGNUM, PhiKind.MAX, EULER): (1e-3, 1.05),
+    (GKind.TANH, PhiKind.SUM, EULER): (1e-3, 1.5),
+    (GKind.TANH, PhiKind.MAX, EULER): (1e-3, 1.5),
     (GKind.IDENTITY, PhiKind.SUM, RK4): (0.01, 2.8),
     (GKind.IDENTITY, PhiKind.MAX, RK4): (1.0, 3.05),
     (GKind.SIGNUM, PhiKind.SUM, RK4): (0.1, 1.7),
     (GKind.SIGNUM, PhiKind.MAX, RK4): (1e-3, 1.6),
+    (GKind.TANH, PhiKind.SUM, RK4): (1e-3, 3.8),
+    (GKind.TANH, PhiKind.MAX, RK4): (1e-3, 3.8),
 }
+
+# (n, g, phi, scheme): each scheme at its own limit -1, 0 and +1, and RK4
+# at Euler's too, where the two schemes part
+ABOUT_EACH_LIMIT = [
+    (n, g, phi, scheme)
+    for g in GKind
+    for phi in PhiKind
+    for scheme in (EULER, RK4)
+    for m in sorted({limit(g, True), limit(g, scheme is EULER)})
+    for n in (m - 1, m, m + 1)
+]
 
 
 @pytest.mark.parametrize("case", ["stepped", "zero", "mid-block"])
-@pytest.mark.parametrize("scheme", [EULER, RK4])
-@pytest.mark.parametrize("phi", list(PhiKind))
-@pytest.mark.parametrize("g", [GKind.IDENTITY, GKind.SIGNUM])
-@pytest.mark.parametrize("n", [SCALAR_PATHS - 1, SCALAR_PATHS, SCALAR_PATHS + 1])
+@pytest.mark.parametrize("n, g, phi, scheme", ABOUT_EACH_LIMIT)
 def test_runs_about_the_threshold_are_the_numpy_loop(monkeypatch, n, g, phi, scheme, case):
     lengths = np.arange(1.0, n + 1.0)
     if case == "stepped":
         model, x0, dt = make_model(lengths, phi=phi, g=g), np.linspace(0.1, 1.0, n), 0.05
     elif case == "zero":
         # dt * gamma * g = -1 sends every component (Euler) or the first
-        # RK4 stage point to exactly 0, where the saturation is 0
-        model, x0 = make_model(lengths, beta=1e-20, phi=phi, g=g), np.full(n, 0.5)
-        dt = 1.0 if scheme is EULER else 2.0
+        # RK4 stage point to exactly 0, where the saturation is 0: there
+        # c = inf, and tanh's argument is inf, where it gives 1
+        gamma = 1.0
+        if g is GKind.TANH:
+            # g = tanh(-alpha) at beta = 1e-20, and gamma * g rounds to -1
+            gamma = -1.0 / float(np.tanh(-1.0))
+            assert float(np.tanh(-1.0)) * gamma == -1.0
+        model = make_model(lengths, beta=1e-20, gamma=gamma, phi=phi, g=g)
+        x0, dt = np.full(n, 0.5), 1.0 if scheme is EULER else 2.0
     else:
         value, dt = MID_BLOCK_POSITIVITY[g, phi, scheme]
         model, x0 = make_model(lengths, phi=phi, g=g), np.full(n, value)
@@ -349,10 +481,12 @@ def test_runs_about_the_threshold_are_the_numpy_loop(monkeypatch, n, g, phi, sch
     assert_same_outcome(run_outcome(*args), want)
     # one stepper steps the whole run: three full blocks, or, after the
     # first block fails the check, one step at a time up to the error
-    kind = "python" if n <= SCALAR_PATHS else "numpy"
+    kind = "python" if n <= limit(g, scheme is EULER) else "numpy"
     assert {k for k, _ in blocks} == {kind}
     if case == "stepped":
         assert blocks == [(kind, 64), (kind, 64), (kind, 22)]
+    if case == "zero" and g is GKind.TANH and scheme is EULER:
+        assert not want[0][1:].any()  # at 0 from step 1 on
     if case == "mid-block":
         assert want[0] is PositivityError and 1 < want[2] < 64
         assert blocks == [(kind, 64)] + [(kind, 1)] * want[2]

@@ -34,11 +34,10 @@ from antdyn.simulate import _CHECK_BLOCK, CLAMP_FLOOR
 
 from helpers import make_model
 
-# Path counts of a solo run, drawn on both sides of SCALAR_PATHS: identity
-# and signum runs of at most that many paths step in Python floats.
-SOLO_PATHS = st.one_of(
-    st.integers(1, SCALAR_PATHS), st.integers(SCALAR_PATHS + 1, SCALAR_PATHS + 8)
-)
+# Path counts of a solo run, drawn on both sides of every limit in
+# SCALAR_PATHS: a run of at most its scheme's and response's limit steps in
+# Python floats.
+SOLO_PATHS = st.integers(1, max(SCALAR_PATHS.values()) + 8)
 
 
 def test_euler_matches_hand_rolled_loop():
@@ -379,8 +378,8 @@ def error_facts(err):
 @settings(max_examples=120, deadline=None)
 @given(
     variants=st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=7),
-    # solo runs of identity and signum models up to SCALAR_PATHS paths step
-    # in Python floats, longer ones and tanh ones in numpy
+    # solo runs up to their limit in SCALAR_PATHS step in Python floats,
+    # longer ones in numpy
     n=SOLO_PATHS,
     scheme=st.sampled_from([Scheme.EULER, Scheme.RK4]),
     positivity=st.sampled_from(list(PositivityPolicy)),
@@ -476,8 +475,8 @@ def test_integrate_rows_input_validation():
 @settings(max_examples=150, deadline=None)
 @given(
     producer=st.sampled_from(["euler", "rk4", "rows", "exact", "asymptotic"]),
-    # identity runs up to SCALAR_PATHS paths step in Python floats, longer ones
-    # and tanh ones in numpy; a block of several models always does
+    # runs up to their limit in SCALAR_PATHS step in Python floats, longer
+    # ones in numpy; a block of several models always does
     n=SOLO_PATHS,
     g=st.sampled_from([GKind.IDENTITY, GKind.TANH]),
     dt_fraction=st.floats(0.05, 0.9),
@@ -771,7 +770,7 @@ def test_the_order_check_fails_on_the_saturation_taken_per_component():
 @settings(max_examples=100, deadline=None)
 @given(
     scheme=st.sampled_from([Scheme.EULER, Scheme.RK4]),
-    # up to SCALAR_PATHS paths the run steps in Python floats, beyond in numpy
+    # up to its limit in SCALAR_PATHS the run steps in Python floats, beyond in numpy
     n=SOLO_PATHS,
     rates=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
     share=st.floats(0.01, 0.5),
@@ -797,7 +796,7 @@ def test_identity_sum_weighted_mass_relaxes_as_the_scheme_predicts(scheme, n, ra
 @settings(max_examples=100, deadline=None)
 @given(
     scheme=st.sampled_from([Scheme.EULER, Scheme.RK4]),
-    # up to SCALAR_PATHS paths the run steps in Python floats, beyond in numpy
+    # up to its limit in SCALAR_PATHS the run steps in Python floats, beyond in numpy
     n=SOLO_PATHS,
     rates=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
     share=st.floats(0.01, 0.5),
