@@ -63,7 +63,6 @@ from .simulate import (
     Trajectory,
     check_sum_bounds,
     integrate,
-    integrate_rows,
     iter_trajectory_csv,
     sum_envelope,
     trajectory_to_csv,

@@ -11,13 +11,13 @@ Euler    24                  14
 RK4      32                  20
 =======  ==================  ====
 
-Every other run and every :func:`~antdyn.simulate.integrate_rows` block of
-two or more models steps through the numpy kernel
+Every other run steps through the numpy kernel
 (:func:`antdyn.models.rhs`).  For a handful of paths, the numpy calls of
 that loop cost far more than their arithmetic.  The stepper here is
 straight-line Python, generated once per shape: each state component is
 a local variable, and a step makes no call but, under tanh, one
-``np.tanh`` per stage.  Its cost grows with n while numpy's barely does.
+``np.tanh`` per stage on a row its arguments are packed into.  Its cost
+grows with n while numpy's barely does.
 A 2,000-step run, its compile included, crosses numpy between 24 and 28
 paths (Euler) and between 32 and 40 (RK4); warm, a tanh run crosses near
 18 paths (Euler) and 22 (RK4).  Each limit sits at or below its crossing,
@@ -53,6 +53,7 @@ of that import.
 from __future__ import annotations
 
 import math
+import struct
 from functools import cache
 from types import FunctionType
 
@@ -121,10 +122,12 @@ def _source(n: int, g_kind: GKind, phi_kind: PhiKind, euler: bool) -> str:
             lines = [f"s = {names[0]}"] + [f"if {v} > s: s = {v}" for v in names[1:]]
         lines += _COEFFICIENT
         if g_kind is GKind.TANH:
-            # rhs's subtract, then its np.tanh in place on an (n,) row
+            # rhs's subtract, then its np.tanh in place on an (n,) row; pack
+            # copies each double's bits into the row for less than numpy's
+            # assignment of a tuple costs
             a = ", ".join(f"c * d{i} - alpha" for i in range(n))
             t = ", ".join(f"t{i}" for i in range(n))
-            lines += [f"work[:] = ({a},)", f"({t},) = tanh(work, work).tolist()"]
+            lines += [f"pack(work, 0, {a})", f"({t},) = tanh(work, work).tolist()"]
         return lines
 
     def k(i: int, y: str) -> str:
@@ -169,7 +172,8 @@ def _compiled(n: int, g_kind: GKind, phi_kind: PhiKind, euler: bool) -> Function
 
     ``SCALAR_PATHS`` allows 292 shapes in all, so the cache stays small.
     """
-    namespace: dict = {"inf": math.inf, "tanh": np.tanh}
+    pack = struct.Struct(f"{n}d").pack_into  # the n doubles of tanh's row, native layout
+    namespace: dict = {"inf": math.inf, "tanh": np.tanh, "pack": pack}
     exec(compile(_source(n, g_kind, phi_kind, euler), f"<advance {n}>", "exec"), namespace)
     return namespace["advance"]
 

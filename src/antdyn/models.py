@@ -15,12 +15,11 @@ closed forms) builds on these.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -290,7 +289,7 @@ def g_prime(g_kind: GKind, a):
     )
 
 
-def rhs(model: ModelSpec | Sequence[ModelSpec]):
+def rhs(model: ModelSpec):
     """The right-hand side of ``model`` as a function ``f(x, out=None)`` of a state.
 
     The saturation, the response and the constants are bound once, here,
@@ -300,68 +299,38 @@ def rhs(model: ModelSpec | Sequence[ModelSpec]):
     ``out`` must have the shape of ``x`` and must not alias it.  Outside
     the domain it computes whatever the floats give (a zero sum gives
     ``inf``), so the integrators evaluate stage points unchecked and check
-    each step once it is complete.
+    each step once it is complete.  ``f`` has two paths:
 
-    ``model`` is one model or a sequence of models that share one ``n``
-    (a row block), and ``f`` has two paths:
+    - *One state,* shape ``(n,)``: its saturation reduces into a 0-d
+      buffer bound here and turns into a Python float, and the rest runs
+      in place on ``(n,)`` arrays.  This is the integrators' path, the
+      cheapest for one state; bind ``f`` once per run, and do not call it
+      reentrantly.
+    - *A block* of states, shape ``(..., n)``, such as a phase grid: one
+      reduction and one response over the whole block, with the floats
+      and the ``(n,)`` weights broadcast over it.
 
-    - *One state* of one model, shape ``(n,)``: its saturation reduces
-      into a 0-d buffer bound here and turns into a Python float, and the
-      rest runs in place on ``(n,)`` arrays.  This is the integrators'
-      path, the cheapest for one state.
-    - *A block:* states of shape ``(..., n)`` of one model, or ``(B, n)``
-      with row ``i`` belonging to ``model[i]``.  The parameters are bound
-      to broadcast over the block (floats and the ``(n,)`` weights for
-      one model; ``(B, n)`` ``alpha``, ``gamma`` and weights and a ``(B,)``
-      ``beta`` for a row block).  Each run of consecutive rows that share
-      a saturation reduces in one call on its slice, and each run that
-      shares a non-identity response responds in one, so models sorted by
-      (saturation, response) make the fewest calls.
-
-    Either way every state rounds exactly as ``rhs(m)`` on that state
-    alone, ``m`` being its model.  A single state and a row block reduce
-    into buffers bound here, so ``f`` belongs to one caller at a time:
-    bind it once per model, and do not call it reentrantly.
-
-    Some single runs step without this kernel, in Python floats, by the
-    rule that :mod:`antdyn._scalar` states.
+    Either way each state rounds exactly as ``f`` of that state alone.
+    Some runs step without this kernel, in Python floats, by the rule that
+    :mod:`antdyn._scalar` states.
     """
-    if isinstance(model, ModelSpec):
-        models, buffer = (model,), None
-        alpha, beta, gamma, d = model.alpha, model.beta, model.gamma, model.paths.d
-    else:
-        models = require_rows(model)
-        n = models[0].n
-        alpha, gamma = (
-            np.repeat([getattr(m, name) for m in models], n).reshape(-1, n)
-            for name in ("alpha", "gamma")
-        )
-        beta = np.array([m.beta for m in models])
-        d = np.stack([m.paths.d for m in models])
-        buffer = np.empty(len(models))  # bound once: a row block's states are always (B, n)
-    reductions = _runs([m.phi_kind for m in models], _SATURATION)
-    responses = _runs([m.g_kind for m in models], _RESPONSE)
+    reduce, response = _SATURATION[model.phi_kind], _RESPONSE[model.g_kind]
+    alpha, beta, gamma, d = model.alpha, model.beta, model.gamma, model.paths.d
     # bound ufuncs with a positional out: the cheapest call numpy offers
     multiply, reciprocal, subtract = np.multiply, np.reciprocal, np.subtract
 
     def block(x: np.ndarray, out=None) -> np.ndarray:
-        total = np.empty(x.shape[:-1]) if buffer is None else buffer
-        for rows, reduce in reductions:
-            reduce(x[rows], -1, None, total[rows])
+        total = reduce(x, -1)
         # beta * (1 / s) per state, rounded as the single-state path rounds it
         reciprocal(total, total)
         multiply(total, beta, total)
         out = multiply(total[..., None], d, out)
         subtract(out, alpha, out)
-        for rows, response in responses:
-            part = out[rows]
-            response(part, part)
+        if response is not None:
+            response(out, out)
         multiply(out, gamma, out)
         return multiply(out, x, out)
 
-    if not isinstance(model, ModelSpec):
-        return block
-    reduce, response = _SATURATION[model.phi_kind], _RESPONSE[model.g_kind]
     # numpy combines two short arrays faster than an array and a float
     alpha_row, gamma_row = np.full(model.n, alpha), np.full(model.n, gamma)
     single = np.empty(())
@@ -384,32 +353,6 @@ def rhs(model: ModelSpec | Sequence[ModelSpec]):
         return multiply(out, x, out)
 
     return f
-
-
-def _runs(kinds, table):
-    """``(rows, function)`` for each run of equal consecutive kinds, skipping identity.
-
-    ``rows`` is a slice, or ``...`` when one run covers every row.
-    """
-    runs, start = [], 0
-    for kind, group in itertools.groupby(kinds):
-        stop = start + len(list(group))
-        if table[kind] is not None:
-            rows = ... if stop - start == len(kinds) else slice(start, stop)
-            runs.append((rows, table[kind]))
-        start = stop
-    return runs
-
-
-def require_rows(models) -> tuple[ModelSpec, ...]:
-    """Check models meant as the rows of one block: at least one, all of one ``n``."""
-    models = tuple(models)
-    if not models:
-        raise ValueError("a row block needs at least one model")
-    sizes = [m.n for m in models]
-    if min(sizes) != max(sizes):
-        raise ValueError(f"the models of a row block must share one number of paths, got {sizes}")
-    return models
 
 
 def vector_field(model: ModelSpec, x) -> np.ndarray:

@@ -40,7 +40,7 @@ from .reporting import (
     verification_lines,
     write_text_atomic,
 )
-from .simulate import integrate_rows, write_trajectory_csv
+from .simulate import integrate, write_trajectory_csv
 from .stability import equilibrium_report
 from .svgfig import Series, line_figure, quiver_figure
 
@@ -67,14 +67,17 @@ class ExperimentPreset:
     kind: ClassVar[str] = "trajectory"
 
     def write(self, out_dir: Path, steps: Optional[int]):
-        """Integrate every run as one row block and write its CSVs and the figure.
+        """Integrate each run in turn and write its CSVs and the figure.
 
-        ``steps`` overrides :attr:`steps` unless it is None.  Returns the
-        report's preamble pairs, its sections and the written paths.
+        Each run is one :func:`~antdyn.simulate.integrate` call from the
+        shared ``x0``, in the order of :attr:`runs`.  ``steps`` overrides
+        :attr:`steps` unless it is None.  Returns the report's preamble
+        pairs, its sections and the written paths.
         """
         steps = self.steps if steps is None else steps
-        labels, models = zip(*self.runs)
-        runs = list(zip(labels, models, integrate_rows(models, self.x0, self.dt, steps)))
+        runs = [
+            (label, model, integrate(model, self.x0, self.dt, steps)) for label, model in self.runs
+        ]
         sections = []
         paths = []
         for label, model, traj in runs:

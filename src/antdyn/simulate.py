@@ -6,20 +6,13 @@ cross-checks against the closed-form evaluator.  Both step through the
 model's right-hand side (:func:`antdyn.models.rhs`) on buffers allocated
 once per run, writing every stage and state in place, and without
 per-step checks; the finiteness and sign checks run once per block of
-steps and still report the first offending step exactly.  Some single
-runs step in Python floats instead, through straight-line code generated
-once per shape, bit for bit as numpy would, by the rule that
-:mod:`antdyn._scalar` states.  A run picks its stepper once, and one
-loop (:func:`_step`) steps and checks every run.
-
-:func:`integrate_rows` integrates several models of one ``n`` as the
-rows of one ``(B, n)`` block, through one stepping loop, and
-:func:`integrate` is its one-row case.  Rows never mix: each row's
-trajectory, clamps and first violation are bit for bit those of that
-model integrated alone, and a failing row raises the error its solo run
-raises, naming the row.  Trajectories also cover closed-form and
-asymptotic sample grids, which reuse the same container and CSV schema
-with a different source tag.
+steps and still report the first offending step exactly.  Some runs
+step in Python floats instead, through straight-line code generated once
+per shape, bit for bit as numpy would, by the rule that
+:mod:`antdyn._scalar` states.  A run integrates one model and picks its
+stepper once, and one loop (:func:`_step`) steps and checks every run.
+Trajectories also cover closed-form and asymptotic sample grids, which
+reuse the same container and CSV schema with a different source tag.
 
 A :class:`Trajectory` stores its states and its step only; its time grid
 and its state sums are derived from them, so no producer builds either
@@ -32,19 +25,16 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .models import (
-    DomainError,
     GKind,
     ModelSpec,
     PhiKind,
-    first_nonpositive,
     require_positive,
     require_positive_state,
-    require_rows,
     rhs,
 )
 from ._output import format_passes, write_atomic
@@ -74,24 +64,18 @@ class PositivityPolicy(str, Enum):
 
 
 class IntegrationError(RuntimeError):
-    """Integration aborted; ``step`` is the failing step index.
+    """Integration aborted; ``step`` is the failing step index."""
 
-    ``row`` is the failing row's index among the models integrated
-    together (0 for :func:`integrate`), or None where no integrator
-    raised it.
-    """
-
-    def __init__(self, message: str, step: int, row: Optional[int] = None):
+    def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
-        self.row = row
 
 
 class PositivityError(IntegrationError):
     """A state component turned negative under the reject policy."""
 
-    def __init__(self, message: str, step: int, component: int, row: Optional[int] = None):
-        super().__init__(message, step, row)
+    def __init__(self, message: str, step: int, component: int):
+        super().__init__(message, step)
         self.component = component
 
 
@@ -177,15 +161,6 @@ def sample_times(dt: float, steps: int) -> np.ndarray:
     return np.arange(require_steps(steps) + 1) * dt
 
 
-def _run_setup(scheme, positivity, dt, steps):
-    """Check the run arguments shared by both integrators; return them, ``dt`` as a float."""
-    scheme = Scheme(scheme)
-    positivity = PositivityPolicy(positivity)
-    if scheme not in (Scheme.EULER, Scheme.RK4):
-        raise ValueError(f"scheme {scheme.value!r} is a sample-grid tag, not an integrator")
-    return scheme, positivity, require_positive("dt", dt), require_steps(steps)
-
-
 def integrate(
     model: ModelSpec,
     x0,
@@ -214,9 +189,7 @@ def integrate(
         underflows to exactly 0.0 is kept: it lies on the invariant face
         ``x_i = 0``, which is that component's limit.
 
-    This is the one-row case of :func:`integrate_rows`, and it runs the
-    same stepping loop on a single state of shape ``(n,)``.  The run's
-    stepper is picked once: Python floats, by straight-line code
+    The run's stepper is picked once: Python floats, by straight-line code
     generated once per shape, for the runs that :mod:`antdyn._scalar`
     names, and otherwise the single-state path of :func:`rhs`, in place
     on buffers preallocated for the run (the stages, one work row and
@@ -230,93 +203,29 @@ def integrate(
     checked step at a time, through the same stepper, and the run goes on
     that way, so the error, the clamp and ``first_violation`` name the
     first offending step and component exactly, as a per-step check
-    would.  The error's ``row`` is 0.
+    would.
     """
-    scheme, positivity, dt, steps = _run_setup(scheme, positivity, dt, steps)
+    scheme, positivity = Scheme(scheme), PositivityPolicy(positivity)
+    if scheme not in (Scheme.EULER, Scheme.RK4):
+        raise ValueError(f"scheme {scheme.value!r} is a sample-grid tag, not an integrator")
+    dt, steps = require_positive("dt", dt), require_steps(steps)
     x0 = require_positive_state(x0, model.n)
     euler = scheme is Scheme.EULER
-    advance = scalar_stepper(model, dt, euler) or _numpy_stepper(rhs(model), x0.shape, dt, euler)
-    states, violations = _step(advance, x0, steps, positivity, (0,))
-    return Trajectory(states=states, scheme=scheme, dt=dt, first_violation=violations[0])
+    advance = scalar_stepper(model, dt, euler) or _numpy_stepper(rhs(model), model.n, dt, euler)
+    states, first_violation = _step(advance, x0, steps, positivity)
+    return Trajectory(states=states, scheme=scheme, dt=dt, first_violation=first_violation)
 
 
-def integrate_rows(
-    models: Sequence[ModelSpec],
-    x0,
-    dt: float,
-    steps: int,
-    scheme: Scheme = Scheme.EULER,
-    positivity: PositivityPolicy = PositivityPolicy.REJECT,
-) -> tuple[Trajectory, ...]:
-    """Integrate several models of one ``n`` side by side, as one row block.
-
-    ``models`` gives one :class:`ModelSpec` per row, all with the same
-    number of paths, and ``x0`` is broadcast to ``(B, n)``: one shared
-    state of shape ``(n,)``, or one strictly positive state per row.
-    ``dt``, ``steps``, ``scheme`` and ``positivity`` are shared and mean
-    what they mean for :func:`integrate`.  The result holds one
-    :class:`Trajectory` per model, in the caller's order.
-
-    The rows are sorted once by (saturation, response), so each
-    reduction and each non-identity response of the :func:`rhs` kernel
-    runs on a contiguous slice, and every step of the block is one pass
-    of the stepping loop of :func:`integrate`.  Each row rounds exactly
-    as that row integrated alone: every trajectory, including its
-    ``first_violation`` and its clamps, is bit for bit the one
-    ``integrate(models[i], x0[i], ...)`` returns.  One model is
-    :func:`integrate` itself.
-
-    A row that fails stops the block: the error raised is the one that
-    integrating the failing row alone raises (same type, step, component
-    and message), with ``row`` set to its index in ``models``.  If
-    several rows fail, the earliest failing step wins, and on a tie the
-    lowest row.  ``ValueError`` is raised for no models, for models of
-    different ``n`` and for an ``x0`` that does not broadcast to
-    ``(B, n)``; :class:`DomainError` for a component of ``x0`` that is
-    not finite and positive.
-    """
-    models = require_rows(models)
-    rows, n = len(models), models[0].n
-    x0 = np.asarray(x0, dtype=float)
-    try:
-        block = np.broadcast_to(x0, (rows, n))
-    except ValueError:
-        raise ValueError(
-            f"x0 has shape {x0.shape}, which does not broadcast to ({rows}, {n}): "
-            f"{rows} models of {n} paths"
-        ) from None
-    if rows == 1:
-        return (integrate(models[0], block[0], dt, steps, scheme, positivity),)
-    scheme, positivity, dt, steps = _run_setup(scheme, positivity, dt, steps)
-    k = first_nonpositive(block)
-    if k is not None:
-        r, i = divmod(k, n)
-        where = f"component {i} of x0" if x0.ndim < 2 else f"component {i} of x0 row {r}"
-        raise DomainError(f"{where} is {float(block[r, i])}; must be strictly positive")
-    order = sorted(range(rows), key=lambda i: (models[i].phi_kind.value, models[i].g_kind.value))
-    advance = _numpy_stepper(
-        rhs([models[i] for i in order]), block.shape, dt, scheme is Scheme.EULER
-    )
-    states, violations = _step(advance, block[order], steps, positivity, order)
-    place = np.argsort(order).tolist()  # each caller row's place in the block
-    # one contiguous (steps + 1, n) block per row, as integrate makes it
-    per_row = states.transpose(1, 0, 2)[place]
-    return tuple(
-        Trajectory(states=x, scheme=scheme, dt=dt, first_violation=violations[p])
-        for x, p in zip(per_row, place)
-    )
-
-
-def _numpy_stepper(f, shape, dt, euler):
-    """The stepper of the numpy loop through ``f``, a :func:`rhs` of states of ``shape``.
+def _numpy_stepper(f, n, dt, euler):
+    """The stepper of the numpy loop through ``f``, a :func:`rhs` of states of ``n`` paths.
 
     ``advance(states, start, stop)`` steps on from ``states[start - 1]``
     and writes steps ``start .. stop - 1`` into ``states``.  Its operands
     and buffers are made once, here: every step writes in place, through
     bound ufuncs with array operands and a positional out.
     """
-    h, half, sixth = (np.full(shape, v) for v in (dt, 0.5 * dt, dt / 6.0))
-    k1, k2, k3, k4, y = np.empty((5, *shape))
+    h, half, sixth = (np.full(n, v) for v in (dt, 0.5 * dt, dt / 6.0))
+    k1, k2, k3, k4, y = np.empty((5, n))
     add, multiply = np.add, np.multiply
 
     def advance(states, start, stop):
@@ -340,19 +249,17 @@ def _numpy_stepper(f, shape, dt, euler):
     return advance
 
 
-def _step(advance, x0, steps, positivity, rows):
-    """The stepping loop of both integrators: blocks of steps of ``advance``, each checked.
+def _step(advance, x0, steps, positivity):
+    """The stepping loop of every run: blocks of steps of ``advance``, each checked.
 
     ``advance(states, start, stop)`` is the run's stepper, from
     :func:`antdyn._scalar.scalar_stepper` or :func:`_numpy_stepper`.
-    ``x0`` is one state of shape ``(n,)`` or a row block of shape
-    ``(B, n)``, and ``rows`` names each row's index in the caller's
-    order.  Returns the states, of shape ``(steps + 1, *x0.shape)``, and
-    each row's first violation.
+    Returns the states, of shape ``(steps + 1, n)``, and the first
+    ``(step, component)`` clamped, or None.
     """
-    states = np.empty((steps + 1, *x0.shape))
+    states = np.empty((steps + 1, x0.size))
     states[0] = x0
-    violations: list[Optional[tuple[int, int]]] = [None] * len(rows)
+    first_violation = None
     start, block = 1, _CHECK_BLOCK
     # Steps past a bad one are discarded, so their overflow and
     # invalid-value warnings are meaningless.
@@ -371,37 +278,37 @@ def _step(advance, x0, steps, positivity, rows):
                 # floor is usually pushed below 0 again on the next step.
                 block = 1
                 continue
-            _check_step(states[start].reshape(len(rows), -1), start, positivity, rows, violations)
+            bad = _check_step(states[start], start, positivity)
+            first_violation = first_violation or (start, bad)
             start += 1
-    return states, violations
+    return states, first_violation
 
 
-def _check_step(x, k, positivity, rows, violations):
-    """Check step ``k`` row by row: raise the first failing row's error, or clamp."""
-    finite = np.isfinite(x).all(axis=1)
-    negative = (x < 0.0).any(axis=1)
-    failing = ~finite | negative if positivity is PositivityPolicy.REJECT else ~finite
-    if failing.any():
-        r = min(np.flatnonzero(failing).tolist(), key=rows.__getitem__)
-        if not finite[r]:
-            bad = int(np.flatnonzero(~np.isfinite(x[r]))[0])
-            raise IntegrationError(
-                f"non-finite value in component {bad} at step {k}; integration aborted",
-                step=k,
-                row=rows[r],
-            )
-        bad = int(np.flatnonzero(x[r] < 0.0)[0])
+def _check_step(x, k, positivity):
+    """Check the state ``x`` of step ``k``, which failed the block check: raise, or clamp.
+
+    A non-finite component raises :class:`IntegrationError`; otherwise
+    ``x`` has a negative component, which raises :class:`PositivityError`
+    under the reject policy.  Under the clamp policy every negative
+    component is clamped in place, and the first one's index is returned.
+    """
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise IntegrationError(
+            f"non-finite value in component {bad} at step {k}; integration aborted", step=k
+        )
+    negative = x < 0.0
+    bad = int(np.argmax(negative))
+    if positivity is PositivityPolicy.REJECT:
         raise PositivityError(
-            f"component {bad} reached {float(x[r, bad])} at step {k}; "
+            f"component {bad} reached {float(x[bad])} at step {k}; "
             "the dynamics preserve positivity, so the step size is too coarse",
             step=k,
             component=bad,
-            row=rows[r],
         )
-    for r in np.flatnonzero(negative).tolist():
-        if violations[r] is None:
-            violations[r] = (k, int(np.flatnonzero(x[r] < 0.0)[0]))
-        np.copyto(x[r], CLAMP_FLOOR, where=x[r] < 0.0)
+    np.copyto(x, CLAMP_FLOOR, where=negative)
+    return bad
 
 
 def sum_envelope(model: ModelSpec, s0: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -871,7 +871,7 @@ def test_public_names_are_the_package_globals_that_are_not_modules():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(names) == public
-    assert len(names) == 57
+    assert len(names) == 56
 
 
 def test_cli_import_loads_no_scipy():

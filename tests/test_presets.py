@@ -29,6 +29,8 @@ from antdyn.presets import PRESETS, SPURIOUS_SPEED_TOL, PhaseGrid
 from antdyn.reporting import write_text_atomic
 from antdyn.stability import Equilibrium
 
+from helpers import spy_on_steppers
+
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden_artifacts.json"
 
 REQUIRED = [
@@ -155,19 +157,24 @@ def test_run_preset_comparison_ranks_all_variants(tmp_path):
     assert (out_dir / "figure.svg").read_text().count("polyline") >= 6
 
 
-@pytest.mark.parametrize("name", ["comparison-fig4", "eigenant-fig1"])
-def test_a_preset_integrates_its_runs_in_one_call(tmp_path, monkeypatch, name):
+@pytest.mark.parametrize(
+    "name", [name for name, preset in PRESETS.items() if preset.kind == "trajectory"]
+)
+def test_a_preset_steps_each_run_alone_in_the_generated_stepper(tmp_path, monkeypatch, name):
+    # one integrate call per run, in the preset's order, and every block in
+    # Python floats: a preset that drifts onto the numpy loop fails here
+    blocks = spy_on_steppers(monkeypatch)
     calls = []
-    integrate_rows = presets.integrate_rows
+    integrate = presets.integrate
 
-    def spy(models, *args):
-        calls.append(tuple(models))
-        return integrate_rows(models, *args)
+    def spy(model, *args):
+        calls.append(model)
+        return integrate(model, *args)
 
-    monkeypatch.setattr(presets, "integrate_rows", spy)
+    monkeypatch.setattr(presets, "integrate", spy)
     run_preset(name, out_root=tmp_path, steps=40)
-    assert calls == [tuple(model for _, model in PRESETS[name].runs)]
-    assert len(calls[0]) == (6 if name == "comparison-fig4" else 1)
+    assert calls == [model for _, model in PRESETS[name].runs]
+    assert blocks == [("python", 40)] * len(calls)
 
 
 def test_run_preset_respects_out_env(tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ from antdyn import simulate
 from antdyn._scalar import SCALAR_PATHS, _pairwise, _source, scalar_stepper
 from antdyn.models import GKind, PhiKind, rhs
 
-from helpers import make_model
+from helpers import make_model, spy_on_steppers
 
 SHAPES = [(g, phi, euler) for g in GKind for phi in PhiKind for euler in (True, False)]
 WIDEST = max(SCALAR_PATHS.values())
@@ -182,29 +182,6 @@ def test_tanh_runs_agree_at_each_lower_dispatch_level(level):
     assert child.stdout.split() == ["48"]
 
 
-def spy_on_steppers(monkeypatch):
-    """Record ``(stepper, steps)`` for each block a run steps: ``"python"`` or ``"numpy"``."""
-    blocks = []
-
-    def spying(kind, make):
-        def made(*args):
-            advance = make(*args)
-            if advance is None:
-                return None
-
-            def spied(states, start, stop):
-                blocks.append((kind, stop - start))
-                advance(states, start, stop)
-
-            return spied
-
-        return made
-
-    monkeypatch.setattr(simulate, "scalar_stepper", spying("python", scalar_stepper))
-    monkeypatch.setattr(simulate, "_numpy_stepper", spying("numpy", simulate._numpy_stepper))
-    return blocks
-
-
 # one path, two sizes whose sums run past eight terms, and each limit -1, 0
 # and +1 of the table, for every response under both schemes
 ABOUT_THE_LIMITS = sorted({1, 12, 13} | {m + k for m in SCALAR_PATHS.values() for k in (-1, 0, 1)})
@@ -229,7 +206,7 @@ def run_outcome(*args):
     try:
         traj = integrate(*args)
     except IntegrationError as err:
-        return type(err), str(err), err.step, getattr(err, "component", None), err.row
+        return type(err), str(err), err.step, getattr(err, "component", None)
     return traj.states, traj.first_violation
 
 
@@ -286,16 +263,11 @@ def log_uniform(low, high):
 
 def one_step(advance, x, positivity):
     """The bits of one checked step of ``advance`` from ``x``, or its error's type and message."""
-    states = np.empty((2, x.size))
-    states[0] = x
-    violations = [None]
-    with np.errstate(all="ignore"):
-        advance(states, 1, 2)
-        try:
-            simulate._check_step(states[1].reshape(1, -1), 1, positivity, (0,), violations)
-        except IntegrationError as err:
-            return type(err), str(err)
-    return states[1].tobytes(), violations
+    try:
+        states, first_violation = simulate._step(advance, x, 1, positivity)
+    except IntegrationError as err:
+        return type(err), str(err)
+    return states[1].tobytes(), first_violation
 
 
 # Every step a run takes starts from a checked state: finite and >= 0,
@@ -339,7 +311,7 @@ def test_one_step_of_both_steppers_is_the_same(lengths, g, phi, euler, positivit
     model = make_model(lengths, alpha=alpha, beta=beta, gamma=gamma, phi=phi, g=g)
     x = np.array(x[: model.n])
     python = scalar_stepper(model, dt, euler)
-    numpy = simulate._numpy_stepper(rhs(model), x.shape, dt, euler)
+    numpy = simulate._numpy_stepper(rhs(model), model.n, dt, euler)
     assert one_step(python, x, positivity) == one_step(numpy, x, positivity)
 
 

@@ -18,7 +18,6 @@ from antdyn import (
     check_sum_bounds,
     g_eval,
     integrate,
-    integrate_rows,
     iter_trajectory_csv,
     sum_envelope,
     trajectory_to_csv,
@@ -28,16 +27,16 @@ from antdyn import (
 from antdyn import simulate
 from antdyn._scalar import SCALAR_PATHS
 from antdyn.closedform import sample_asymptotic, sample_exact
-from antdyn.models import GKind, PhiKind, rhs
+from antdyn.models import GKind, PhiKind
 from antdyn._output import _FMT_CELLS, _format_tables
 from antdyn.simulate import _CHECK_BLOCK, CLAMP_FLOOR
 
-from helpers import make_model
+from helpers import make_model, spy_on_steppers
 
-# Path counts of a solo run, drawn on both sides of every limit in
+# Path counts of a run, drawn on both sides of every limit in
 # SCALAR_PATHS: a run of at most its scheme's and response's limit steps in
 # Python floats.
-SOLO_PATHS = st.integers(1, max(SCALAR_PATHS.values()) + 8)
+RUN_PATHS = st.integers(1, max(SCALAR_PATHS.values()) + 8)
 
 
 def test_euler_matches_hand_rolled_loop():
@@ -114,7 +113,6 @@ def test_dt_is_stepped_sampled_and_stored_as_the_float_it_checks_as():
     producers = [
         lambda dt: integrate(model, [0.5, 0.5], dt, 3),  # Python floats
         lambda dt: integrate(tanh, [0.5, 0.5], dt, 3, Scheme.RK4),  # numpy
-        lambda dt: integrate_rows([model, tanh], [0.5, 0.5], dt, 3)[0],
         lambda dt: sample_exact(model, [0.5, 0.5], dt, 3),
         lambda dt: sample_asymptotic(model, [0.5, 0.5], dt, 3),
     ]
@@ -160,14 +158,9 @@ def test_clamp_keeps_a_zero_beside_a_negative_component():
     # the first Euler step lands on (0.0, -0.25): only the negative
     # component is clamped, and the zero stays on the face x_1 = 0
     model = make_model([1, 2], alpha=2.0)
-    clamp = PositivityPolicy.CLAMP_EPSILON
-    runs = [
-        integrate(model, [0.5, 0.5], 1.0, 3, positivity=clamp),
-        *integrate_rows([model], [0.5, 0.5], 1.0, 3, positivity=clamp),
-    ]
-    for traj in runs:
-        assert traj.states[1].tolist() == [0.0, CLAMP_FLOOR]
-        assert traj.first_violation == (1, 1)
+    traj = integrate(model, [0.5, 0.5], 1.0, 3, positivity=PositivityPolicy.CLAMP_EPSILON)
+    assert traj.states[1].tolist() == [0.0, CLAMP_FLOOR]
+    assert traj.first_violation == (1, 1)
 
 
 def test_underflow_to_zero_is_not_a_positivity_loss():
@@ -216,6 +209,10 @@ def test_non_finite_step_aborts_with_integration_error():
         model = make_model([1.0], beta=2.0, gamma=1e300, g=g)
         with pytest.raises(IntegrationError, match="non-finite value in component 0 at step 1;"):
             integrate(model, [1.0], 1e10, 1)
+    # a step that overflows the second component only: the error names it
+    model = make_model([1.0, 2.0], beta=1e300)
+    with pytest.raises(IntegrationError, match="non-finite value in component 1 at step 1;"):
+        integrate(model, [1e-300, 1e10], 1e10, 1)
 
 
 def reference_field(model, x):
@@ -344,140 +341,20 @@ def test_clamp_holds_a_component_pinned_at_the_floor(monkeypatch):
     assert np.all(states[1:, 1] == CLAMP_FLOOR)
 
     # Each clamp costs one step: only the first failing block is integrated twice
-    calls = []
-
-    def counting_rhs(model):
-        f = rhs(model)
-
-        def counted(x, *out):
-            calls.append(None)
-            return f(x, *out)
-
-        return counted
-
-    monkeypatch.setattr(simulate, "rhs", counting_rhs)
+    blocks = spy_on_steppers(monkeypatch)
     integrate(*args)
-    assert len(calls) <= 500 + _CHECK_BLOCK
+    assert 500 < sum(steps for _, steps in blocks) <= 500 + _CHECK_BLOCK
 
 
 VARIANTS = [(phi, g) for phi in PhiKind for g in GKind]
 
 
-def solo_outcome(model, x0, dt, steps, scheme, positivity):
-    """The trajectory of one model integrated alone, or the error it raises."""
-    try:
-        return integrate(model, x0, dt, steps, scheme, positivity)
-    except IntegrationError as err:
-        return err
-
-
-def error_facts(err):
-    return type(err), str(err), err.step, getattr(err, "component", None)
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    variants=st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=7),
-    # solo runs up to their limit in SCALAR_PATHS step in Python floats,
-    # longer ones in numpy
-    n=SOLO_PATHS,
-    scheme=st.sampled_from([Scheme.EULER, Scheme.RK4]),
-    positivity=st.sampled_from(list(PositivityPolicy)),
-    shared_x0=st.booleans(),
-    dt_fraction=st.floats(0.05, 3.0),
-    steps=st.integers(0, 150),
-    data=st.data(),
-)
-def test_integrate_rows_are_solo_runs(
-    variants, n, scheme, positivity, shared_x0, dt_fraction, steps, data
-):
-    rates = st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(0.2, 3.0))
-    lengths = st.lists(st.floats(1.0, 10.0), min_size=n, max_size=n)
-    models = []
-    for phi, g in variants:
-        alpha, beta, gamma = data.draw(rates)
-        models.append(
-            make_model(data.draw(lengths), alpha=alpha, beta=beta, gamma=gamma, phi=phi, g=g)
-        )
-    rows = len(models)
-    log_x0 = st.lists(st.floats(-3.0, 2.0), min_size=n, max_size=n)
-    x0 = 10.0 ** np.array(data.draw(log_x0) if shared_x0 else [data.draw(log_x0) for _ in models])
-    dt = dt_fraction * euler_bound(models[0])
-    solo = [
-        solo_outcome(model, x0 if shared_x0 else x0[i], dt, steps, scheme, positivity)
-        for i, model in enumerate(models)
-    ]
-    failed = [(out.step, i) for i, out in enumerate(solo) if isinstance(out, IntegrationError)]
-    if failed:
-        _, first = min(failed)
-        with pytest.raises(IntegrationError) as info:
-            integrate_rows(models, x0, dt, steps, scheme, positivity)
-        assert error_facts(info.value) == error_facts(solo[first])
-        assert info.value.row == first
-        return
-    got = integrate_rows(models, x0, dt, steps, scheme, positivity)
-    assert len(got) == rows
-    for traj, want in zip(got, solo):
-        assert np.array_equal(traj.states, want.states)
-        assert np.array_equal(traj.sums, want.sums)
-        assert np.array_equal(traj.times, want.times)
-        assert traj.first_violation == want.first_violation
-        assert (traj.scheme, traj.dt) == (want.scheme, want.dt)
-        assert traj.states.flags.c_contiguous
-
-
-def test_integrate_rows_one_model_is_integrate():
-    model = make_model([1, 2, 3], g="tanh")
-    (traj,) = integrate_rows([model], [0.3, 0.8, 0.4], 0.05, 100, Scheme.RK4)
-    want = integrate(model, [0.3, 0.8, 0.4], 0.05, 100, Scheme.RK4)
-    assert np.array_equal(traj.states, want.states)
-    with pytest.raises(PositivityError) as info:
-        integrate_rows([overshooting_model()], [[1.0, 1.0]], 1.0, 10)
-    assert info.value.row == 0
-    with pytest.raises(PositivityError) as solo:
-        integrate(overshooting_model(), [1.0, 1.0], 1.0, 10)
-    assert error_facts(info.value) == error_facts(solo.value)
-    assert solo.value.row == 0
-
-
-def test_integrate_rows_clamps_each_row_on_its_own():
-    # the overshooting row is clamped from step 1 on; the other never is
-    rows = [make_model([1, 2]), overshooting_model(), make_model([1, 2], g="signum")]
-    got = integrate_rows(rows, [1.0, 1.0], 1.0, 10, positivity=PositivityPolicy.CLAMP_EPSILON)
-    assert [traj.first_violation is not None for traj in got] == [False, True, False]
-    assert got[1].first_violation[0] == 1
-    for traj, model in zip(got, rows):
-        want = integrate(model, [1.0, 1.0], 1.0, 10, positivity=PositivityPolicy.CLAMP_EPSILON)
-        assert np.array_equal(traj.states, want.states)
-
-
-def test_integrate_rows_input_validation():
-    two, three = make_model([1, 2]), make_model([1, 2, 3], phi="max")
-    with pytest.raises(ValueError, match="at least one model"):
-        integrate_rows([], [0.5, 0.5], 0.1, 10)
-    with pytest.raises(ValueError, match=r"one number of paths, got \[2, 3\]"):
-        integrate_rows([two, three], [0.5, 0.5], 0.1, 10)
-    with pytest.raises(ValueError, match=r"shape \(3,\), which does not broadcast to \(2, 2\)"):
-        integrate_rows([two, two], [0.5, 0.5, 0.5], 0.1, 10)
-    with pytest.raises(ValueError, match=r"x0 has shape \(3, 2\)"):
-        integrate_rows([two, two], np.full((3, 2), 0.5), 0.1, 10)
-    with pytest.raises(DomainError, match=r"component 1 of x0 row 1 is -0\.25; must be") as info:
-        integrate_rows([two, two], [[0.5, 0.5], [0.5, -0.25]], 0.1, 10)
-    assert "np.float64" not in str(info.value)
-    with pytest.raises(DomainError, match=r"component 0 of x0 is nan;"):
-        integrate_rows([two, two], [np.nan, 0.5], 0.1, 10)
-    with pytest.raises(ValueError, match="not an integrator"):
-        integrate_rows([two, two], [0.5, 0.5], 0.1, 10, scheme=Scheme.EXACT)
-    with pytest.raises(ValueError, match="steps"):
-        integrate_rows([two, two], [0.5, 0.5], 0.1, -1)
-
-
 @settings(max_examples=150, deadline=None)
 @given(
-    producer=st.sampled_from(["euler", "rk4", "rows", "exact", "asymptotic"]),
+    producer=st.sampled_from(["euler", "rk4", "exact", "asymptotic"]),
     # runs up to their limit in SCALAR_PATHS step in Python floats, longer
-    # ones in numpy; a block of several models always does
-    n=SOLO_PATHS,
+    # ones in numpy
+    n=RUN_PATHS,
     g=st.sampled_from([GKind.IDENTITY, GKind.TANH]),
     dt_fraction=st.floats(0.05, 0.9),
     steps=st.integers(0, 150),
@@ -493,30 +370,24 @@ def test_times_and_sums_are_derived_bitwise(producer, n, g, dt_fraction, steps, 
     dt = dt_fraction * euler_bound(identity)  # within the tanh bound too
     clamp = PositivityPolicy.CLAMP_EPSILON
     if producer in ("euler", "rk4"):
-        runs = [integrate(model, x0, dt, steps, Scheme(producer), clamp)]
-    elif producer == "rows":
-        # a row whose first Euler step sends every component far below 0
-        overshoot = make_model(data.draw(lengths), alpha=1.0, beta=0.01, gamma=5.0 / dt)
-        other = replace(model, g_kind=GKind.TANH) if g is GKind.IDENTITY else identity
-        runs = integrate_rows([model, overshoot, other], x0, dt, steps, positivity=clamp)
-        assert [traj.first_violation is not None for traj in runs] == [False, steps > 0, False]
+        traj = integrate(model, x0, dt, steps, Scheme(producer), clamp)
     else:
         sample = sample_exact if producer == "exact" else sample_asymptotic
-        runs = [sample(identity, x0, dt, steps)]
+        traj = sample(identity, x0, dt, steps)
     grid = (np.arange(steps + 1) * dt).tobytes()
-    # the sums as the producers stored them: one reduction over the (B, steps + 1, n) block
-    for traj, sums in zip(runs, np.stack([run.states for run in runs]).sum(axis=-1)):
-        assert traj.times.tobytes() == grid
-        assert traj.sums.tobytes() == sums.tobytes()
-        # once the sums are read, the states they came from cannot change
-        check_sum_bounds(traj, identity)
-        k = data.draw(st.integers(0, steps))
+    # the sums of the states as the producer stored them, taken from a copy
+    sums = traj.states.copy().sum(axis=-1).tobytes()
+    assert traj.times.tobytes() == grid
+    assert traj.sums.tobytes() == sums
+    # once the sums are read, the states they came from cannot change
+    check_sum_bounds(traj, identity)
+    k = data.draw(st.integers(0, steps))
+    with pytest.raises(ValueError, match="read-only"):
+        traj.states[k, 0] += 5.0
+    if traj.leading_valid is not None:
         with pytest.raises(ValueError, match="read-only"):
-            traj.states[k, 0] += 5.0
-        if traj.leading_valid is not None:
-            with pytest.raises(ValueError, match="read-only"):
-                traj.leading_valid[k] = not traj.leading_valid[k]
-        assert traj.sums.tobytes() == sums.tobytes()
+            traj.leading_valid[k] = not traj.leading_valid[k]
+    assert traj.sums.tobytes() == sums
 
 
 def test_sum_envelope_endpoints_and_limits():
@@ -771,7 +642,7 @@ def test_the_order_check_fails_on_the_saturation_taken_per_component():
 @given(
     scheme=st.sampled_from([Scheme.EULER, Scheme.RK4]),
     # up to its limit in SCALAR_PATHS the run steps in Python floats, beyond in numpy
-    n=SOLO_PATHS,
+    n=RUN_PATHS,
     rates=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
     share=st.floats(0.01, 0.5),
     data=st.data(),
@@ -797,7 +668,7 @@ def test_identity_sum_weighted_mass_relaxes_as_the_scheme_predicts(scheme, n, ra
 @given(
     scheme=st.sampled_from([Scheme.EULER, Scheme.RK4]),
     # up to its limit in SCALAR_PATHS the run steps in Python floats, beyond in numpy
-    n=SOLO_PATHS,
+    n=RUN_PATHS,
     rates=st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
     share=st.floats(0.01, 0.5),
     data=st.data(),
